@@ -1,9 +1,7 @@
 """Kubo-Ando matrix means, quantum Hellinger divergences, and barycenters
 on the cone of positive definite matrices."""
 
-from ._accel import BACKEND
 from .barycenter import (
-    GRADIENT_QUAD_ORDER,
     SolverOptions,
     SolverReport,
     WeightedEnsemble,

@@ -1,12 +1,14 @@
 """Barycenters on the positive definite cone and the associated mean equations.
 
 The barycenter of matrices A_1..A_m with weights w under the divergence phi
-is the unique minimizer of X -> sum_j w_j phi(A_j, X).  Its gradient has an
-exact quadrature form over the generator's representing measure, which both
-the descent solver and the stationarity residual share.  The fixed-point
-solvers iterate the power-mean equation and the noncommutative mean equation;
-for commuting inputs all of these agree, and the gap between the barycenter
-and the mean-equation solution quantifies noncommutativity.
+is the unique minimizer of X -> sum_j w_j phi(A_j, X).  Its gradient is the
+exact Daleckii-Krein (divided-difference) derivative of f in the eigenbasis of
+each M_j = A_j^{-1/2} X A_j^{-1/2}, the eigenbasis the objective computes:
+the descent solver reuses the objective's eigendecompositions, and the
+stationarity residual differentiates exactly the objective it minimizes.  The
+fixed-point solvers iterate the power-mean equation and the noncommutative
+mean equation; for commuting inputs all of these agree, and the gap between
+the barycenter and the mean-equation solution quantifies noncommutativity.
 """
 
 from __future__ import annotations
@@ -16,29 +18,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._accel import grad_quad_sum, power_mean_step
 from .errors import (
     DimensionMismatchError,
     DomainError,
     NonConvergenceError,
     UnsupportedGeneratorError,
 )
-from .generators import DivergenceSpec, Generator
+from .generators import DivergenceSpec, Generator, MeasureGenerator
 from .hermitian import (
     HermitianMatrix,
     MatrixLike,
     PositiveDefiniteMatrix,
+    _divided_differences,
     _mat,
     frobenius_dist,
     pd,
     thompson_dist,
 )
 from .measures import DEFAULT_QUAD_ORDER, Measure, quadrature
-
-# Gradient integrals use a coarser default than scalar generator evaluation:
-# the integrand's poles sit far from [0,1] for moderately conditioned
-# ensembles, so 64 nodes already reach well below the solver tolerances.
-GRADIENT_QUAD_ORDER = 64
 
 _MIN_STEP = 1e-18
 
@@ -96,7 +93,7 @@ class SolverOptions:
     armijo_c: float = 1e-4
     initial_guess: Optional[PositiveDefiniteMatrix] = None
     damping: float = 1.0
-    quad_order: int = GRADIENT_QUAD_ORDER
+    quad_order: int = DEFAULT_QUAD_ORDER
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -129,55 +126,80 @@ class SolverReport:
 
 
 class _Workspace:
-    """Per-solve immutable precomputation shared by objective and gradient."""
+    """Per-solve precomputation shared by objective and gradient.
+
+    Both evaluate through the eigendecompositions V_j diag(e_j) V_j* of
+    M_j = A_j^{-1/2} X A_j^{-1/2}.  Those of the last point evaluated are kept,
+    so the gradient at an accepted line-search trial reuses the objective's.
+    """
 
     def __init__(self, ens: WeightedEnsemble, spec: DivergenceSpec, quad_order: int):
-        self.ens = ens
         self.spec = spec
-        mu = spec.generator.representing_measure()
-        if mu is None:
+        gen = spec.generator
+        if gen.representing_measure() is None:
             raise UnsupportedGeneratorError(
-                f"{type(spec.generator).__name__} carries no representing measure; "
+                f"{type(gen).__name__} carries no representing measure; "
                 "the barycenter gradient needs one"
             )
-        rule = quadrature(mu, quad_order)
-        self.nodes = np.ascontiguousarray(rule.nodes)
-        self.qweights = np.ascontiguousarray(rule.weights)
+        # Closed-form generators differentiate f directly; a measure generator
+        # is only known through quadrature, so its table uses the rule too.
+        self.rule = quadrature(gen.mu, quad_order) if isinstance(gen, MeasureGenerator) else None
         self.weights = np.ascontiguousarray(ens.weights)
         self.mats = np.ascontiguousarray(
             np.stack([A.mat for A in ens.matrices]).astype(np.complex128)
         )
-        self.inv_mats = np.ascontiguousarray(np.linalg.inv(self.mats))
-        iroots = []
-        for A in ens.matrices:
-            w, U = np.linalg.eigh(A.mat)
-            iroots.append((U * (1.0 / np.sqrt(w))) @ U.conj().T)
-        self.inv_roots = np.stack(iroots)
+        lam, U = np.linalg.eigh(self.mats)
+        self.inv_roots = (U * (1.0 / np.sqrt(lam))[:, None, :]) @ np.conj(np.swapaxes(U, -1, -2))
         self.const = float(
             (1 - spec.c) * sum(w * np.trace(A.mat).real for w, A in zip(ens.weights, ens.matrices))
         )
         self.c = spec.c
+        self._last = None
+
+    def _spectra(self, X: np.ndarray):
+        if self._last is not None and self._last[0] is X:
+            return self._last[1], self._last[2]
+        M = self.inv_roots @ X @ self.inv_roots
+        M = (M + np.conj(np.swapaxes(M, -1, -2))) / 2
+        e, V = np.linalg.eigh(M)
+        self._last = (X, e, V)
+        return e, V
+
+    def _table(self, e: np.ndarray) -> np.ndarray:
+        """Divided differences f^[1](e_j) of every member, shape (m, d, d)."""
+        if self.rule is None:
+            gen = self.spec.generator
+            fe = np.asarray(gen.f(e), dtype=np.float64)
+            de = np.asarray(gen.f_prime(e), dtype=np.float64)
+            return _divided_differences(e, fe, de)
+        # (f(a) - f(b)) / (a - b) = sum_k q_k l_k / (((1-l_k) a + l_k)((1-l_k) b + l_k))
+        # for f = f_mu: a sum of positive terms, with no cancellation at near-ties.
+        l = self.rule.nodes
+        P = 1.0 / ((1 - l) * e[..., None] + l)
+        return (P * (self.rule.weights * l)) @ np.swapaxes(P, -1, -2)
 
     def objective(self, X: np.ndarray) -> float:
         f = self.spec.generator.f
         total = self.const + self.c * float(np.trace(X).real)
-        M = self.inv_roots @ X @ self.inv_roots
-        M = (M + np.conj(np.swapaxes(M, -1, -2))) / 2
-        e, V = np.linalg.eigh(M)
+        e, V = self._spectra(X)
         fe = np.asarray(f(e), dtype=np.float64)
         fM = (V * fe[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))
         means = np.einsum("jab,jba->j", fM, self.mats).real
         return total - float(np.dot(self.weights, means))
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
-        acc = grad_quad_sum(X, self.inv_mats, self.weights, self.nodes, self.qweights)
+        e, V = self._spectra(X)
+        Vh = np.conj(np.swapaxes(V, -1, -2))
+        K = (self.weights[:, None, None] * self._table(e)) * (Vh @ self.mats @ V)
+        W = self.inv_roots @ V
+        acc = (W @ K @ np.conj(np.swapaxes(W, -1, -2))).sum(axis=0)
         G = self.c * np.eye(X.shape[0], dtype=np.complex128) - acc
         return (G + G.conj().T) / 2
 
 
 def objective(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
     """Weighted divergence sum F(X) = sum_j w_j phi(A_j, X)."""
-    ws = _Workspace(ens, spec, GRADIENT_QUAD_ORDER)
+    ws = _Workspace(ens, spec, DEFAULT_QUAD_ORDER)
     return ws.objective(_as_state(ens, X))
 
 
@@ -194,13 +216,18 @@ def euclidean_gradient(
     ens: WeightedEnsemble,
     X: MatrixLike,
     spec: DivergenceSpec,
-    quad_order: int = GRADIENT_QUAD_ORDER,
+    quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> HermitianMatrix:
     """Euclidean gradient G of the barycenter objective at X.
 
-    G = c I - sum_j w_j integral of l |(1-l) A_j^{-1} X + l I|^{-2} dmu(l),
-    evaluated on the representing measure's quadrature nodes; the directional
-    derivative in any Hermitian direction Y is Tr(G Y).
+    G = c I - sum_j w_j A_j^{-1/2} Df(M_j)[A_j] A_j^{-1/2} with
+    M_j = A_j^{-1/2} X A_j^{-1/2}, evaluated exactly in the eigenbasis of M_j
+    through the divided-difference table of f on its spectrum.  For a
+    MeasureGenerator that table is a quadrature over the representing measure
+    at quad_order nodes, which at the default order is the rule f_mu uses, so
+    G is the exact derivative of the objective; closed-form generators ignore
+    quad_order.  The directional derivative in any Hermitian direction Y is
+    Tr(G Y).
     """
     ws = _Workspace(ens, spec, quad_order)
     return HermitianMatrix(ws.gradient(_as_state(ens, X)))
@@ -210,7 +237,7 @@ def residual(
     ens: WeightedEnsemble,
     X: MatrixLike,
     spec: DivergenceSpec,
-    quad_order: int = GRADIENT_QUAD_ORDER,
+    quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> float:
     """Frobenius norm of the stationarity defect at X (zero at the barycenter)."""
     return float(np.linalg.norm(euclidean_gradient(ens, X, spec, quad_order).mat))
@@ -352,6 +379,18 @@ def solve_barycenter(
     )
 
 
+def _power_mean_step(X, mats, weights, s):
+    """sum_j w_j X #_s A_j with X #_s A = X^{1/2} (X^{-1/2} A X^{-1/2})^s X^{1/2}."""
+    w, U = np.linalg.eigh(X)
+    root = (U * np.sqrt(w)) @ U.conj().T
+    iroot = (U * (1.0 / np.sqrt(w))) @ U.conj().T
+    M = iroot @ mats @ iroot
+    e, V = np.linalg.eigh(M)
+    powered = (V * (e**s)[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+    mean = np.einsum("j,jab->ab", weights, powered)
+    return root @ mean @ root
+
+
 def _fixed_point(ens, opts, step_fn) -> SolverReport:
     """Damped Picard iteration with oscillation-triggered damping halving."""
     X = _initial_state(ens, opts)
@@ -408,7 +447,7 @@ def solve_power_mean(
     s = 1.0 - t
 
     def step(X):
-        return power_mean_step(X, mats, weights, s)
+        return _power_mean_step(X, mats, weights, s)
 
     return _fixed_point(ens, opts, step)
 

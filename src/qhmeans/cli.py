@@ -35,7 +35,7 @@ from .generators import (
     PowerGenerator,
 )
 from .hermitian import PositiveDefiniteMatrix, frobenius_dist, pd
-from .measures import ArcsineMeasure, BetaTypeMeasure
+from .measures import DEFAULT_QUAD_ORDER, ArcsineMeasure, BetaTypeMeasure
 from .serialize import (
     ensemble_from_json,
     generator_from_json,
@@ -267,7 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--input", action="append", help="path to a JSON input (repeatable)")
         p.add_argument("--inline", action="append", help="inline JSON input (repeatable)")
-        p.add_argument("--quad-order", type=int, default=64, dest="quad_order")
+        p.add_argument(
+            "--quad-order",
+            type=int,
+            default=DEFAULT_QUAD_ORDER,
+            dest="quad_order",
+            help="quadrature nodes of a measure generator's gradient table "
+            "(closed-form generators ignore it)",
+        )
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
         p.add_argument("--format", choices=("json", "table"), default="json")

@@ -224,6 +224,20 @@ def is_positive_definite(H: MatrixLike, tol: float = 1e-12) -> bool:
     return bool(np.linalg.eigvalsh(_mat(herm(H)))[0] > tol)
 
 
+def _divided_differences(w: np.ndarray, fw: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """First divided differences (fn(w_a) - fn(w_b)) / (w_a - w_b) over the last axis.
+
+    Near-degenerate pairs take the average of fn' at the two points.  Leading
+    axes broadcast, so a stack of spectra gives a stack of tables.
+    """
+    num = fw[..., :, None] - fw[..., None, :]
+    den = w[..., :, None] - w[..., None, :]
+    scale = np.maximum(np.abs(w[..., :, None]), np.abs(w[..., None, :]))
+    degenerate = np.abs(den) <= 1e-10 * np.maximum(scale, 1.0)
+    ratio = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
+    return np.where(degenerate, (dw[..., :, None] + dw[..., None, :]) / 2, ratio)
+
+
 def frechet_derivative(
     fn: Callable,
     fn_prime: Callable,
@@ -242,11 +256,6 @@ def frechet_derivative(
     dw = np.asarray(fn_prime(w), dtype=np.float64)
     if not (np.isfinite(fw).all() and np.isfinite(dw).all()):
         raise DomainError("function or derivative not finite on the spectrum")
-    num = fw[:, None] - fw[None, :]
-    den = w[:, None] - w[None, :]
-    scale = np.maximum(np.abs(w[:, None]), np.abs(w[None, :]))
-    degenerate = np.abs(den) <= 1e-10 * np.maximum(scale, 1.0)
-    ratio = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
-    table = np.where(degenerate, (dw[:, None] + dw[None, :]) / 2, ratio)
+    table = _divided_differences(w, fw, dw)
     inner = U.conj().T @ y @ U
     return HermitianMatrix(U @ (table * inner) @ U.conj().T)

@@ -81,3 +81,18 @@ def rng():
 
 def assert_pd(M) -> PositiveDefiniteMatrix:
     return pd(M)
+
+
+def assembled_gradient(ens, X, c, derivative):
+    """Barycenter gradient built member by member from a Frechet derivative.
+
+    G = c I - sum_j w_j A_j^{-1/2} derivative(M_j, A_j) A_j^{-1/2} with
+    M_j = A_j^{-1/2} X A_j^{-1/2}; the inverse roots come from plain numpy.
+    """
+    G = c * np.eye(X.dim, dtype=np.complex128)
+    for w, A in zip(ens.weights, ens.matrices):
+        lam, U = np.linalg.eigh(A.mat)
+        R = (U / np.sqrt(lam)) @ U.conj().T
+        M = R @ X.mat @ R
+        G -= w * (R @ derivative((M + M.conj().T) / 2, A.mat) @ R)
+    return (G + G.conj().T) / 2

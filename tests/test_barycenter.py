@@ -36,6 +36,7 @@ from conftest import (
     REF_BARYCENTER,
     REF_OBJECTIVE_AT_I,
     REF_ONE_STEP,
+    assembled_gradient,
     random_hermitian_np,
     random_pd_np,
     random_unitary_np,
@@ -299,6 +300,21 @@ class TestSolveBarycenter:
         )
         assert not report.converged
         assert report.final_residual > 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reported_residual_is_honest_on_wide_spectra(self, seed):
+        # spectra in [e^-6, e^6]: the residual ending the solve must be the
+        # true stationarity defect, whether or not the solve converged
+        rng = np.random.default_rng(seed)
+        gen = GeometricGenerator(0.5)
+        spec = DivergenceSpec(gen)
+        ens = ensemble([random_pd_np(rng, 4, 6.0) for _ in range(4)], rng.dirichlet(np.ones(4)))
+        report = solve_barycenter(ens, spec, SolverOptions(max_iterations=50))
+        G = assembled_gradient(
+            ens, report.solution, spec.c,
+            lambda M, A: frechet_derivative(gen.f, gen.f_prime, M, A).mat,
+        )
+        assert report.final_residual == pytest.approx(np.linalg.norm(G), rel=1e-4)
 
     def test_arithmetic_mean_limit_of_power_family(self, rng):
         # for commuting ensembles the t -> 0 barycenter approaches sum w_j A_j
