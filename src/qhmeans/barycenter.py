@@ -6,9 +6,11 @@ exact Daleckii-Krein (divided-difference) derivative of f in the eigenbasis of
 each M_j = A_j^{-1/2} X A_j^{-1/2}, the eigenbasis the objective computes:
 the descent solver reuses the objective's eigendecompositions, and the
 stationarity residual differentiates exactly the objective it minimizes.  The
-fixed-point solvers iterate the power-mean equation and the noncommutative
-mean equation; for commuting inputs all of these agree, and the gap between
-the barycenter and the mean-equation solution quantifies noncommutativity.
+power-mean equation and the noncommutative mean equation share one batched
+fixed-point map, X -> X^{1/2} (sum_j w_j f'(M_j^{-1})) X^{1/2} / f'(1) with
+M_j = X^{-1/2} A_j X^{-1/2}, iterated under Anderson acceleration; for
+commuting inputs all of these agree, and the gap between the barycenter and
+the mean-equation solution quantifies noncommutativity.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     NonConvergenceError,
     UnsupportedGeneratorError,
 )
-from .generators import DivergenceSpec, Generator, MeasureGenerator
+from .generators import DivergenceSpec, GeometricGenerator, Generator, MeasureGenerator
 from .hermitian import (
     HermitianMatrix,
     MatrixLike,
@@ -92,7 +94,6 @@ class SolverOptions:
     line_search_shrink: float = 0.5
     armijo_c: float = 1e-4
     initial_guess: Optional[PositiveDefiniteMatrix] = None
-    damping: float = 1.0
     quad_order: int = DEFAULT_QUAD_ORDER
 
     def __post_init__(self):
@@ -104,8 +105,6 @@ class SolverOptions:
             raise DomainError("line_search_shrink must lie in (0,1)")
         if not 0.0 < self.armijo_c < 0.5:
             raise DomainError("armijo_c must lie in (0, 0.5)")
-        if not 0.0 < self.damping <= 1.0:
-            raise DomainError("damping must lie in (0, 1]")
         if self.quad_order < 2:
             raise DomainError("quad_order must be at least 2")
 
@@ -115,7 +114,8 @@ class SolverReport:
     """Outcome of a solver run.
 
     objective_trace holds per-iteration objective values for the descent
-    solver and relative step sizes for the fixed-point solvers.
+    solver and relative map residuals ||T(X) - X||_F / ||X||_F for the
+    fixed-point solvers.
     """
 
     solution: PositiveDefiniteMatrix
@@ -379,54 +379,74 @@ def solve_barycenter(
     )
 
 
-def _power_mean_step(X, mats, weights, s):
-    """sum_j w_j X #_s A_j with X #_s A = X^{1/2} (X^{-1/2} A X^{-1/2})^s X^{1/2}."""
-    w, U = np.linalg.eigh(X)
-    root = (U * np.sqrt(w)) @ U.conj().T
-    iroot = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-    M = iroot @ mats @ iroot
-    e, V = np.linalg.eigh(M)
-    powered = (V * (e**s)[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))
-    mean = np.einsum("j,jab->ab", weights, powered)
-    return root @ mean @ root
+# Number of past (iterate, residual) differences the Anderson extrapolation
+# combines.
+_ANDERSON_DEPTH = 5
+
+
+def _real_vector(X: np.ndarray) -> np.ndarray:
+    """X as a real vector; dot products of these are Frobenius products Re Tr(X* Y)."""
+    return X.view(np.float64).ravel()
+
+
+def _anderson_point(T, f, dX, dF):
+    """T - sum_i g_i (dX_i + dF_i) for the least-squares g, or None if that fails."""
+    D = np.array(dF)
+    try:
+        g = np.linalg.solve(D @ D.T, D @ f)
+    except np.linalg.LinAlgError:
+        return None
+    Y = T - (g @ (np.array(dX) + D)).view(np.complex128).reshape(T.shape)
+    return Y if _cholesky_ok(Y) else None
 
 
 def _fixed_point(ens, opts, step_fn) -> SolverReport:
-    """Damped Picard iteration with oscillation-triggered damping halving."""
+    """Anderson-accelerated iteration of the map T = step_fn to its fixed point.
+
+    Iteration k evaluates T at X_k and the residual F_k = T(X_k) - X_k, and
+    stops with T(X_k) once ||F_k||_F / ||X_k||_F <= residual_tol; that relative
+    residual of the plain map is what objective_trace records per iteration.
+    Otherwise X_{k+1} is the type-II Anderson extrapolation (Walker & Ni 2011)
+    from the last _ANDERSON_DEPTH differences dX_i of iterates and dF_i of
+    residuals: X_{k+1} = T(X_k) - sum_i g_i (dX_i + dF_i), with the real
+    coefficients g minimizing ||F_k - sum_i g_i dF_i||_F (normal equations),
+    so X_{k+1} stays Hermitian.  When those equations are singular or the
+    extrapolation fails the Cholesky test, X_{k+1} = T(X_k) and the history is
+    cleared.  Anderson residuals need not decrease monotonically.
+    """
     X = _initial_state(ens, opts)
-    damping = opts.damping
-    floor = opts.damping / 16
-    prev_delta = np.inf
-    increases = 0
-    deltas: list = []
+    dX: list = []
+    dF: list = []
+    x_prev = f_prev = None
+    trace: list = []
     converged = False
-    delta = np.inf
-    iterations = 0
     for _ in range(opts.max_iterations):
         T = step_fn(X)
-        Xn = (1 - damping) * X + damping * T
-        Xn = (Xn + Xn.conj().T) / 2
-        delta = float(np.linalg.norm(Xn - X) / max(np.linalg.norm(X), 1e-300))
-        deltas.append(delta)
-        iterations += 1
-        X = Xn
+        T = (T + T.conj().T) / 2
+        F = T - X
+        delta = float(np.linalg.norm(F) / max(np.linalg.norm(X), 1e-300))
+        trace.append(delta)
         if delta <= opts.residual_tol:
             converged = True
             break
-        if delta > prev_delta:
-            increases += 1
-            if increases >= 2 and damping / 2 >= floor:
-                damping /= 2
-                increases = 0
-        else:
-            increases = 0
-        prev_delta = delta
+        x, f = _real_vector(X), _real_vector(F)
+        if f_prev is not None:
+            dX.append(x - x_prev)
+            dF.append(f - f_prev)
+            if len(dF) > _ANDERSON_DEPTH:
+                del dX[0], dF[0]
+        x_prev, f_prev = x, f
+        X = _anderson_point(T, f, dX, dF) if dF else None
+        if X is None:
+            X = T
+            dX.clear()
+            dF.clear()
     return SolverReport(
-        solution=PositiveDefiniteMatrix(X),
-        iterations=iterations,
-        final_residual=delta if deltas else 0.0,
-        objective_trace=deltas,
-        converged=converged or (not deltas),
+        solution=PositiveDefiniteMatrix(T),
+        iterations=len(trace),
+        final_residual=trace[-1],
+        objective_trace=trace,
+        converged=converged,
     )
 
 
@@ -436,20 +456,14 @@ def solve_power_mean(
     opts: Optional[SolverOptions] = None,
 ) -> SolverReport:
     """Weighted power mean of order 1-t: the fixed point of
-    X = sum_j w_j (X #_{1-t} A_j)."""
+    X = sum_j w_j (X #_{1-t} A_j).
+
+    This is the mean equation of GeometricGenerator(t), solved by
+    solve_mean_equation.
+    """
     if not 0.0 < t < 1.0:
         raise DomainError(f"power order t={t} must lie in (0,1)")
-    opts = opts or SolverOptions()
-    mats = np.ascontiguousarray(
-        np.stack([A.mat for A in ens.matrices]).astype(np.complex128)
-    )
-    weights = np.ascontiguousarray(ens.weights)
-    s = 1.0 - t
-
-    def step(X):
-        return _power_mean_step(X, mats, weights, s)
-
-    return _fixed_point(ens, opts, step)
+    return solve_mean_equation(ens, GeometricGenerator(t), opts)
 
 
 def solve_mean_equation(
@@ -462,28 +476,29 @@ def solve_mean_equation(
     This is the commutative stationarity equation read noncommutatively; for
     the square-root generator it reduces to the order-1/2 power mean equation.
     Accepts a DivergenceSpec or a bare generator (e.g. the log generator,
-    whose equation collapses to the weighted arithmetic mean).
+    whose equation collapses to the weighted arithmetic mean).  Each step
+    diagonalizes every M_j = X^{-1/2} A_j X^{-1/2} in one batched eigh.
     """
     opts = opts or SolverOptions()
     gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
     fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
     if fp1 <= 0:
         raise DomainError("generator must have positive derivative at 1")
-    mats = [A.mat for A in ens.matrices]
-    weights = ens.weights
+    mats = np.ascontiguousarray(
+        np.stack([A.mat for A in ens.matrices]).astype(np.complex128)
+    )
+    weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
 
     def step(X):
         w, U = np.linalg.eigh(X)
         root = (U * np.sqrt(w)) @ U.conj().T
         iroot = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-        acc = np.zeros_like(X)
-        for wj, Aj in zip(weights, mats):
-            M = iroot @ Aj @ iroot
-            M = (M + M.conj().T) / 2
-            e, V = np.linalg.eigh(M)
-            vals = np.asarray(gen.f_prime(1.0 / e), dtype=np.float64)
-            acc += wj * ((V * vals) @ V.conj().T)
-        return root @ acc @ root / fp1
+        M = iroot @ mats @ iroot
+        M = (M + np.conj(np.swapaxes(M, -1, -2))) / 2
+        e, V = np.linalg.eigh(M)
+        vals = weights * np.asarray(gen.f_prime(1.0 / e), dtype=np.float64)
+        acc = ((V * vals[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))).sum(axis=0)
+        return root @ acc @ root
 
     return _fixed_point(ens, opts, step)
 

@@ -56,8 +56,7 @@ def report(criterion: int, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def warm_solver():
-    # JIT-compile the kernels once so criterion 1 times the algorithm,
-    # not the compiler.
+    # Pay the first-call costs once, so criterion 1 times only the solve.
     ens = ensemble([np.eye(2) * 2.0], [1.0])
     solve_barycenter(ens, ARCSINE_SPEC, SolverOptions(max_iterations=3))
     return True

@@ -398,6 +398,72 @@ class TestSolveMeanEquation:
         ) <= 1e-8
 
 
+def map_residual(ens, X, s):
+    """||sum_j w_j X #_s A_j - X||_F / ||X||_F through kubo_ando_mean."""
+    gen = GeometricGenerator(s)
+    image = sum(w * kubo_ando_mean(X, A, gen).mat for w, A in zip(ens.weights, ens.matrices))
+    return float(np.linalg.norm(image - X.mat) / np.linalg.norm(X.mat))
+
+
+class TestFixedPointMap:
+    def test_reference_iteration_bound(self):
+        # the plain map contracts by a factor t per step: 52 iterations here
+        report = solve_power_mean(ref_ensemble(), 0.75)
+        assert report.converged
+        assert report.iterations <= 20
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("solver", ["power:0.25", "power:0.5", "power:0.75", "mean:arcsine"])
+    def test_solution_satisfies_map_through_kubo_ando_mean(self, seed, solver):
+        # noncommuting members with spectra in [e^-3, e^3]; the map
+        # X -> sum_j w_j X #_{1-t} A_j is recomputed outside the solver
+        rng = np.random.default_rng(seed)
+        ens = ensemble([random_pd_np(rng, 4, 3.0) for _ in range(4)], rng.dirichlet(np.ones(4)))
+        opts = SolverOptions()
+        family, _, arg = solver.partition(":")
+        if family == "power":
+            t = float(arg)
+            report = solve_power_mean(ens, t, opts)
+        else:
+            t = 0.5  # the arcsine measure represents the square root
+            report = solve_mean_equation(ens, ARCSINE_SPEC, opts)
+        assert report.converged
+        assert map_residual(ens, report.solution, 1.0 - t) <= 10 * opts.residual_tol
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_extrapolation_outside_the_cone_falls_back(self, seed):
+        # members with spectrum {e^-6, e^6}: on these seeds some Anderson
+        # extrapolations are not positive definite and the plain step is taken
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(2):
+            U = random_unitary_np(rng, 2)
+            mats.append((U * np.exp([-6.0, 6.0])) @ U.conj().T)
+        ens = ensemble(mats, rng.dirichlet(np.ones(2)))
+        opts = SolverOptions()
+        report = solve_power_mean(ens, 0.75, opts)
+        assert report.converged
+        assert map_residual(ens, report.solution, 0.25) <= 10 * opts.residual_tol
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
+    def test_scalar_ensemble_matches_closed_form(self, rng, t):
+        # 1x1 members: any two differences in the Anderson history are
+        # linearly dependent, so its least-squares system is singular
+        a = np.exp(rng.uniform(-3, 3, size=(5, 1)))
+        ens = ensemble([np.diag(row) for row in a], rng.dirichlet(np.ones(5)))
+        report = solve_power_mean(ens, t, SolverOptions(residual_tol=1e-12))
+        assert report.converged
+        oracle = scalar_power_barycenter(a, ens.weights, t)
+        assert report.solution.mat[0, 0].real == pytest.approx(oracle[0], rel=1e-10)
+
+    def test_reports_non_convergence(self):
+        report = solve_power_mean(ref_ensemble(), 0.75, SolverOptions(max_iterations=3))
+        assert not report.converged
+        assert report.iterations == 3 == len(report.objective_trace)
+        assert report.final_residual == report.objective_trace[-1]
+        assert report.final_residual > SolverOptions().residual_tol
+
+
 class TestNoncommutativityMeasure:
     def test_single_member_vanishes(self, rng):
         A = random_pd_np(rng, 2)
