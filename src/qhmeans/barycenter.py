@@ -39,7 +39,12 @@ from .hermitian import (
 )
 from .measures import DEFAULT_QUAD_ORDER, Measure, quadrature
 
+# Backtracking line search: the smallest step tried, the factor each
+# rejected trial shrinks the step by, and the Armijo sufficient-decrease
+# constant.
 _MIN_STEP = 1e-18
+_SHRINK = 0.5
+_ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,22 +96,13 @@ def ensemble(matrices: Sequence[MatrixLike], weights: Sequence[float]) -> Weight
 class SolverOptions:
     max_iterations: int = 500
     residual_tol: float = 1e-8
-    line_search_shrink: float = 0.5
-    armijo_c: float = 1e-4
     initial_guess: Optional[PositiveDefiniteMatrix] = None
-    quad_order: int = DEFAULT_QUAD_ORDER
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
         if self.residual_tol <= 0:
             raise DomainError("residual_tol must be positive")
-        if not 0.0 < self.line_search_shrink < 1.0:
-            raise DomainError("line_search_shrink must lie in (0,1)")
-        if not 0.0 < self.armijo_c < 0.5:
-            raise DomainError("armijo_c must lie in (0, 0.5)")
-        if self.quad_order < 2:
-            raise DomainError("quad_order must be at least 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +129,12 @@ class _Workspace:
     so the gradient at an accepted line-search trial reuses the objective's.
     """
 
-    def __init__(self, ens: WeightedEnsemble, spec: DivergenceSpec, quad_order: int):
+    def __init__(
+        self,
+        ens: WeightedEnsemble,
+        spec: DivergenceSpec,
+        quad_order: int = DEFAULT_QUAD_ORDER,
+    ):
         self.spec = spec
         gen = spec.generator
         if gen.representing_measure() is None:
@@ -199,7 +200,7 @@ class _Workspace:
 
 def objective(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
     """Weighted divergence sum F(X) = sum_j w_j phi(A_j, X)."""
-    ws = _Workspace(ens, spec, DEFAULT_QUAD_ORDER)
+    ws = _Workspace(ens, spec)
     return ws.objective(_as_state(ens, X))
 
 
@@ -225,7 +226,8 @@ def euclidean_gradient(
     through the divided-difference table of f on its spectrum.  For a
     MeasureGenerator that table is a quadrature over the representing measure
     at quad_order nodes, which at the default order is the rule f_mu uses, so
-    G is the exact derivative of the objective; closed-form generators ignore
+    G is the exact derivative of the objective (any other order is a
+    different, approximate gradient); closed-form generators ignore
     quad_order.  The directional derivative in any Hermitian direction Y is
     Tr(G Y).
     """
@@ -233,14 +235,9 @@ def euclidean_gradient(
     return HermitianMatrix(ws.gradient(_as_state(ens, X)))
 
 
-def residual(
-    ens: WeightedEnsemble,
-    X: MatrixLike,
-    spec: DivergenceSpec,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-) -> float:
+def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
     """Frobenius norm of the stationarity defect at X (zero at the barycenter)."""
-    return float(np.linalg.norm(euclidean_gradient(ens, X, spec, quad_order).mat))
+    return float(np.linalg.norm(euclidean_gradient(ens, X, spec).mat))
 
 
 def frechet_derivative_fmu(
@@ -285,35 +282,38 @@ def solve_barycenter(
     spec: DivergenceSpec,
     opts: Optional[SolverOptions] = None,
 ) -> SolverReport:
-    """Minimize sum_j w_j phi(A_j, X) by gradient descent with Armijo backtracking.
+    """Minimize sum_j w_j phi(A_j, X) by gradient descent with backtracking.
 
     Each iteration seeds the line search with a Barzilai-Borwein step estimate
-    and backtracks from there; steps leaving the positive definite cone are
-    detected by a failed Cholesky factorization and rejected.  Convergence is
+    and halves it from there; steps leaving the positive definite cone are
+    detected by a failed Cholesky factorization and rejected.  A trial is
+    accepted on the Armijo test, or, where the objective is flat to rounding
+    near the optimum, when its objective stays within rounding of the current
+    one and its gradient norm is at least 0.1% smaller.  Convergence is
     declared on the stationarity residual, not on objective stagnation.
     Non-convergence is reported, not raised.
     """
     opts = opts or SolverOptions()
-    ws = _Workspace(ens, spec, opts.quad_order)
+    ws = _Workspace(ens, spec)
     X = _initial_state(ens, opts)
     trace = [ws.objective(X)]
+    G = ws.gradient(X)
+    res = float(np.linalg.norm(G))
     step = 1.0
     prev_X = None
     prev_G = None
     iterations = 0
-    converged = False
-    res = np.inf
     for _ in range(opts.max_iterations):
-        G = ws.gradient(X)
-        res = float(np.linalg.norm(G))
         if res <= opts.residual_tol:
-            converged = True
             break
         f0 = trace[-1]
         slope = res * res
+        # A rise this small is rounding; the cap keeps the recorded trace
+        # non-increasing up to 1e-12.
+        noise_slack = min(1e-13 * max(1.0, abs(f0)), 1e-12)
         # Barzilai-Borwein initial step from the last (X, G) change, ignored
         # when the previous step was at rounding level; plain doubling
-        # otherwise.  Armijo backtracking below safeguards either choice.
+        # otherwise.  The backtracking below safeguards either choice.
         s = 2.0 * step
         if prev_X is not None:
             dX = X - prev_X
@@ -324,58 +324,36 @@ def solve_barycenter(
                     s = float(np.tensordot(dX.conj(), dX, axes=2).real) / curv
         prev_X, prev_G = X, G
         s = min(max(s, 1e-12), 1e12)
-        s_init = s
-        accepted = False
         while s >= _MIN_STEP:
             Xt = X - s * G
             Xt = (Xt + Xt.conj().T) / 2
-            if not _cholesky_ok(Xt):
-                s *= opts.line_search_shrink
-                continue
-            ft = ws.objective(Xt)
-            # ft < f0 keeps the test honest once c*s*|G|^2 underflows the
-            # objective's resolution; it never rejects a genuine decrease.
-            if ft <= f0 - opts.armijo_c * s * slope and ft < f0:
-                accepted = True
-                break
-            s *= opts.line_search_shrink
-        if not accepted:
-            # Near the optimum the objective is flat to rounding, but the
-            # residual is still accurately computable: sweep a wide range of
-            # scales and take the best residual among steps that do not
-            # measurably increase the objective.  The cap keeps the recorded
-            # trace non-increasing up to 1e-12.
-            noise_slack = min(1e-13 * max(1.0, abs(f0)), 1e-12)
-            s_try = 64.0 * max(s_init, step, 1.0)
-            best = None
-            for _ in range(48):
-                Xt = X - s_try * G
-                Xt = (Xt + Xt.conj().T) / 2
-                if _cholesky_ok(Xt):
-                    ft = ws.objective(Xt)
-                    if ft <= f0 + noise_slack:
-                        r_t = float(np.linalg.norm(ws.gradient(Xt)))
-                        if best is None or r_t < best[0]:
-                            best = (r_t, s_try, Xt, ft)
-                s_try *= opts.line_search_shrink
-            if best is not None and best[0] <= (1 - 1e-3) * res:
-                _, s, Xt, ft = best
-                accepted = True
-        if not accepted:
+            if _cholesky_ok(Xt):
+                ft = ws.objective(Xt)
+                # ft < f0 keeps the test honest once c*s*|G|^2 underflows the
+                # objective's resolution; it never rejects a genuine decrease.
+                if ft <= f0 - _ARMIJO_C * s * slope and ft < f0:
+                    Gt = ws.gradient(Xt)
+                    break
+                # Below the objective's rounding floor the gradient is still
+                # accurate: accept a step that measurably lowers the residual.
+                if ft <= f0 + noise_slack:
+                    Gt = ws.gradient(Xt)
+                    if np.linalg.norm(Gt) <= (1 - 1e-3) * res:
+                        break
+            s *= _SHRINK
+        else:
             break
-        X = Xt
+        X, G = Xt, Gt
+        res = float(np.linalg.norm(G))
         step = s
         trace.append(ft)
         iterations += 1
-    else:
-        res = float(np.linalg.norm(ws.gradient(X)))
-        converged = res <= opts.residual_tol
     return SolverReport(
         solution=PositiveDefiniteMatrix(X),
         iterations=iterations,
         final_residual=res,
         objective_trace=trace,
-        converged=converged,
+        converged=res <= opts.residual_tol,
     )
 
 
@@ -404,8 +382,10 @@ def _fixed_point(ens, opts, step_fn) -> SolverReport:
     """Anderson-accelerated iteration of the map T = step_fn to its fixed point.
 
     Iteration k evaluates T at X_k and the residual F_k = T(X_k) - X_k, and
-    stops with T(X_k) once ||F_k||_F / ||X_k||_F <= residual_tol; that relative
-    residual of the plain map is what objective_trace records per iteration.
+    stops with X_k, the point that residual was measured at, once
+    ||F_k||_F / ||X_k||_F <= residual_tol; that relative residual of the plain
+    map is what objective_trace records per iteration.  An unconverged solve
+    returns the last map image T(X_k).
     Otherwise X_{k+1} is the type-II Anderson extrapolation (Walker & Ni 2011)
     from the last _ANDERSON_DEPTH differences dX_i of iterates and dF_i of
     residuals: X_{k+1} = T(X_k) - sum_i g_i (dX_i + dF_i), with the real
@@ -442,7 +422,7 @@ def _fixed_point(ens, opts, step_fn) -> SolverReport:
             dX.clear()
             dF.clear()
     return SolverReport(
-        solution=PositiveDefiniteMatrix(T),
+        solution=PositiveDefiniteMatrix(X if converged else T),
         iterations=len(trace),
         final_residual=trace[-1],
         objective_trace=trace,

@@ -32,10 +32,9 @@ from .generators import (
     HarmonicGenerator,
     LogGenerator,
     MeasureGenerator,
-    PowerGenerator,
 )
 from .hermitian import PositiveDefiniteMatrix, frobenius_dist, pd
-from .measures import DEFAULT_QUAD_ORDER, ArcsineMeasure, BetaTypeMeasure
+from .measures import ArcsineMeasure, BetaTypeMeasure
 from .serialize import (
     ensemble_from_json,
     generator_from_json,
@@ -75,14 +74,12 @@ def parse_generator(text: str) -> Generator:
     if not arg:
         raise InputError(f"generator {name!r} needs a parameter, e.g. '{name}:0.5'")
     value = float(arg)
-    if name == "geometric":
+    if name in ("geometric", "power"):
         return GeometricGenerator(value)
     if name == "arithmetic":
         return ArithmeticGenerator(value)
     if name == "harmonic":
         return HarmonicGenerator(value)
-    if name == "power":
-        return PowerGenerator(value)
     if name == "beta":
         return MeasureGenerator(BetaTypeMeasure(value))
     raise InputError(f"unknown generator shorthand {text!r}")
@@ -112,7 +109,6 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(
         max_iterations=args.max_iter,
         residual_tol=args.tol,
-        quad_order=args.quad_order,
     )
 
 
@@ -204,9 +200,7 @@ def cmd_verify_paper(args) -> int:
         (pd(REFERENCE_A1), pd(REFERENCE_A2)), np.array([0.5, 0.5])
     )
     spec = DivergenceSpec(MeasureGenerator(ArcsineMeasure()))
-    opts = SolverOptions(max_iterations=args.max_iter, residual_tol=args.tol,
-                         quad_order=args.quad_order)
-    report = solve_barycenter(ens, spec, opts)
+    report = solve_barycenter(ens, spec, _solver_options(args))
     if not report.converged:
         print("barycenter solver did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -267,14 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--input", action="append", help="path to a JSON input (repeatable)")
         p.add_argument("--inline", action="append", help="inline JSON input (repeatable)")
-        p.add_argument(
-            "--quad-order",
-            type=int,
-            default=DEFAULT_QUAD_ORDER,
-            dest="quad_order",
-            help="quadrature nodes of a measure generator's gradient table "
-            "(closed-form generators ignore it)",
-        )
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
         p.add_argument("--format", choices=("json", "table"), default="json")

@@ -25,6 +25,7 @@ from .hermitian import (
     MatrixLike,
     PositiveDefiniteMatrix,
     _apply_spectral_raw,
+    _check_same_dim,
     _mat,
     frechet_derivative,
     inv_sqrt_pd,
@@ -35,16 +36,11 @@ from .hermitian import (
 COMMUTE_RTOL = 1e-8
 
 
-def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike) -> np.ndarray:
     """A^{-1/2} B A^{-1/2}, the congruence that normalizes the first slot."""
     s = inv_sqrt_pd(A).mat
     b = _mat(B)
-    _check_dims(s, b)
+    _check_same_dim(s, b)
     m = s @ b @ s
     return (m + m.conj().T) / 2
 
@@ -115,7 +111,7 @@ def operator_bregman(
     result is positive semidefinite for operator convex h.
     """
     X, Y = pd(X), pd(Y)
-    _check_dims(X.mat, Y.mat)
+    _check_same_dim(X.mat, Y.mat)
     hX = _apply_spectral_raw(X.mat, h)
     hY = _apply_spectral_raw(Y.mat, h)
     dh = frechet_derivative(h, h_prime, Y, X.mat - Y.mat).mat
@@ -145,7 +141,7 @@ def commutative_phi(A: MatrixLike, B: MatrixLike, gen: Generator) -> float:
     Tr(A (log A - log B) + B - A).
     """
     A, B = pd(A), pd(B)
-    _check_dims(A.mat, B.mat)
+    _check_same_dim(A.mat, B.mat)
     comm = np.linalg.norm(A.mat @ B.mat - B.mat @ A.mat)
     bound = COMMUTE_RTOL * np.linalg.norm(A.mat) * np.linalg.norm(B.mat)
     if comm > bound:

@@ -2,8 +2,9 @@
 
 Named generators (arithmetic, geometric, harmonic) carry closed forms for
 f and f'; the measure-backed variant evaluates through quadrature.  The log
-and power generators belong to the relaxed commutative family: they are only
-required to be strictly concave and C^1, not operator monotone.
+generator belongs to the relaxed commutative family: it is only required to
+be strictly concave and C^1, not operator monotone.  PowerGenerator, the
+x^t of that family, is an alias of GeometricGenerator.
 """
 
 from __future__ import annotations
@@ -144,28 +145,9 @@ class LogGenerator:
         return None
 
 
-@dataclass(frozen=True)
-class PowerGenerator:
-    """f(x) = x^t for the relaxed commutative family; same closed form as
-    the geometric generator but tagged for the commutative operations."""
-
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _check_unit_interval("t", self.t))
-
-    def f(self, x):
-        return np.asarray(x, dtype=np.float64) ** self.t
-
-    def f_prime(self, x):
-        return self.t * np.asarray(x, dtype=np.float64) ** (self.t - 1)
-
-    @property
-    def weight(self) -> float:
-        return self.t
-
-    def representing_measure(self) -> Optional[Measure]:
-        return BetaTypeMeasure(self.t)
+# f(x) = x^t of the relaxed commutative family is the geometric generator:
+# same f, f', weight and representing measure.
+PowerGenerator = GeometricGenerator
 
 
 Generator = Union[
@@ -174,7 +156,6 @@ Generator = Union[
     HarmonicGenerator,
     MeasureGenerator,
     LogGenerator,
-    PowerGenerator,
 ]
 
 

@@ -18,7 +18,6 @@ from .generators import (
     HarmonicGenerator,
     LogGenerator,
     MeasureGenerator,
-    PowerGenerator,
 )
 from .hermitian import MatrixLike, _mat
 from .measures import (
@@ -88,8 +87,6 @@ def generator_to_json(gen: Generator) -> dict:
         return {"kind": "measure", "mu": measure_to_json(gen.mu)}
     if isinstance(gen, LogGenerator):
         return {"kind": "log"}
-    if isinstance(gen, PowerGenerator):
-        return {"kind": "power", "t": gen.t}
     raise DomainError(f"unknown generator variant {type(gen).__name__}")
 
 
@@ -106,7 +103,7 @@ def generator_from_json(obj: dict) -> Generator:
     if kind == "log":
         return LogGenerator()
     if kind == "power":
-        return PowerGenerator(float(obj["t"]))
+        return GeometricGenerator(float(obj["t"]))
     raise DomainError(f"unknown generator kind {kind!r}")
 
 

@@ -57,6 +57,26 @@ def random_pd_np(rng, dim, spread=1.0):
     return (q * eigs) @ q.conj().T
 
 
+def pinned_spectrum_ensemble_np(rng, dim, size, spread):
+    """`size` matrices U diag(e) U* with Haar U and Dirichlet(1) weights.
+
+    Each spectrum has its two extreme eigenvalues pinned at e^-spread and
+    e^spread and the rest log-uniform between them, so every member has
+    condition number e^(2 spread).  The draw order is that of the benchmark's
+    ensembles: per member the log-spectrum, then U; the weights last.
+    """
+    mats = []
+    for _ in range(size):
+        logs = rng.uniform(-spread, spread, size=dim)
+        if dim >= 2:
+            logs[0], logs[1] = -spread, spread
+        U = random_unitary_np(rng, dim)
+        mat = (U * np.exp(logs)) @ U.conj().T
+        mats.append((mat + mat.conj().T) / 2)
+    weights = rng.dirichlet(np.ones(size))
+    return mats, weights / weights.sum()
+
+
 def random_hermitian_np(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2

@@ -37,6 +37,7 @@ from conftest import (
     REF_OBJECTIVE_AT_I,
     REF_ONE_STEP,
     assembled_gradient,
+    pinned_spectrum_ensemble_np,
     random_hermitian_np,
     random_pd_np,
     random_unitary_np,
@@ -53,6 +54,10 @@ def random_ensemble(rng, dim, m, spread=0.8):
     mats = [random_pd_np(rng, dim, spread) for _ in range(m)]
     w = rng.dirichlet(np.ones(m))
     return ensemble(mats, w)
+
+
+def spread_ensemble(seed, dim, m, spread):
+    return ensemble(*pinned_spectrum_ensemble_np(np.random.default_rng(seed), dim, m, spread))
 
 
 def diagonal_ensemble(rng, dim, m):
@@ -226,10 +231,43 @@ class TestSolveBarycenter:
         oracle = scalar_power_barycenter(a, ens.weights, t)
         assert np.max(np.abs(np.diag(report.solution.mat).real - oracle)) <= 1e-6
 
-    def test_objective_trace_non_increasing(self):
-        report = solve_barycenter(ref_ensemble(), ARCSINE_SPEC)
+    @pytest.mark.parametrize("case", ["reference", "spread-3"])
+    def test_objective_trace_non_increasing(self, case):
+        # the spread-3 pair ends on steps accepted for lowering the residual
+        # while the objective stays within rounding of its last value
+        if case == "reference":
+            ens, spec = ref_ensemble(), ARCSINE_SPEC
+        else:
+            ens, spec = spread_ensemble(0, 4, 2, 3.0), DivergenceSpec(GeometricGenerator(0.5))
+        report = solve_barycenter(ens, spec)
+        assert report.converged
         trace = np.asarray(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "gen", [arcsine_generator(), GeometricGenerator(0.5)], ids=["arcsine", "geometric:0.5"]
+    )
+    def test_reference_iteration_bound(self, gen):
+        report = solve_barycenter(ref_ensemble(), DivergenceSpec(gen))
+        assert report.converged
+        assert report.iterations <= 11
+
+    @pytest.mark.parametrize("dim, seed", [(4, 0), (4, 5), (2, 24), (2, 26), (4, 28)])
+    def test_converges_on_spread_3_pairs(self, dim, seed):
+        # two members with spectra pinned at e^-3 and e^3; near the optimum
+        # the objective is flat to rounding, and a line search that trusts
+        # only objective differences stalls above the tolerance
+        gen = GeometricGenerator(0.5)
+        spec = DivergenceSpec(gen)
+        ens = spread_ensemble(seed, dim, 2, 3.0)
+        opts = SolverOptions()
+        report = solve_barycenter(ens, spec, opts)
+        assert report.converged
+        G = assembled_gradient(
+            ens, report.solution, spec.c,
+            lambda M, A: frechet_derivative(gen.f, gen.f_prime, M, A).mat,
+        )
+        assert np.linalg.norm(G) <= opts.residual_tol * (1 + 1e-4)
 
     def test_uniqueness_probe(self, rng):
         ens = random_ensemble(rng, 3, 3)
@@ -455,6 +493,21 @@ class TestFixedPointMap:
         assert report.converged
         oracle = scalar_power_barycenter(a, ens.weights, t)
         assert report.solution.mat[0, 0].real == pytest.approx(oracle[0], rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "dim, m, t, seed", [(2, 2, 0.75, 0), (2, 8, 0.75, 2), (4, 2, 0.5, 1), (16, 2, 0.5, 1)]
+    )
+    def test_converged_solution_passes_its_own_test(self, dim, m, t, seed):
+        # spread 6 at a tolerance near the map's rounding floor: the returned
+        # point must itself satisfy the test that declared convergence
+        ens = spread_ensemble(seed, dim, m, 6.0)
+        opts = SolverOptions(max_iterations=200, residual_tol=1e-14)
+        report = solve_power_mean(ens, t, opts)
+        assert report.converged
+        again = solve_power_mean(
+            ens, t, SolverOptions(max_iterations=1, initial_guess=report.solution)
+        )
+        assert again.final_residual <= opts.residual_tol
 
     def test_reports_non_convergence(self):
         report = solve_power_mean(ref_ensemble(), 0.75, SolverOptions(max_iterations=3))

@@ -34,6 +34,8 @@ class TestParseGenerator:
         assert parse_generator("geometric:0.5") == GeometricGenerator(0.5)
         assert parse_generator("log") == LogGenerator()
         assert isinstance(parse_generator("arcsine"), MeasureGenerator)
+        # the commutative family's x^t is the geometric generator
+        assert parse_generator("power:0.25") == GeometricGenerator(0.25)
 
     def test_json_form(self):
         assert parse_generator('{"kind":"geometric","lambda":0.5}') == GeometricGenerator(0.5)

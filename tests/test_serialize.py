@@ -94,6 +94,7 @@ class TestMeasureAndGeneratorJson:
             {"kind": "geometric", "lambda": 0.5}
         ) == GeometricGenerator(0.5)
         assert generator_from_json({"kind": "log"}) == LogGenerator()
+        assert generator_from_json({"kind": "power", "t": 0.25}) == GeometricGenerator(0.25)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
