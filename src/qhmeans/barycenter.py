@@ -32,7 +32,10 @@ from .hermitian import (
     MatrixLike,
     PositiveDefiniteMatrix,
     _divided_differences,
+    _hermitian_part,
     _mat,
+    _roots,
+    _spectral,
     frobenius_dist,
     pd,
     thompson_dist,
@@ -85,6 +88,11 @@ class WeightedEnsemble:
     def arithmetic_mean(self) -> PositiveDefiniteMatrix:
         acc = sum(w * A.mat for w, A in zip(self.weights, self.matrices))
         return PositiveDefiniteMatrix(acc)
+
+
+def _stacked(ens: WeightedEnsemble) -> np.ndarray:
+    """The members as one (m, d, d) complex array."""
+    return np.stack([A.mat for A in ens.matrices])
 
 
 def ensemble(matrices: Sequence[MatrixLike], weights: Sequence[float]) -> WeightedEnsemble:
@@ -146,23 +154,16 @@ class _Workspace:
         # is only known through quadrature, so its table uses the rule too.
         self.rule = quadrature(gen.mu, quad_order) if isinstance(gen, MeasureGenerator) else None
         self.weights = np.ascontiguousarray(ens.weights)
-        self.mats = np.ascontiguousarray(
-            np.stack([A.mat for A in ens.matrices]).astype(np.complex128)
-        )
-        lam, U = np.linalg.eigh(self.mats)
-        self.inv_roots = (U * (1.0 / np.sqrt(lam))[:, None, :]) @ np.conj(np.swapaxes(U, -1, -2))
-        self.const = float(
-            (1 - spec.c) * sum(w * np.trace(A.mat).real for w, A in zip(ens.weights, ens.matrices))
-        )
+        self.mats = _stacked(ens)
+        self.inv_roots = _roots(self.mats)[1]
+        self.const = (1 - spec.c) * float(self.weights @ np.trace(self.mats, axis1=1, axis2=2).real)
         self.c = spec.c
         self._last = None
 
     def _spectra(self, X: np.ndarray):
         if self._last is not None and self._last[0] is X:
             return self._last[1], self._last[2]
-        M = self.inv_roots @ X @ self.inv_roots
-        M = (M + np.conj(np.swapaxes(M, -1, -2))) / 2
-        e, V = np.linalg.eigh(M)
+        e, V = np.linalg.eigh(_hermitian_part(self.inv_roots @ X @ self.inv_roots))
         self._last = (X, e, V)
         return e, V
 
@@ -183,8 +184,7 @@ class _Workspace:
         f = self.spec.generator.f
         total = self.const + self.c * float(np.trace(X).real)
         e, V = self._spectra(X)
-        fe = np.asarray(f(e), dtype=np.float64)
-        fM = (V * fe[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+        fM = _spectral(V, np.asarray(f(e), dtype=np.float64))
         means = np.einsum("jab,jba->j", fM, self.mats).real
         return total - float(np.dot(self.weights, means))
 
@@ -194,8 +194,7 @@ class _Workspace:
         K = (self.weights[:, None, None] * self._table(e)) * (Vh @ self.mats @ V)
         W = self.inv_roots @ V
         acc = (W @ K @ np.conj(np.swapaxes(W, -1, -2))).sum(axis=0)
-        G = self.c * np.eye(X.shape[0], dtype=np.complex128) - acc
-        return (G + G.conj().T) / 2
+        return _hermitian_part(self.c * np.eye(X.shape[0], dtype=np.complex128) - acc)
 
 
 def objective(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
@@ -325,8 +324,7 @@ def solve_barycenter(
         prev_X, prev_G = X, G
         s = min(max(s, 1e-12), 1e12)
         while s >= _MIN_STEP:
-            Xt = X - s * G
-            Xt = (Xt + Xt.conj().T) / 2
+            Xt = _hermitian_part(X - s * G)
             if _cholesky_ok(Xt):
                 ft = ws.objective(Xt)
                 # ft < f0 keeps the test honest once c*s*|G|^2 underflows the
@@ -401,8 +399,7 @@ def _fixed_point(ens, opts, step_fn) -> SolverReport:
     trace: list = []
     converged = False
     for _ in range(opts.max_iterations):
-        T = step_fn(X)
-        T = (T + T.conj().T) / 2
+        T = _hermitian_part(step_fn(X))
         F = T - X
         delta = float(np.linalg.norm(F) / max(np.linalg.norm(X), 1e-300))
         trace.append(delta)
@@ -464,21 +461,14 @@ def solve_mean_equation(
     fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
     if fp1 <= 0:
         raise DomainError("generator must have positive derivative at 1")
-    mats = np.ascontiguousarray(
-        np.stack([A.mat for A in ens.matrices]).astype(np.complex128)
-    )
+    mats = _stacked(ens)
     weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
 
     def step(X):
-        w, U = np.linalg.eigh(X)
-        root = (U * np.sqrt(w)) @ U.conj().T
-        iroot = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-        M = iroot @ mats @ iroot
-        M = (M + np.conj(np.swapaxes(M, -1, -2))) / 2
-        e, V = np.linalg.eigh(M)
+        root, iroot = _roots(X)
+        e, V = np.linalg.eigh(_hermitian_part(iroot @ mats @ iroot))
         vals = weights * np.asarray(gen.f_prime(1.0 / e), dtype=np.float64)
-        acc = ((V * vals[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))).sum(axis=0)
-        return root @ acc @ root
+        return root @ _spectral(V, vals).sum(axis=0) @ root
 
     return _fixed_point(ens, opts, step)
 

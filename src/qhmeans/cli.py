@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, generator=True):
+    def add_shared(p, generator=True, payload=True, solver=True):
         if generator:
             p.add_argument(
                 "--generator",
@@ -259,18 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
                 help="generator JSON or shorthand (arcsine, geometric:0.5, "
                 "harmonic:0.3, arithmetic:0.3, beta:0.25, power:0.5, log)",
             )
-        p.add_argument("--input", action="append", help="path to a JSON input (repeatable)")
-        p.add_argument("--inline", action="append", help="inline JSON input (repeatable)")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
-        p.add_argument("--format", choices=("json", "table"), default="json")
+        if payload:
+            p.add_argument("--input", action="append", help="path to a JSON input (repeatable)")
+            p.add_argument("--inline", action="append", help="inline JSON input (repeatable)")
+            p.add_argument("--format", choices=("json", "table"), default="json")
+        if solver:
+            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
 
     p = sub.add_parser("mean", help="Kubo-Ando mean of two matrices")
-    add_shared(p)
+    add_shared(p, solver=False)
     p.set_defaults(func=cmd_mean)
 
     p = sub.add_parser("divergence", help="divergence phi(A, B)")
-    add_shared(p)
+    add_shared(p, solver=False)
     p.set_defaults(func=cmd_divergence)
 
     p = sub.add_parser("barycenter", help="divergence barycenter of an ensemble")
@@ -288,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ncmeasure)
 
     p = sub.add_parser("properties", help="run seeded property campaigns")
-    add_shared(p)
+    add_shared(p, payload=False, solver=False)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--dim", type=int, default=3)
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-paper", help="reproduce the built-in 2x2 reference computation"
     )
-    add_shared(p, generator=False)
+    add_shared(p, generator=False, payload=False)
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -26,23 +26,23 @@ from .hermitian import (
     PositiveDefiniteMatrix,
     _apply_spectral_raw,
     _check_same_dim,
+    _hermitian_part,
     _mat,
+    _roots,
     frechet_derivative,
-    inv_sqrt_pd,
     pd,
-    sqrt_pd,
 )
 
 COMMUTE_RTOL = 1e-8
 
 
-def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike) -> np.ndarray:
-    """A^{-1/2} B A^{-1/2}, the congruence that normalizes the first slot."""
-    s = inv_sqrt_pd(A).mat
+def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike):
+    """A^{1/2} and A^{-1/2} B A^{-1/2}, the congruence that normalizes the
+    first slot, from one eigendecomposition of A."""
+    root, s = _roots(A.mat, warn=True)
     b = _mat(B)
     _check_same_dim(s, b)
-    m = s @ b @ s
-    return (m + m.conj().T) / 2
+    return root, _hermitian_part(s @ b @ s)
 
 
 def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefiniteMatrix:
@@ -57,10 +57,8 @@ def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefi
             f"{type(gen).__name__} is not mean-normalized; "
             "operator means need f(1) = 1 and weight in (0,1)"
         )
-    A = pd(A)
-    middle = _apply_spectral_raw(_middle_term(A, pd(B)), gen.f)
-    r = sqrt_pd(A).mat
-    return PositiveDefiniteMatrix(r @ middle @ r)
+    root, middle = _middle_term(pd(A), pd(B))
+    return PositiveDefiniteMatrix(root @ _apply_spectral_raw(middle, gen.f) @ root)
 
 
 def phi(A: MatrixLike, B: MatrixLike, spec: DivergenceSpec) -> float:
@@ -82,9 +80,7 @@ def g_of(spec: DivergenceSpec, x):
 
 def phi_via_g(A: MatrixLike, B: MatrixLike, spec: DivergenceSpec) -> float:
     """Evaluate phi as Tr[A g(A^{-1/2} B A^{-1/2})]."""
-    A = pd(A)
-    gmat = _apply_spectral_raw(_middle_term(A, pd(B)), lambda w: g_of(spec, w))
-    return float(np.trace(A.mat @ gmat).real)
+    return maximal_f_divergence(A, B, lambda w: g_of(spec, w))
 
 
 def maximal_f_divergence(A: MatrixLike, B: MatrixLike, f: Callable) -> float:
@@ -95,7 +91,7 @@ def maximal_f_divergence(A: MatrixLike, B: MatrixLike, f: Callable) -> float:
     genuine divergence for f of the g form above.
     """
     A = pd(A)
-    fmat = _apply_spectral_raw(_middle_term(A, pd(B)), f)
+    fmat = _apply_spectral_raw(_middle_term(A, pd(B))[1], f)
     return float(np.trace(A.mat @ fmat).real)
 
 
@@ -122,7 +118,7 @@ def phi_via_bregman(A: MatrixLike, B: MatrixLike, spec: DivergenceSpec) -> float
     """Evaluate phi as Tr[A H_h(A^{-1/2} B A^{-1/2}, I)] with h = -f."""
     A = pd(A)
     gen = spec.generator
-    middle = PositiveDefiniteMatrix(_middle_term(A, pd(B)))
+    middle = PositiveDefiniteMatrix(_middle_term(A, pd(B))[1])
     eye = PositiveDefiniteMatrix(np.eye(A.dim))
     breg = operator_bregman(
         lambda w: -np.asarray(gen.f(w), dtype=np.float64),
@@ -148,18 +144,12 @@ def commutative_phi(A: MatrixLike, B: MatrixLike, gen: Generator) -> float:
         raise CommutativityError(
             f"inputs do not commute: ||AB - BA||_F = {comm:.3e} exceeds {bound:.3e}"
         )
-    # For commuting arguments A^{-1} B equals the Hermitian congruence
-    # A^{-1/2} B A^{-1/2}, which keeps the evaluation in spectral calculus.
-    middle = _middle_term(A, B)
     f1 = float(np.asarray(gen.f(1.0), dtype=np.float64))
     fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
-    fmat = _apply_spectral_raw(middle, gen.f)
-    val = (
-        (f1 - fp1) * np.trace(A.mat)
-        + fp1 * np.trace(B.mat)
-        - np.trace(A.mat @ fmat)
-    )
-    return float(val.real)
+    val = (f1 - fp1) * np.trace(A.mat) + fp1 * np.trace(B.mat)
+    # For commuting arguments A^{-1} B equals the Hermitian congruence
+    # A^{-1/2} B A^{-1/2}, so Tr A f(A^{-1} B) is the maximal f-divergence.
+    return float(val.real) - maximal_f_divergence(A, B, gen.f)
 
 
 def classical_hellinger(p, q) -> float:

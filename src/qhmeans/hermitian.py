@@ -2,7 +2,9 @@
 
 All matrix functions go through a single primitive, the eigendecomposition:
 dimensions here are small enough that correctness and auditability beat
-Pade or scaling-and-squaring schemes.
+Pade or scaling-and-squaring schemes.  The private helpers _hermitian_part,
+_spectral and _roots are the package's one route for (M + M*)/2,
+U diag(f(w)) U* and A^{1/2} with A^{-1/2}, on one matrix or a stack of them.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ def _as_square_complex(entries) -> np.ndarray:
     return mat
 
 
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of a matrix or a stack of them (leading axes broadcast)."""
+    return (M + np.conj(np.swapaxes(M, -1, -2))) / 2
+
+
+def _spectral(U: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """U diag(fw) U* for eigenvectors U and values fw, one or a stack of them."""
+    return (U * fw[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+
+
 def _mat(x: MatrixLike) -> np.ndarray:
     """Raw complex ndarray behind a matrix wrapper (or array-like)."""
     if isinstance(x, HermitianMatrix):
@@ -57,8 +69,7 @@ class HermitianMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _as_square_complex(self.mat)
-        mat = (mat + mat.conj().T) / 2
+        mat = _hermitian_part(_as_square_complex(self.mat))
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -89,8 +100,6 @@ class PositiveDefiniteMatrix(HermitianMatrix):
 
 def herm(entries: MatrixLike) -> HermitianMatrix:
     """Construct a HermitianMatrix from any square array-like."""
-    if isinstance(entries, PositiveDefiniteMatrix):
-        return entries
     if isinstance(entries, HermitianMatrix):
         return entries
     return HermitianMatrix(np.asarray(entries))
@@ -111,8 +120,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def reassemble(self) -> np.ndarray:
-        U = self.eigenvectors
-        return (U * self.eigenvalues) @ U.conj().T
+        return _spectral(self.eigenvectors, self.eigenvalues)
 
 
 def eig_hermitian(H: MatrixLike) -> SpectralDecomposition:
@@ -137,7 +145,7 @@ def _apply_spectral_raw(mat: np.ndarray, fn: Callable[[np.ndarray], np.ndarray])
         raise DomainError(
             f"function is not finite at eigenvalue(s) {w[bad].tolist()}"
         )
-    return (U * fw) @ U.conj().T
+    return _spectral(U, fw)
 
 
 def apply_spectral(A: MatrixLike, fn: Callable) -> HermitianMatrix:
@@ -164,10 +172,19 @@ def _warn_if_ill_conditioned(w: np.ndarray) -> None:
 
 
 def _pd_spectral(A: MatrixLike, fn: Callable) -> PositiveDefiniteMatrix:
-    mat = _mat(pd(A))
-    w, U = np.linalg.eigh(mat)
+    w, U = np.linalg.eigh(_mat(pd(A)))
     _warn_if_ill_conditioned(w)
-    return PositiveDefiniteMatrix((U * fn(w)) @ U.conj().T)
+    return PositiveDefiniteMatrix(_spectral(U, fn(w)))
+
+
+def _roots(mat: np.ndarray, warn: bool = False):
+    """A^{1/2} and A^{-1/2} of a positive definite matrix or stack, from one eigh;
+    warn=True (one matrix only) warns on ill-conditioning, as sqrt_pd does."""
+    w, U = np.linalg.eigh(mat)
+    if warn:
+        _warn_if_ill_conditioned(w)
+    r = np.sqrt(w)
+    return _spectral(U, r), _spectral(U, 1.0 / r)
 
 
 def sqrt_pd(A: MatrixLike) -> PositiveDefiniteMatrix:
@@ -196,9 +213,7 @@ def loewner_leq(A: MatrixLike, B: MatrixLike, tol: float = 1e-10) -> bool:
     """True iff A <= B in the Loewner order, i.e. min eig(B - A) >= -tol."""
     a, b = _mat(A), _mat(B)
     _check_same_dim(a, b)
-    diff = b - a
-    diff = (diff + diff.conj().T) / 2
-    return bool(np.linalg.eigvalsh(diff)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(_hermitian_part(b - a))[0] >= -tol)
 
 
 def frobenius_dist(A: MatrixLike, B: MatrixLike) -> float:
@@ -212,8 +227,8 @@ def thompson_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Thompson metric max_i |log lambda_i(A^{-1/2} B A^{-1/2})|."""
     a, b = pd(A), pd(B)
     _check_same_dim(a.mat, b.mat)
-    s = inv_sqrt_pd(a).mat
-    w = np.linalg.eigvalsh(s @ b.mat @ s)
+    s = _roots(a.mat, warn=True)[1]
+    w = np.linalg.eigvalsh(_hermitian_part(s @ b.mat @ s))
     if w[0] <= 0:
         raise DomainError("Thompson metric requires positive definite inputs")
     return float(np.max(np.abs(np.log(w))))
@@ -251,7 +266,7 @@ def frechet_derivative(
     """
     x, y = _mat(X), _mat(Y)
     _check_same_dim(x, y)
-    w, U = np.linalg.eigh((x + x.conj().T) / 2)
+    w, U = np.linalg.eigh(_hermitian_part(x))
     fw = np.asarray(fn(w), dtype=np.float64)
     dw = np.asarray(fn_prime(w), dtype=np.float64)
     if not (np.isfinite(fw).all() and np.isfinite(dw).all()):

@@ -22,9 +22,9 @@ from .channels import (
     random_cptp,
 )
 from .divergences import kubo_ando_mean, phi
-from .errors import DegenerateTrialError
+from .errors import DegenerateTrialError, DomainError
 from .generators import DivergenceSpec, MeasureGenerator
-from .hermitian import PositiveDefiniteMatrix, frobenius_dist
+from .hermitian import PositiveDefiniteMatrix, _hermitian_part, _spectral, frobenius_dist
 from .measures import DiscreteMeasure, convex_order_leq
 from .serialize import matrix_to_json as _matrix_json
 
@@ -43,12 +43,12 @@ def random_pd(rng: np.random.Generator, dim: int, spread: float = 1.2) -> Positi
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(g)
     eigs = np.exp(rng.uniform(-spread, spread, size=dim))
-    return PositiveDefiniteMatrix((q * eigs) @ q.conj().T)
+    return PositiveDefiniteMatrix(_spectral(q, eigs))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2
+    h = _hermitian_part(g)
     return h / np.linalg.norm(h)
 
 
@@ -221,6 +221,8 @@ def run_campaigns(
     corrupt_channel: bool = False,
 ) -> PropertyReport:
     """Run the four standard campaigns and collect worst slacks."""
+    if trials < 0:
+        raise DomainError(f"trials must be non-negative, got {trials}")
     return PropertyReport(
         seed=seed,
         campaigns=[

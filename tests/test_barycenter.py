@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -382,6 +384,13 @@ class TestSolvePowerMean:
     def test_order_validation(self):
         with pytest.raises(DomainError):
             solve_power_mean(ref_ensemble(), 1.0)
+
+    def test_ill_conditioned_members_do_not_warn(self):
+        # the batched map takes its roots without the conditioning check
+        ens = ensemble([np.diag([5e14, 1.0]), np.diag([4e14, 2.0])], [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_power_mean(ens, 0.5).converged
 
     def test_reference_fixed_point_and_one_step_map(self):
         # the fixed point P satisfies (A1 # P + A2 # P)/2 = P; applying the

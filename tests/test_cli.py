@@ -199,6 +199,10 @@ class TestProperties:
     def test_zero_trials_vacuous_pass(self, capsys):
         assert main(["properties", "--trials", "0", "--seed", "1"]) == 0
 
+    def test_negative_trials_rejected(self, capsys):
+        assert main(["properties", "--trials", "-3"]) == 2
+        assert "trials" in capsys.readouterr().err
+
     def test_small_campaign_passes(self, capsys):
         code = main(["properties", "--trials", "10", "--dim", "2", "--seed", "42"])
         assert code == 0
@@ -229,7 +233,26 @@ class TestVerifyPaper:
         assert "verification passed" in out
 
 
+# Each subcommand accepts only the flags it reads.
+UNREAD_FLAGS = [
+    (command, flag)
+    for command in ("mean", "divergence", "properties")
+    for flag in (["--tol", "1e-6"], ["--max-iter", "10"])
+] + [
+    (command, flag)
+    for command in ("properties", "verify-paper")
+    for flag in (["--input", "a.json"], ["--inline", "{}"], ["--format", "json"])
+]
+
+
 class TestErrorHandling:
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["mean", "--input", "/nonexistent.json", "--input", "/n2.json"]) == 2
 

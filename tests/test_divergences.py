@@ -3,6 +3,7 @@ import pytest
 
 from qhmeans import (
     CommutativityError,
+    ConditioningWarning,
     DimensionMismatchError,
     DivergenceSpec,
     DomainError,
@@ -71,6 +72,13 @@ class TestKuboAndoMean:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             kubo_ando_mean(pd(np.eye(2)), pd(np.eye(3)), GeometricGenerator(0.5))
+
+    def test_conditioning_warning(self):
+        A = pd(np.diag([5e14, 1.0]))
+        with pytest.warns(ConditioningWarning):
+            kubo_ando_mean(A, pd(np.eye(2)), GeometricGenerator(0.5))
+        with pytest.warns(ConditioningWarning):
+            phi(A, pd(np.eye(2)), DivergenceSpec(GeometricGenerator(0.5)))
 
     def test_riccati_property_of_geometric_mean(self, ref_pair):
         A, B = ref_pair
