@@ -1,11 +1,12 @@
 """Barycenters on the positive definite cone and the associated mean equations.
 
 The barycenter of matrices A_1..A_m with weights w under the divergence phi
-is the unique minimizer of X -> sum_j w_j phi(A_j, X).  Its gradient is the
-exact Daleckii-Krein (divided-difference) derivative of f in the eigenbasis of
-each M_j = A_j^{-1/2} X A_j^{-1/2}, the eigenbasis the objective computes:
-the descent solver reuses the objective's eigendecompositions, and the
-stationarity residual differentiates exactly the objective it minimizes.  The
+is the unique minimizer of X -> sum_j w_j phi(A_j, X).  Its gradient and
+Hessian are the exact first and second Daleckii-Krein (divided-difference)
+derivatives of f in the eigenbasis of each M_j = A_j^{-1/2} X A_j^{-1/2}, so
+the damped Newton solver shares one eigendecomposition per member and point
+among objective, gradient and Hessian, and the stationarity residual
+differentiates exactly the objective it minimizes.  The
 power-mean equation and the noncommutative mean equation share one batched
 fixed-point map, X -> X^{1/2} (sum_j w_j f'(M_j^{-1})) X^{1/2} / f'(1) with
 M_j = X^{-1/2} A_j X^{-1/2}, iterated under Anderson acceleration; for
@@ -26,7 +27,7 @@ from .errors import (
     NonConvergenceError,
     UnsupportedGeneratorError,
 )
-from .generators import DivergenceSpec, GeometricGenerator, Generator, MeasureGenerator
+from .generators import DivergenceSpec, GeometricGenerator, Generator
 from .hermitian import (
     HermitianMatrix,
     MatrixLike,
@@ -35,19 +36,18 @@ from .hermitian import (
     _hermitian_part,
     _mat,
     _roots,
+    _second_divided_differences,
     _spectral,
     frobenius_dist,
     pd,
     thompson_dist,
 )
-from .measures import DEFAULT_QUAD_ORDER, Measure, quadrature
+from .measures import DEFAULT_QUAD_ORDER, Measure, power_exponent, quadrature
 
-# Backtracking line search: the smallest step tried, the factor each
-# rejected trial shrinks the step by, and the Armijo sufficient-decrease
-# constant.
+# Newton step search: the smallest step tried and the factor each rejected
+# trial shrinks the step by.
 _MIN_STEP = 1e-18
 _SHRINK = 0.5
-_ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +117,7 @@ class SolverOptions:
 class SolverReport:
     """Outcome of a solver run.
 
-    objective_trace holds per-iteration objective values for the descent
+    objective_trace holds per-iteration objective values for the Newton
     solver and relative map residuals ||T(X) - X||_F / ||X||_F for the
     fixed-point solvers.
     """
@@ -130,35 +130,33 @@ class SolverReport:
 
 
 class _Workspace:
-    """Per-solve precomputation shared by objective and gradient.
+    """Per-solve precomputation shared by objective, gradient and Hessian.
 
-    Both evaluate through the eigendecompositions V_j diag(e_j) V_j* of
+    All three evaluate through the eigendecompositions V_j diag(e_j) V_j* of
     M_j = A_j^{-1/2} X A_j^{-1/2}.  Those of the last point evaluated are kept,
-    so the gradient at an accepted line-search trial reuses the objective's.
+    so the objective and Hessian at an accepted trial reuse the gradient's.
     """
 
-    def __init__(
-        self,
-        ens: WeightedEnsemble,
-        spec: DivergenceSpec,
-        quad_order: int = DEFAULT_QUAD_ORDER,
-    ):
+    def __init__(self, ens: WeightedEnsemble, spec: DivergenceSpec):
         self.spec = spec
         gen = spec.generator
-        if gen.representing_measure() is None:
+        mu = gen.representing_measure()
+        if mu is None:
             raise UnsupportedGeneratorError(
                 f"{type(gen).__name__} carries no representing measure; "
                 "the barycenter gradient needs one"
             )
-        # Closed-form generators differentiate f directly; a measure generator
-        # is only known through quadrature, so its table uses the rule too.
-        self.rule = quadrature(gen.mu, quad_order) if isinstance(gen, MeasureGenerator) else None
+        # f is x^t for the continuous densities and a finite sum over the
+        # measure's atoms otherwise; both give exact divided differences.
+        self.power = power_exponent(mu)
+        self.rule = quadrature(mu) if self.power is None else None
         self.weights = np.ascontiguousarray(ens.weights)
         self.mats = _stacked(ens)
         self.inv_roots = _roots(self.mats)[1]
         self.const = (1 - spec.c) * float(self.weights @ np.trace(self.mats, axis1=1, axis2=2).real)
         self.c = spec.c
         self._last = None
+        self._first = None
 
     def _spectra(self, X: np.ndarray):
         if self._last is not None and self._last[0] is X:
@@ -167,18 +165,38 @@ class _Workspace:
         self._last = (X, e, V)
         return e, V
 
+    def _first_order(self, X: np.ndarray):
+        """e_j, W_j = A_j^{-1/2} V_j, K_j = V_j* A_j V_j and the f^[1] table at X."""
+        if self._first is not None and self._first[0] is X:
+            return self._first[1:]
+        e, V = self._spectra(X)
+        K = np.conj(np.swapaxes(V, -1, -2)) @ self.mats @ V
+        self._first = (X, e, self.inv_roots @ V, K, self._table(e))
+        return self._first[1:]
+
     def _table(self, e: np.ndarray) -> np.ndarray:
         """Divided differences f^[1](e_j) of every member, shape (m, d, d)."""
         if self.rule is None:
-            gen = self.spec.generator
-            fe = np.asarray(gen.f(e), dtype=np.float64)
-            de = np.asarray(gen.f_prime(e), dtype=np.float64)
-            return _divided_differences(e, fe, de)
+            t = self.power
+            return _divided_differences(e, e**t, t * e ** (t - 1))
         # (f(a) - f(b)) / (a - b) = sum_k q_k l_k / (((1-l_k) a + l_k)((1-l_k) b + l_k))
         # for f = f_mu: a sum of positive terms, with no cancellation at near-ties.
         l = self.rule.nodes
         P = 1.0 / ((1 - l) * e[..., None] + l)
         return (P * (self.rule.weights * l)) @ np.swapaxes(P, -1, -2)
+
+    def _second_table(self, e: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Second divided differences f^[2](e_i, e_k, e_l) of every member, (m, d, d, d)."""
+        if self.rule is None:
+            t = self.power
+            return _second_divided_differences(
+                e, table, t * e ** (t - 1), t * (t - 1) * e ** (t - 2)
+            )
+        # -sum_k q_k l_k (1-l_k) / (P_a P_b P_c): same-sign terms again.
+        l = self.rule.nodes
+        P = 1.0 / ((1 - l) * e[..., None] + l)
+        Q = np.swapaxes(P * (self.rule.weights * l * (1 - l)), -1, -2)
+        return -((P[..., :, None, :] * P[..., None, :, :]) @ Q[:, None])
 
     def objective(self, X: np.ndarray) -> float:
         f = self.spec.generator.f
@@ -189,12 +207,30 @@ class _Workspace:
         return total - float(np.dot(self.weights, means))
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
-        e, V = self._spectra(X)
-        Vh = np.conj(np.swapaxes(V, -1, -2))
-        K = (self.weights[:, None, None] * self._table(e)) * (Vh @ self.mats @ V)
-        W = self.inv_roots @ V
-        acc = (W @ K @ np.conj(np.swapaxes(W, -1, -2))).sum(axis=0)
+        _, W, K, table = self._first_order(X)
+        weighted = (self.weights[:, None, None] * table) * K
+        acc = (W @ weighted @ np.conj(np.swapaxes(W, -1, -2))).sum(axis=0)
         return _hermitian_part(self.c * np.eye(X.shape[0], dtype=np.complex128) - acc)
+
+    def hessian(self, X: np.ndarray) -> np.ndarray:
+        """The d^2 x d^2 matrix of H -> DG(X)[H] on row-major vec(H).
+
+        DG(X)[H] = -sum_j w_j W_j D^2f[K_j, W_j* H W_j] W_j* with
+        D^2f[K, L]_il = sum_k f^[2](e_i, e_k, e_l) (K_ik L_kl + L_ik K_kl).
+        Entry ((p, q), (a, b)) of the first term's matrix is
+        sum_{j,l} w_j (Y_jl)_pa (Z_jl)_qb, with Y_jl = W_j (f^[2](., ., e_l) o K_j) W_j*
+        and (Z_jl)_qb = conj(W_ql) W_bl: one product over the stacked (j, l).
+        The second term's entry is the conjugate of the first's at ((q, p), (b, a)).
+        """
+        e, W, K, table = self._first_order(X)
+        m, d = e.shape
+        B = np.moveaxis(self._second_table(e, table) * K[..., None], -1, 1)
+        Wt = np.swapaxes(W, -1, -2)
+        Y = (W[:, None] @ B @ np.conj(Wt)[:, None]) * self.weights[:, None, None, None]
+        Z = np.conj(Wt)[..., :, None] * Wt[..., None, :]
+        T = (Y.reshape(m * d, d * d).T @ Z.reshape(m * d, d * d)).reshape(d, d, d, d)
+        T = T.transpose(0, 2, 1, 3)
+        return -(T + np.conj(T.transpose(1, 0, 3, 2))).reshape(d * d, d * d)
 
 
 def objective(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
@@ -222,15 +258,13 @@ def euclidean_gradient(
 
     G = c I - sum_j w_j A_j^{-1/2} Df(M_j)[A_j] A_j^{-1/2} with
     M_j = A_j^{-1/2} X A_j^{-1/2}, evaluated exactly in the eigenbasis of M_j
-    through the divided-difference table of f on its spectrum.  For a
-    MeasureGenerator that table is a quadrature over the representing measure
-    at quad_order nodes, which at the default order is the rule f_mu uses, so
-    G is the exact derivative of the objective (any other order is a
-    different, approximate gradient); closed-form generators ignore
-    quad_order.  The directional derivative in any Hermitian direction Y is
-    Tr(G Y).
+    through the divided-difference table of f on its spectrum: in closed form
+    for x^t (the geometric, arcsine and Beta-type generators) and as a finite
+    sum over the atoms of any other representing measure.  quad_order changes
+    nothing and is kept for callers that pass it.  The directional derivative
+    in any Hermitian direction Y is Tr(G Y).
     """
-    ws = _Workspace(ens, spec, quad_order)
+    ws = _Workspace(ens, spec)
     return HermitianMatrix(ws.gradient(_as_state(ens, X)))
 
 
@@ -281,70 +315,45 @@ def solve_barycenter(
     spec: DivergenceSpec,
     opts: Optional[SolverOptions] = None,
 ) -> SolverReport:
-    """Minimize sum_j w_j phi(A_j, X) by gradient descent with backtracking.
+    """Minimize sum_j w_j phi(A_j, X) by damped Newton on the stationarity equation.
 
-    Each iteration seeds the line search with a Barzilai-Borwein step estimate
-    and halves it from there; steps leaving the positive definite cone are
-    detected by a failed Cholesky factorization and rejected.  A trial is
-    accepted on the Armijo test, or, where the objective is flat to rounding
-    near the optimum, when its objective stays within rounding of the current
-    one and its gradient norm is at least 0.1% smaller.  Convergence is
-    declared on the stationarity residual, not on objective stagnation.
-    Non-convergence is reported, not raised.
+    Each iteration solves H P = -G for the exact Hessian H and gradient G at
+    X, then halves the step s from 1 until X + sP passes a Cholesky test and
+    ||G(X + sP)|| <= (1 - 1e-4 s) ||G(X)||; along P the squared gradient norm
+    falls at rate 2 ||G||^2, so that search ends short of rounding level.
+    Steps are judged on the gradient, not on the objective, whose rounding
+    floor lies far above the gradient's.  Convergence is declared on the
+    stationarity residual; a singular Hessian or an exhausted step search
+    ends the solve unconverged.  Non-convergence is reported, not raised.
     """
     opts = opts or SolverOptions()
     ws = _Workspace(ens, spec)
     X = _initial_state(ens, opts)
-    trace = [ws.objective(X)]
     G = ws.gradient(X)
+    trace = [ws.objective(X)]
     res = float(np.linalg.norm(G))
-    step = 1.0
-    prev_X = None
-    prev_G = None
     iterations = 0
     for _ in range(opts.max_iterations):
         if res <= opts.residual_tol:
             break
-        f0 = trace[-1]
-        slope = res * res
-        # A rise this small is rounding; the cap keeps the recorded trace
-        # non-increasing up to 1e-12.
-        noise_slack = min(1e-13 * max(1.0, abs(f0)), 1e-12)
-        # Barzilai-Borwein initial step from the last (X, G) change, ignored
-        # when the previous step was at rounding level; plain doubling
-        # otherwise.  The backtracking below safeguards either choice.
-        s = 2.0 * step
-        if prev_X is not None:
-            dX = X - prev_X
-            dG = G - prev_G
-            if np.linalg.norm(dX) > 1e-13 * np.linalg.norm(X):
-                curv = float(np.tensordot(dX.conj(), dG, axes=2).real)
-                if curv > 0:
-                    s = float(np.tensordot(dX.conj(), dX, axes=2).real) / curv
-        prev_X, prev_G = X, G
-        s = min(max(s, 1e-12), 1e12)
+        try:
+            P = np.linalg.solve(ws.hessian(X), -G.reshape(-1))
+        except np.linalg.LinAlgError:
+            break
+        P = _hermitian_part(P.reshape(G.shape))
+        s = 1.0
         while s >= _MIN_STEP:
-            Xt = _hermitian_part(X - s * G)
+            Xt = X + s * P
             if _cholesky_ok(Xt):
-                ft = ws.objective(Xt)
-                # ft < f0 keeps the test honest once c*s*|G|^2 underflows the
-                # objective's resolution; it never rejects a genuine decrease.
-                if ft <= f0 - _ARMIJO_C * s * slope and ft < f0:
-                    Gt = ws.gradient(Xt)
+                Gt = ws.gradient(Xt)
+                rt = float(np.linalg.norm(Gt))
+                if rt <= (1 - 1e-4 * s) * res:
                     break
-                # Below the objective's rounding floor the gradient is still
-                # accurate: accept a step that measurably lowers the residual.
-                if ft <= f0 + noise_slack:
-                    Gt = ws.gradient(Xt)
-                    if np.linalg.norm(Gt) <= (1 - 1e-3) * res:
-                        break
             s *= _SHRINK
         else:
             break
-        X, G = Xt, Gt
-        res = float(np.linalg.norm(G))
-        step = s
-        trace.append(ft)
+        X, G, res = Xt, Gt, rt
+        trace.append(ws.objective(X))
         iterations += 1
     return SolverReport(
         solution=PositiveDefiniteMatrix(X),

@@ -1,9 +1,10 @@
 """Scalar generators of operator means and the divergences they induce.
 
 Named generators (arithmetic, geometric, harmonic) carry closed forms for
-f and f'; the measure-backed variant evaluates through quadrature.  The log
-generator belongs to the relaxed commutative family: it is only required to
-be strictly concave and C^1, not operator monotone.  PowerGenerator, the
+f and f'; the measure-backed variant sums a finite measure exactly and
+evaluates the arcsine and Beta-type densities as the powers they generate.
+The log generator belongs to the relaxed commutative family: it is only
+required to be strictly concave and C^1, not operator monotone.  PowerGenerator, the
 x^t of that family, is an alias of GeometricGenerator.
 """
 
@@ -20,10 +21,18 @@ from .measures import (
     BetaTypeMeasure,
     DiscreteMeasure,
     Measure,
+    _check_positive,
     center_of_mass,
     f_mu,
     f_mu_prime,
+    power_exponent,
 )
+
+
+def _positive(x) -> np.ndarray:
+    xs = np.asarray(x, dtype=np.float64)
+    _check_positive(xs)
+    return xs
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -109,15 +118,26 @@ class HarmonicGenerator:
 
 @dataclass(frozen=True)
 class MeasureGenerator:
-    """Generator defined by a probability measure on [0,1] via quadrature."""
+    """Generator f_mu defined by a probability measure on [0,1].
+
+    Discrete and tabulated measures are summed exactly; the arcsine and
+    Beta-type densities are evaluated in closed form as x^{1/2} and x^t, which
+    their Gauss rules only approximate far from 1.
+    """
 
     mu: Measure
 
     def f(self, x):
-        return f_mu(self.mu, x)
+        t = power_exponent(self.mu)
+        if t is None:
+            return f_mu(self.mu, x)
+        return _positive(x) ** t
 
     def f_prime(self, x):
-        return f_mu_prime(self.mu, x)
+        t = power_exponent(self.mu)
+        if t is None:
+            return f_mu_prime(self.mu, x)
+        return t * _positive(x) ** (t - 1)
 
     @property
     def weight(self) -> float:

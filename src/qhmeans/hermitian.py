@@ -253,6 +253,35 @@ def _divided_differences(w: np.ndarray, fw: np.ndarray, dw: np.ndarray) -> np.nd
     return np.where(degenerate, (dw[..., :, None] + dw[..., None, :]) / 2, ratio)
 
 
+# Relative eigenvalue separation below which second divided differences use
+# their tie limits.  Differencing the first-order table costs about eps / sep
+# (relative), the tie limit about sep, so the two balance near eps^(1/3).
+_SECOND_TIE_RTOL = 1e-5
+
+
+def _second_divided_differences(
+    w: np.ndarray, table: np.ndarray, dw: np.ndarray, d2w: np.ndarray
+) -> np.ndarray:
+    """Second divided differences f^[2](w_i, w_k, w_l), shape (..., d, d, d).
+
+    Built from the first-order table of _divided_differences as
+    (f^[1](w_i, w_k) - f^[1](w_k, w_l)) / (w_i - w_l).  Where w_i and w_l are
+    tied it is (f'(w_i) - f^[1](w_i, w_k)) / (w_i - w_k), and where w_k is
+    tied with them too, f''(w_i) / 2; dw and d2w hold f' and f'' on w.
+    Leading axes broadcast.
+    """
+    wi, wk, wl = w[..., :, None, None], w[..., None, :, None], w[..., None, None, :]
+    t_ik = table[..., :, :, None]
+
+    def tied(a, b):
+        return np.abs(a - b) <= _SECOND_TIE_RTOL * np.maximum(np.abs(a), np.abs(b))
+
+    tie_il, tie_ik = tied(wi, wl), tied(wi, wk)
+    general = (t_ik - table[..., None, :, :]) / np.where(tie_il, 1.0, wi - wl)
+    near = (dw[..., :, None, None] - t_ik) / np.where(tie_ik, 1.0, wi - wk)
+    return np.where(tie_il, np.where(tie_ik, d2w[..., :, None, None] / 2, near), general)
+
+
 def frechet_derivative(
     fn: Callable,
     fn_prime: Callable,

@@ -6,14 +6,16 @@ A measure mu encodes an operator monotone generator through
 
 so every evaluation below reduces to a weighted sum over quadrature nodes.
 Discrete measures are summed exactly; the arcsine and Beta-type densities get
-Gauss rules matched to their endpoint singularities.
+Gauss rules matched to their endpoint singularities.  Those two densities
+generate x^{1/2} and x^t in closed form (power_exponent), so f_mu and
+f_mu_prime on them serve as an independent quadrature oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -169,6 +171,16 @@ def quadrature(mu: Measure, order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     if order < 2:
         raise DomainError(f"quadrature order {order} must be at least 2")
     return _cached_rule(mu, int(order))
+
+
+def power_exponent(mu: Measure) -> Optional[float]:
+    """The t with f_mu(x) = x^t for the arcsine (t = 1/2) and Beta-type
+    densities; None for discrete and tabulated measures, which are finite sums."""
+    if isinstance(mu, ArcsineMeasure):
+        return 0.5
+    if isinstance(mu, BetaTypeMeasure):
+        return mu.t
+    return None
 
 
 def center_of_mass(mu: Measure) -> float:

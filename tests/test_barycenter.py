@@ -235,8 +235,8 @@ class TestSolveBarycenter:
 
     @pytest.mark.parametrize("case", ["reference", "spread-3"])
     def test_objective_trace_non_increasing(self, case):
-        # the spread-3 pair ends on steps accepted for lowering the residual
-        # while the objective stays within rounding of its last value
+        # Newton steps are accepted on the gradient norm alone; on these
+        # problems the objective still never rises beyond rounding
         if case == "reference":
             ens, spec = ref_ensemble(), ARCSINE_SPEC
         else:
@@ -254,7 +254,12 @@ class TestSolveBarycenter:
         assert report.converged
         assert report.iterations <= 11
 
-    @pytest.mark.parametrize("dim, seed", [(4, 0), (4, 5), (2, 24), (2, 26), (4, 28)])
+    def test_reference_problem_newton_iterations(self):
+        report = solve_barycenter(ref_ensemble(), ARCSINE_SPEC)
+        assert report.converged
+        assert report.iterations <= 4
+
+    @pytest.mark.parametrize("dim, seed", [(4, 0), (4, 5), (2, 22), (2, 24), (2, 26), (4, 28)])
     def test_converges_on_spread_3_pairs(self, dim, seed):
         # two members with spectra pinned at e^-3 and e^3; near the optimum
         # the objective is flat to rounding, and a line search that trusts
@@ -270,6 +275,26 @@ class TestSolveBarycenter:
             lambda M, A: frechet_derivative(gen.f, gen.f_prime, M, A).mat,
         )
         assert np.linalg.norm(G) <= opts.residual_tol * (1 + 1e-4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_converges_on_spread_6_ensembles(self, seed):
+        # four 4x4 members with spectra pinned at e^-6 and e^6: gradient
+        # descent stalled on all of them; arcsine and geometric:0.5 are both
+        # f(x) = sqrt(x), so their barycenters coincide
+        ens = spread_ensemble(seed, 4, 4, 6.0)
+        opts = SolverOptions()
+        solutions = []
+        for gen in (arcsine_generator(), GeometricGenerator(0.5)):
+            spec = DivergenceSpec(gen)
+            report = solve_barycenter(ens, spec, opts)
+            assert report.converged
+            G = assembled_gradient(
+                ens, report.solution, spec.c,
+                lambda M, A: frechet_derivative(np.sqrt, lambda x: 0.5 / np.sqrt(x), M, A).mat,
+            )
+            assert np.linalg.norm(G) <= opts.residual_tol * (1 + 1e-4)
+            solutions.append(report.solution.mat)
+        assert np.linalg.norm(solutions[0] - solutions[1]) <= 1e-8
 
     def test_uniqueness_probe(self, rng):
         ens = random_ensemble(rng, 3, 3)

@@ -1,14 +1,17 @@
-"""The divided-difference barycenter gradient against independent assemblies.
+"""The divided-difference barycenter gradient and Hessian against independent assemblies.
 
 Each reference builds G = c I - sum_j w_j A_j^{-1/2} Df(M_j)[A_j] A_j^{-1/2}
 one member at a time, from `frechet_derivative_fmu` (resolvent quadrature)
-for measure generators and from `frechet_derivative` for closed forms.
+for measure generators, from the block-triangular identity for x^t and from
+`frechet_derivative` for closed forms.  The Hessian is checked against
+central differences of the gradient.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import fractional_matrix_power
 
 from qhmeans import (
     ArcsineMeasure,
@@ -28,7 +31,9 @@ from qhmeans import (
     pd,
 )
 
-from conftest import assembled_gradient, random_pd_np
+from qhmeans.barycenter import _as_state, _Workspace
+
+from conftest import assembled_gradient, random_hermitian_np, random_pd_np
 
 REFERENCE_ORDER = 4096
 
@@ -47,13 +52,19 @@ def _random_problem(rng, dim, m, spread):
 @pytest.mark.parametrize("spread", [1.0, 4.0])
 def test_measure_generators_match_resolvent_quadrature(rng, mu, spread):
     spec = DivergenceSpec(MeasureGenerator(mu))
+    if isinstance(mu, BetaTypeMeasure):
+        # The order-4096 Jacobi rule is itself off by about 6e-8 (relative)
+        # here, so x^t takes Df(M)[A] from f([[M, A], [0, M]]) = [[f(M), Df(M)[A]], [0, f(M)]].
+        def derivative(M, A):
+            block = np.block([[M, A], [np.zeros_like(M), M]])
+            return fractional_matrix_power(block, mu.t)[: len(M), len(M):]
+    else:
+        def derivative(M, A):
+            return frechet_derivative_fmu(mu, M, A, REFERENCE_ORDER).mat
     for _ in range(3):
         ens, X = _random_problem(rng, 4, 3, spread)
         exact = euclidean_gradient(ens, X, spec, REFERENCE_ORDER).mat
-        reference = assembled_gradient(
-            ens, X, spec.c,
-            lambda M, A: frechet_derivative_fmu(mu, M, A, REFERENCE_ORDER).mat,
-        )
+        reference = assembled_gradient(ens, X, spec.c, derivative)
         assert np.linalg.norm(exact - reference) <= 1e-10 * max(1.0, np.linalg.norm(reference))
 
 
@@ -97,3 +108,42 @@ def test_repeated_calls_bitwise_identical(rng):
         a = euclidean_gradient(ens, X, spec).mat
         b = euclidean_gradient(ens, X, spec).mat
         assert np.array_equal(a, b)
+
+
+HESSIAN_GENERATORS = [
+    GeometricGenerator(0.25),
+    GeometricGenerator(0.5),
+    HarmonicGenerator(0.3),
+    arcsine_generator(),
+    MeasureGenerator(DiscreteMeasure(((0.2, 0.5), (0.5, 0.3), (0.9, 0.2)))),
+]
+HESSIAN_IDS = ["geometric0.25", "geometric0.5", "harmonic0.3", "arcsine", "discrete3"]
+
+
+def _hessian_problem(rng, gen):
+    ens, X = _random_problem(rng, 4, 3, 1.0)
+    ws = _Workspace(ens, DivergenceSpec(gen))
+    X = _as_state(ens, X)
+    ws.gradient(X)
+    return ws, X
+
+
+@pytest.mark.parametrize("gen", HESSIAN_GENERATORS, ids=HESSIAN_IDS)
+def test_hessian_matches_gradient_differences(rng, gen):
+    h = 1e-6
+    for _ in range(3):
+        ws, X = _hessian_problem(rng, gen)
+        H = random_hermitian_np(rng, 4)
+        applied = (ws.hessian(X) @ H.reshape(-1)).reshape(4, 4)
+        central = (ws.gradient(X + h * H) - ws.gradient(X - h * H)) / (2 * h)
+        assert np.linalg.norm(applied - central) <= 1e-8 * np.linalg.norm(central)
+
+
+@pytest.mark.parametrize("gen", HESSIAN_GENERATORS, ids=HESSIAN_IDS)
+def test_hessian_is_positive_on_hermitian_directions(rng, gen):
+    # the objective is strictly convex, so Re Tr(H DG[H]) > 0 for H != 0
+    ws, X = _hessian_problem(rng, gen)
+    hess = ws.hessian(X)
+    for _ in range(20):
+        H = random_hermitian_np(rng, 4)
+        assert np.vdot(H.reshape(-1), hess @ H.reshape(-1)).real > 0

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from qhmeans import (
     sqrt_pd,
     thompson_dist,
 )
+
+from qhmeans.hermitian import _divided_differences, _second_divided_differences
 
 from conftest import random_pd_np
 
@@ -249,3 +253,30 @@ class TestFrechetDerivative:
         Y = herm(np.array([[0.0, 1.0], [1.0, 0.0]]))
         out = frechet_derivative(np.sqrt, lambda w: 0.5 / np.sqrt(w), pd(np.eye(2)), Y)
         assert np.linalg.norm(out.mat - 0.5 * Y.mat) <= 1e-12
+
+
+def _exact_second_difference(t, a, b, c):
+    """f^[2](a, b, c) of x^t in 50-digit decimal arithmetic, with the tie
+    limits where arguments coincide."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(t)
+        d1 = lambda x, y: t * x ** (t - 1) if x == y else (x**t - y**t) / (x - y)
+        a, b, c = sorted(Decimal(float(v)) for v in (a, b, c))
+        if a == c:
+            return float(t * (t - 1) * a ** (t - 2) / 2)
+        return float((d1(a, b) - d1(b, c)) / (a - c))
+
+
+class TestSecondDividedDifferences:
+    @pytest.mark.parametrize("sep", [0.0, 1e-12, 1e-8, 1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("base", [1e-3, 1.0, 37.3])
+    def test_power_against_exact_arithmetic(self, sep, base):
+        # three clustered eigenvalues and one far away, so every branch runs
+        t = 0.3
+        w = base * np.array([1.0, 1.0 + sep, 1.0 + 2 * sep, 5.0])
+        table = _divided_differences(w, w**t, t * w ** (t - 1))
+        out = _second_divided_differences(w, table, t * w ** (t - 1), t * (t - 1) * w ** (t - 2))
+        for i, k, l in np.ndindex(4, 4, 4):
+            ref = _exact_second_difference(t, w[i], w[k], w[l])
+            assert abs(out[i, k, l] - ref) <= 1e-4 * abs(ref)
