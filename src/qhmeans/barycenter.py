@@ -32,9 +32,9 @@ from .hermitian import (
     HermitianMatrix,
     MatrixLike,
     PositiveDefiniteMatrix,
-    _divided_differences,
     _hermitian_part,
     _mat,
+    _power_divided_differences,
     _roots,
     _second_divided_differences,
     _spectral,
@@ -155,30 +155,20 @@ class _Workspace:
         self.inv_roots = _roots(self.mats)[1]
         self.const = (1 - spec.c) * float(self.weights @ np.trace(self.mats, axis1=1, axis2=2).real)
         self.c = spec.c
-        self._last = None
         self._first = None
-
-    def _spectra(self, X: np.ndarray):
-        if self._last is not None and self._last[0] is X:
-            return self._last[1], self._last[2]
-        e, V = np.linalg.eigh(_hermitian_part(self.inv_roots @ X @ self.inv_roots))
-        self._last = (X, e, V)
-        return e, V
 
     def _first_order(self, X: np.ndarray):
         """e_j, W_j = A_j^{-1/2} V_j, K_j = V_j* A_j V_j and the f^[1] table at X."""
-        if self._first is not None and self._first[0] is X:
-            return self._first[1:]
-        e, V = self._spectra(X)
-        K = np.conj(np.swapaxes(V, -1, -2)) @ self.mats @ V
-        self._first = (X, e, self.inv_roots @ V, K, self._table(e))
+        if self._first is None or self._first[0] is not X:
+            e, V = np.linalg.eigh(_hermitian_part(self.inv_roots @ X @ self.inv_roots))
+            K = np.conj(np.swapaxes(V, -1, -2)) @ self.mats @ V
+            self._first = (X, e, self.inv_roots @ V, K, self._table(e))
         return self._first[1:]
 
     def _table(self, e: np.ndarray) -> np.ndarray:
         """Divided differences f^[1](e_j) of every member, shape (m, d, d)."""
         if self.rule is None:
-            t = self.power
-            return _divided_differences(e, e**t, t * e ** (t - 1))
+            return _power_divided_differences(e, self.power)
         # (f(a) - f(b)) / (a - b) = sum_k q_k l_k / (((1-l_k) a + l_k)((1-l_k) b + l_k))
         # for f = f_mu: a sum of positive terms, with no cancellation at near-ties.
         l = self.rule.nodes
@@ -199,12 +189,11 @@ class _Workspace:
         return -((P[..., :, None, :] * P[..., None, :, :]) @ Q[:, None])
 
     def objective(self, X: np.ndarray) -> float:
-        f = self.spec.generator.f
-        total = self.const + self.c * float(np.trace(X).real)
-        e, V = self._spectra(X)
-        fM = _spectral(V, np.asarray(f(e), dtype=np.float64))
-        means = np.einsum("jab,jba->j", fM, self.mats).real
-        return total - float(np.dot(self.weights, means))
+        # Tr f(M_j) A_j = sum_i f(e_ji) (V_j* A_j V_j)_ii
+        e, _, K, _ = self._first_order(X)
+        fe = np.asarray(self.spec.generator.f(e), dtype=np.float64)
+        means = (fe * np.diagonal(K, axis1=1, axis2=2).real).sum(axis=1)
+        return self.const + self.c * float(np.trace(X).real) - float(self.weights @ means)
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
         _, W, K, table = self._first_order(X)

@@ -253,6 +253,21 @@ def _divided_differences(w: np.ndarray, fw: np.ndarray, dw: np.ndarray) -> np.nd
     return np.where(degenerate, (dw[..., :, None] + dw[..., None, :]) / 2, ratio)
 
 
+def _power_divided_differences(w: np.ndarray, t: float) -> np.ndarray:
+    """First divided differences of x^t over the last axis of a positive spectrum.
+
+    For a <= b, (b^t - a^t) / (b - a) = a^(t-1) expm1(t L) / expm1(L) with
+    L = log1p((b - a) / a) >= 0, and t a^(t-1) where L == 0: no difference of
+    close numbers is formed, so near-ties keep full relative accuracy.
+    """
+    a = np.minimum(w[..., :, None], w[..., None, :])
+    b = np.maximum(w[..., :, None], w[..., None, :])
+    L = np.log1p((b - a) / a)
+    tie = L == 0
+    ratio = np.where(tie, t, np.expm1(t * L) / np.where(tie, 1.0, np.expm1(L)))
+    return a ** (t - 1) * ratio
+
+
 # Relative eigenvalue separation below which second divided differences use
 # their tie limits.  Differencing the first-order table costs about eps / sep
 # (relative), the tie limit about sep, so the two balance near eps^(1/3).

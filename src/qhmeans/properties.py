@@ -10,6 +10,7 @@ Kraus family as a negative control; the harness must flag it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,12 +63,16 @@ class CampaignResult:
     failures: list = field(default_factory=list)
 
     def record(self, slack: float, trial: int, detail: str, inputs=None) -> None:
+        """inputs, a zero-argument callable, is called only for a violation."""
         self.worst_slack = min(self.worst_slack, slack)
         if slack < SLACK_FLOOR:
             self.violations += 1
-            self.failures.append(
-                {"trial": trial, "slack": slack, "detail": detail, "inputs": inputs}
-            )
+            self.failures.append({
+                "trial": trial,
+                "slack": slack,
+                "detail": detail,
+                "inputs": None if inputs is None else inputs(),
+            })
 
     @property
     def passed(self) -> bool:
@@ -84,89 +89,73 @@ class PropertyReport:
         return all(c.passed for c in self.campaigns)
 
 
-def _dpi_campaign(spec, seed, trials, dim, corrupt_channel) -> CampaignResult:
-    result = CampaignResult("dpi", trials)
+def _campaign(name: str, seed: int, trials: int, trial) -> CampaignResult:
+    """Record every (slack, detail, inputs) that trial(trial_rng(seed, name, i), i)
+    yields, for each trial index i; a DegenerateTrialError discards the trial."""
+    result = CampaignResult(name, trials)
     for i in range(trials):
-        rng = trial_rng(seed, "dpi", i)
-        kraus = random_cptp(dim, dim, dim, rng).kraus
-        if corrupt_channel and i == 0:
-            kraus = tuple(1.05 * K for K in kraus)
-        defect = kraus_defect(kraus)
-        if defect > TP_ATOL:
-            result.record(
-                -defect,
-                i,
-                f"channel is not trace preserving (defect {defect:.3e})",
-                inputs={"kraus": [_matrix_json(K) for K in kraus]},
-            )
-            continue
-        A = random_pd(rng, dim)
-        B = random_pd(rng, dim)
         try:
-            slack = check_dpi(spec, QuantumChannel(kraus), A, B)
+            for slack, detail, inputs in trial(trial_rng(seed, name, i), i):
+                result.record(slack, i, detail, inputs)
         except DegenerateTrialError:
             result.discarded += 1
-            continue
-        result.record(
-            slack,
-            i,
-            "data processing inequality",
-            inputs={"A": _matrix_json(A.mat), "B": _matrix_json(B.mat)},
+    return result
+
+
+def _encoded(**inputs) -> dict:
+    """A failure's inputs, each positive definite matrix as matrix JSON."""
+    return {
+        key: _matrix_json(v.mat) if isinstance(v, PositiveDefiniteMatrix) else v
+        for key, v in inputs.items()
+    }
+
+
+def _dpi_trial(spec, dim, corrupt_channel, rng, i):
+    kraus = random_cptp(dim, dim, dim, rng).kraus
+    if corrupt_channel and i == 0:
+        kraus = tuple(1.05 * K for K in kraus)
+    defect = kraus_defect(kraus)
+    if defect > TP_ATOL:
+        yield (
+            -defect,
+            f"channel is not trace preserving (defect {defect:.3e})",
+            lambda: {"kraus": [_matrix_json(K) for K in kraus]},
         )
-    return result
+        return
+    A = random_pd(rng, dim)
+    B = random_pd(rng, dim)
+    slack = check_dpi(spec, QuantumChannel(kraus), A, B)
+    yield slack, "data processing inequality", partial(_encoded, A=A, B=B)
 
 
-def _joint_convexity_campaign(spec, seed, trials, dim) -> CampaignResult:
-    result = CampaignResult("joint_convexity", trials)
-    for i in range(trials):
-        rng = trial_rng(seed, "joint_convexity", i)
-        pair_one = (random_pd(rng, dim), random_pd(rng, dim))
-        pair_two = (random_pd(rng, dim), random_pd(rng, dim))
-        inputs = {
-            "A1": _matrix_json(pair_one[0].mat),
-            "B1": _matrix_json(pair_one[1].mat),
-            "A2": _matrix_json(pair_two[0].mat),
-            "B2": _matrix_json(pair_two[1].mat),
-        }
-        for s in (0.25, 0.5, 0.75):
-            slack = check_joint_convexity(spec, pair_one, pair_two, s)
-            result.record(slack, i, f"joint convexity at s={s}", inputs=inputs)
-    return result
+def _joint_convexity_trial(spec, dim, rng, i):
+    A1, B1, A2, B2 = (random_pd(rng, dim) for _ in range(4))
+    inputs = partial(_encoded, A1=A1, B1=B1, A2=A2, B2=B2)
+    for s in (0.25, 0.5, 0.75):
+        slack = check_joint_convexity(spec, (A1, B1), (A2, B2), s)
+        yield slack, f"joint convexity at s={s}", inputs
 
 
-def _axiom_campaign(spec, seed, trials, dim) -> CampaignResult:
-    result = CampaignResult("divergence_axioms", trials)
+def _axiom_trial(spec, dim, rng, i):
     t = 1e-5
-    for i in range(trials):
-        rng = trial_rng(seed, "divergence_axioms", i)
-        A = random_pd(rng, dim)
-        B = random_pd(rng, dim)
-        Y = random_hermitian(rng, dim)
-        inputs = {"A": _matrix_json(A.mat), "B": _matrix_json(B.mat)}
+    A = random_pd(rng, dim)
+    B = random_pd(rng, dim)
+    Y = random_hermitian(rng, dim)
+    inputs = partial(_encoded, A=A, B=B)
 
-        value = phi(A, B, spec)
-        result.record(value, i, "nonnegativity phi(A,B) >= 0", inputs=inputs)
-        diag = phi(A, A, spec)
-        result.record(1e-10 - abs(diag), i, "phi(A,A) = 0", inputs=inputs)
-        if value < 1e-8:
-            result.record(
-                1e-4 - frobenius_dist(A, B),
-                i,
-                "phi ~ 0 only near the diagonal",
-                inputs=inputs,
-            )
+    value = phi(A, B, spec)
+    yield value, "nonnegativity phi(A,B) >= 0", inputs
+    diag = phi(A, A, spec)
+    yield 1e-10 - abs(diag), "phi(A,A) = 0", inputs
+    if value < 1e-8:
+        yield 1e-4 - frobenius_dist(A, B), "phi ~ 0 only near the diagonal", inputs
 
-        plus = PositiveDefiniteMatrix(A.mat + t * Y)
-        minus = PositiveDefiniteMatrix(A.mat - t * Y)
-        first = (phi(A, plus, spec) - phi(A, minus, spec)) / (2 * t)
-        result.record(
-            1e-6 - abs(first), i, "vanishing first derivative at diagonal", inputs=inputs
-        )
-        second = (phi(A, plus, spec) - 2 * diag + phi(A, minus, spec)) / (t * t)
-        result.record(
-            second + 1e-6, i, "nonnegative second derivative at diagonal", inputs=inputs
-        )
-    return result
+    plus = phi(A, PositiveDefiniteMatrix(A.mat + t * Y), spec)
+    minus = phi(A, PositiveDefiniteMatrix(A.mat - t * Y), spec)
+    first = (plus - minus) / (2 * t)
+    yield 1e-6 - abs(first), "vanishing first derivative at diagonal", inputs
+    second = (plus - 2 * diag + minus) / (t * t)
+    yield second + 1e-6, "nonnegative second derivative at diagonal", inputs
 
 
 def random_convex_order_pair(rng: np.random.Generator):
@@ -183,34 +172,22 @@ def random_convex_order_pair(rng: np.random.Generator):
     return mu, nu
 
 
-def _convex_order_campaign(seed, trials, dim) -> CampaignResult:
-    result = CampaignResult("convex_order", trials)
-    for i in range(trials):
-        rng = trial_rng(seed, "convex_order", i)
-        mu, nu = random_convex_order_pair(rng)
-        if not convex_order_leq(mu, nu):
-            result.record(
-                -1.0, i, "constructed pair not in convex order",
-                inputs={"mu": mu.atoms, "nu": nu.atoms},
-            )
-            continue
-        A = random_pd(rng, dim)
-        B = random_pd(rng, dim)
-        low = kubo_ando_mean(A, B, MeasureGenerator(mu))
-        high = kubo_ando_mean(A, B, MeasureGenerator(nu))
-        gap = np.linalg.eigvalsh(high.mat - low.mat)[0]
-        result.record(
-            float(gap),
-            i,
-            "mean monotonicity under convex order",
-            inputs={
-                "mu": mu.atoms,
-                "nu": nu.atoms,
-                "A": _matrix_json(A.mat),
-                "B": _matrix_json(B.mat),
-            },
-        )
-    return result
+def _convex_order_trial(dim, rng, i):
+    mu, nu = random_convex_order_pair(rng)
+    if not convex_order_leq(mu, nu):
+        inputs = partial(_encoded, mu=mu.atoms, nu=nu.atoms)
+        yield -1.0, "constructed pair not in convex order", inputs
+        return
+    A = random_pd(rng, dim)
+    B = random_pd(rng, dim)
+    low = kubo_ando_mean(A, B, MeasureGenerator(mu))
+    high = kubo_ando_mean(A, B, MeasureGenerator(nu))
+    gap = np.linalg.eigvalsh(high.mat - low.mat)[0]
+    yield (
+        float(gap),
+        "mean monotonicity under convex order",
+        partial(_encoded, mu=mu.atoms, nu=nu.atoms, A=A, B=B),
+    )
 
 
 def run_campaigns(
@@ -226,10 +203,10 @@ def run_campaigns(
     return PropertyReport(
         seed=seed,
         campaigns=[
-            _dpi_campaign(spec, seed, trials, dim, corrupt_channel),
-            _joint_convexity_campaign(spec, seed, trials, dim),
-            _axiom_campaign(spec, seed, trials, dim),
-            _convex_order_campaign(seed, trials, dim),
+            _campaign("dpi", seed, trials, partial(_dpi_trial, spec, dim, corrupt_channel)),
+            _campaign("joint_convexity", seed, trials, partial(_joint_convexity_trial, spec, dim)),
+            _campaign("divergence_axioms", seed, trials, partial(_axiom_trial, spec, dim)),
+            _campaign("convex_order", seed, trials, partial(_convex_order_trial, dim)),
         ],
     )
 

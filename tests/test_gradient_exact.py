@@ -7,6 +7,7 @@ for measure generators, from the block-triangular identity for x^t and from
 central differences of the gradient.
 """
 
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,6 +101,28 @@ def test_all_ties_oracle(rng, s):
     for spec, fprime in cases:
         G = euclidean_gradient(ens, pd(s * A), spec).mat
         assert np.linalg.norm(G - (spec.c - fprime) * np.eye(4)) <= 1e-12
+
+
+def _exact_power_difference(t, a, b):
+    """f^[1](a, b) of x^t in 50-digit decimal arithmetic, t a^(t-1) at a tie."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t, a, b = Decimal(t), Decimal(float(a)), Decimal(float(b))
+        return float(t * a ** (t - 1) if a == b else (a**t - b**t) / (a - b))
+
+
+@pytest.mark.parametrize("sep", [10.0**k for k in range(-12, -1)])
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_power_table_near_ties_against_exact_arithmetic(t, sep):
+    # The gradient's f^[1] table of x^t on clustered spectra; forming
+    # (b^t - a^t) / (b - a) directly loses about eps / sep (relative) there.
+    ws = _Workspace(ensemble([np.eye(2)], [1.0]), DivergenceSpec(GeometricGenerator(t)))
+    for base in (1e-3, 1.0, 37.3):
+        w = base * np.array([1.0, 1.0 + sep, 1.0 + 2 * sep, 5.0])
+        table = ws._table(w[None])[0]
+        for i, k in np.ndindex(4, 4):
+            ref = _exact_power_difference(t, w[i], w[k])
+            assert abs(table[i, k] - ref) <= 1e-13 * abs(ref)
 
 
 def test_repeated_calls_bitwise_identical(rng):
