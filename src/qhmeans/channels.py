@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import phi
+from .divergences import _phi_batch
 from .errors import DegenerateTrialError, DimensionMismatchError, DomainError
 from .generators import DivergenceSpec
 from .hermitian import (
@@ -154,7 +154,8 @@ def check_dpi(
     """
     TA = _regularize_pd(apply_channel(T, A))
     TB = _regularize_pd(apply_channel(T, B))
-    return phi(A, B, spec) - phi(TA, TB, spec)
+    before, after = _phi_batch([(A, B), (TA, TB)], spec)
+    return float(before - after)
 
 
 def check_joint_convexity(
@@ -164,10 +165,21 @@ def check_joint_convexity(
     s: float,
 ) -> float:
     """Convexity slack s phi(A1,B1) + (1-s) phi(A2,B2) - phi(mix_A, mix_B)."""
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"mixing parameter s={s} must lie in (0,1)")
-    A1, B1 = pair_one
-    A2, B2 = pair_two
-    mix_a = PositiveDefiniteMatrix(s * _mat(A1) + (1 - s) * _mat(A2))
-    mix_b = PositiveDefiniteMatrix(s * _mat(B1) + (1 - s) * _mat(B2))
-    return s * phi(A1, B1, spec) + (1 - s) * phi(A2, B2, spec) - phi(mix_a, mix_b, spec)
+    return _joint_convexity_slacks(spec, pair_one, pair_two, (s,))[0]
+
+
+def _joint_convexity_slacks(spec: DivergenceSpec, pair_one, pair_two, weights) -> list:
+    """check_joint_convexity at each s in weights, from one batched phi over
+    the two pairs and their len(weights) mixtures."""
+    a1, b1 = (_mat(M) for M in pair_one)
+    a2, b2 = (_mat(M) for M in pair_two)
+    mixtures = []
+    for s in weights:
+        if not 0.0 < s < 1.0:
+            raise DomainError(f"mixing parameter s={s} must lie in (0,1)")
+        mixtures.append((
+            PositiveDefiniteMatrix(s * a1 + (1 - s) * a2),
+            PositiveDefiniteMatrix(s * b1 + (1 - s) * b2),
+        ))
+    one, two, *mixed = _phi_batch([pair_one, pair_two, *mixtures], spec)
+    return [float(s * one + (1 - s) * two - m) for s, m in zip(weights, mixed)]

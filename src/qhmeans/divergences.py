@@ -4,7 +4,9 @@ The central quantity is phi(A, B) = Tr((1-c) A + c B - A sigma B) for a mean
 sigma with weight c.  Three algebraically equivalent evaluation paths are
 provided (direct, through g, through an operator Bregman divergence); tests
 hold them to pairwise agreement, so a regression in any one path is caught
-by the others.
+by the others.  The direct path evaluates a stack of pairs in one batched
+pass (_means, _phi_batch), and phi and kubo_ando_mean are its one-pair
+calls; the g and Bregman paths keep their own unbatched route.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .hermitian import (
     _check_same_dim,
     _hermitian_part,
     _mat,
+    _require_pd,
     _roots,
     frechet_derivative,
     pd,
@@ -45,6 +48,27 @@ def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike):
     return root, _hermitian_part(s @ b @ s)
 
 
+def _means(a: np.ndarray, b: np.ndarray, gen: Generator, check_pd: bool = True) -> np.ndarray:
+    """A_k sigma B_k over stacks a, b of shape (n, d, d), as one (n, d, d) stack.
+
+    One batched eigh of the A stack gives A^{+-1/2} (warning on each
+    ill-conditioned member), one of the middles A^{-1/2} B A^{-1/2} gives
+    f on their (n, d) spectra, and one batched eigvalsh holds every mean to
+    the PositiveDefiniteMatrix predicate; check_pd=False leaves that test to
+    the caller.
+    """
+    if not is_mean_normalized(gen):
+        raise UnsupportedGeneratorError(
+            f"{type(gen).__name__} is not mean-normalized; "
+            "operator means need f(1) = 1 and weight in (0,1)"
+        )
+    root, s = _roots(a, warn=True)
+    means = root @ _apply_spectral_raw(_hermitian_part(s @ b @ s), gen.f) @ root
+    if check_pd:
+        _require_pd(np.linalg.eigvalsh(_hermitian_part(means)), "mean")
+    return means
+
+
 def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefiniteMatrix:
     """Operator mean A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.
 
@@ -52,21 +76,33 @@ def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefi
         A, B: positive definite matrices of equal dimension.
         gen: a mean-normalized generator (f(1) = 1, weight in (0,1)).
     """
-    if not is_mean_normalized(gen):
-        raise UnsupportedGeneratorError(
-            f"{type(gen).__name__} is not mean-normalized; "
-            "operator means need f(1) = 1 and weight in (0,1)"
-        )
-    root, middle = _middle_term(pd(A), pd(B))
-    return PositiveDefiniteMatrix(root @ _apply_spectral_raw(middle, gen.f) @ root)
+    a, b = pd(A).mat, pd(B).mat
+    _check_same_dim(a, b)
+    # The PositiveDefiniteMatrix constructor applies the predicate _means skips.
+    return PositiveDefiniteMatrix(_means(a[None], b[None], gen, check_pd=False)[0])
+
+
+def _phi_batch(pairs, spec: DivergenceSpec) -> np.ndarray:
+    """phi(A, B) for each (A, B) in pairs, from one _means call over the stack."""
+    a = [pd(A).mat for A, _ in pairs]
+    b = [pd(B).mat for _, B in pairs]
+    for x, y in zip(a, b):
+        _check_same_dim(x, y)
+    if len({x.shape for x in a}) > 1:
+        # Pairs of several dimensions, as from a channel that changes it.
+        return np.array([_phi_batch([pair], spec)[0] for pair in pairs])
+    a, b = np.array(a), np.array(b)
+    mean = _means(a, b, spec.generator)
+    return ((1 - spec.c) * _trace(a) + spec.c * _trace(b) - _trace(mean)).real
+
+
+def _trace(stack: np.ndarray) -> np.ndarray:
+    return stack.diagonal(0, -2, -1).sum(-1)
 
 
 def phi(A: MatrixLike, B: MatrixLike, spec: DivergenceSpec) -> float:
     """Divergence Tr((1-c) A + c B - A sigma B); nonnegative, zero iff A = B."""
-    A, B = pd(A), pd(B)
-    mean = kubo_ando_mean(A, B, spec.generator).mat
-    val = (1 - spec.c) * np.trace(A.mat) + spec.c * np.trace(B.mat) - np.trace(mean)
-    return float(val.real)
+    return float(_phi_batch([(A, B)], spec)[0])
 
 
 def g_of(spec: DivergenceSpec, x):

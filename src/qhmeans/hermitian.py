@@ -90,11 +90,25 @@ class PositiveDefiniteMatrix(HermitianMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        w = np.linalg.eigvalsh(self.mat)
-        if w[0] <= 0 or w[0] <= PD_REL_FLOOR * abs(w[-1]):
+        _require_pd(np.linalg.eigvalsh(self.mat))
+
+
+def _extremes(w: np.ndarray) -> list:
+    """(smallest, largest) eigenvalue, as floats, of each ascending spectrum in
+    w, one (d,) or a stack (n, d)."""
+    return [(row[0], row[-1]) for row in w.reshape(-1, w.shape[-1]).tolist()]
+
+
+def _require_pd(w: np.ndarray, what: str = "matrix") -> None:
+    """The positive definiteness predicate on ascending spectra, one (d,) or a
+    stack (n, d): every w_0 > 0 and w_0 > PD_REL_FLOOR |w_max|.  The DomainError
+    names the first member that fails it."""
+    for k, (low, high) in enumerate(_extremes(w)):
+        if low <= 0 or low <= PD_REL_FLOOR * abs(high):
+            where = f"{what} {k} of a stack of {len(w)}" if w.ndim > 1 else what
             raise DomainError(
-                f"matrix is not positive definite: min eigenvalue {w[0]:.3e}, "
-                f"max eigenvalue {w[-1]:.3e}"
+                f"{where} is not positive definite: min eigenvalue {low:.3e}, "
+                f"max eigenvalue {high:.3e}"
             )
 
 
@@ -136,7 +150,8 @@ def eig_hermitian(H: MatrixLike) -> SpectralDecomposition:
 
 
 def _apply_spectral_raw(mat: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """U diag(fn(w)) U* without wrapper overhead; fn must be finite on w."""
+    """U diag(fn(w)) U* of a matrix or a stack, without wrapper overhead; fn must
+    be finite on every spectrum w."""
     w, U = np.linalg.eigh(mat)
     with np.errstate(all="ignore"):
         fw = np.asarray(fn(w), dtype=np.float64)
@@ -162,13 +177,16 @@ def apply_spectral(A: MatrixLike, fn: Callable) -> HermitianMatrix:
 
 
 def _warn_if_ill_conditioned(w: np.ndarray) -> None:
-    if w[0] > 0 and w[-1] / w[0] > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"condition number {w[-1] / w[0]:.3e} exceeds {COND_WARN_THRESHOLD:.0e}; "
-            "spectral results may lose precision",
-            ConditioningWarning,
-            stacklevel=3,
-        )
+    """One ConditioningWarning per ill-conditioned spectrum in w, (d,) or (n, d)."""
+    for k, (low, high) in enumerate(_extremes(w)):
+        if low > 0 and high / low > COND_WARN_THRESHOLD:
+            where = f"member {k} of a stack: " if w.ndim > 1 else ""
+            warnings.warn(
+                f"{where}condition number {high / low:.3e} exceeds "
+                f"{COND_WARN_THRESHOLD:.0e}; spectral results may lose precision",
+                ConditioningWarning,
+                stacklevel=3,
+            )
 
 
 def _pd_spectral(A: MatrixLike, fn: Callable) -> PositiveDefiniteMatrix:
@@ -179,7 +197,7 @@ def _pd_spectral(A: MatrixLike, fn: Callable) -> PositiveDefiniteMatrix:
 
 def _roots(mat: np.ndarray, warn: bool = False):
     """A^{1/2} and A^{-1/2} of a positive definite matrix or stack, from one eigh;
-    warn=True (one matrix only) warns on ill-conditioning, as sqrt_pd does."""
+    warn=True warns on each ill-conditioned member, as sqrt_pd does."""
     w, U = np.linalg.eigh(mat)
     if warn:
         _warn_if_ill_conditioned(w)

@@ -9,6 +9,7 @@ Kraus family as a negative control; the harness must flag it.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -17,12 +18,12 @@ import numpy as np
 from .channels import (
     TP_ATOL,
     QuantumChannel,
+    _joint_convexity_slacks,
     check_dpi,
-    check_joint_convexity,
     kraus_defect,
     random_cptp,
 )
-from .divergences import kubo_ando_mean, phi
+from .divergences import _phi_batch, kubo_ando_mean
 from .errors import DegenerateTrialError, DomainError
 from .generators import DivergenceSpec, MeasureGenerator
 from .hermitian import PositiveDefiniteMatrix, _hermitian_part, _spectral, frobenius_dist
@@ -61,6 +62,9 @@ class CampaignResult:
     discarded: int = 0
     worst_slack: float = np.inf
     failures: list = field(default_factory=list)
+    # Per trial: wall seconds of its trial function, and each discard's reason.
+    seconds: list = field(default_factory=list)
+    discards: list = field(default_factory=list)
 
     def record(self, slack: float, trial: int, detail: str, inputs=None) -> None:
         """inputs, a zero-argument callable, is called only for a violation."""
@@ -91,14 +95,19 @@ class PropertyReport:
 
 def _campaign(name: str, seed: int, trials: int, trial) -> CampaignResult:
     """Record every (slack, detail, inputs) that trial(trial_rng(seed, name, i), i)
-    yields, for each trial index i; a DegenerateTrialError discards the trial."""
+    yields, for each trial index i, and the seconds each trial takes; a
+    DegenerateTrialError discards the trial and keeps its message."""
     result = CampaignResult(name, trials)
     for i in range(trials):
+        rng = trial_rng(seed, name, i)
+        start = time.perf_counter()
         try:
-            for slack, detail, inputs in trial(trial_rng(seed, name, i), i):
+            for slack, detail, inputs in trial(rng, i):
                 result.record(slack, i, detail, inputs)
-        except DegenerateTrialError:
+        except DegenerateTrialError as exc:
             result.discarded += 1
+            result.discards.append({"trial": i, "reason": str(exc)})
+        result.seconds.append(time.perf_counter() - start)
     return result
 
 
@@ -131,8 +140,9 @@ def _dpi_trial(spec, dim, corrupt_channel, rng, i):
 def _joint_convexity_trial(spec, dim, rng, i):
     A1, B1, A2, B2 = (random_pd(rng, dim) for _ in range(4))
     inputs = partial(_encoded, A1=A1, B1=B1, A2=A2, B2=B2)
-    for s in (0.25, 0.5, 0.75):
-        slack = check_joint_convexity(spec, (A1, B1), (A2, B2), s)
+    weights = (0.25, 0.5, 0.75)
+    slacks = _joint_convexity_slacks(spec, (A1, B1), (A2, B2), weights)
+    for s, slack in zip(weights, slacks):
         yield slack, f"joint convexity at s={s}", inputs
 
 
@@ -142,16 +152,14 @@ def _axiom_trial(spec, dim, rng, i):
     B = random_pd(rng, dim)
     Y = random_hermitian(rng, dim)
     inputs = partial(_encoded, A=A, B=B)
-
-    value = phi(A, B, spec)
+    value, diag, plus, minus = _phi_batch(
+        [(A, B), (A, A), (A, A.mat + t * Y), (A, A.mat - t * Y)], spec
+    ).tolist()
     yield value, "nonnegativity phi(A,B) >= 0", inputs
-    diag = phi(A, A, spec)
     yield 1e-10 - abs(diag), "phi(A,A) = 0", inputs
     if value < 1e-8:
         yield 1e-4 - frobenius_dist(A, B), "phi ~ 0 only near the diagonal", inputs
 
-    plus = phi(A, PositiveDefiniteMatrix(A.mat + t * Y), spec)
-    minus = phi(A, PositiveDefiniteMatrix(A.mat - t * Y), spec)
     first = (plus - minus) / (2 * t)
     yield 1e-6 - abs(first), "vanishing first derivative at diagonal", inputs
     second = (plus - 2 * diag + minus) / (t * t)
@@ -220,12 +228,17 @@ def format_report(report: PropertyReport) -> list:
             f"  {c.name:<18} {status}  trials={c.trials} violations={c.violations} "
             f"discarded={c.discarded} worst_slack={worst}"
         )
+        key = f"rng key: [{report.seed}, {_CAMPAIGN_IDS[c.name]},"
         for f in c.failures[:5]:
             lines.append(
                 f"    trial {f['trial']}: slack={f['slack']:.3e}  {f['detail']} "
-                f"(rng key: [{report.seed}, {_CAMPAIGN_IDS[c.name]}, {f['trial']}])"
+                f"({key} {f['trial']}])"
             )
             if f.get("inputs") is not None:
                 lines.append(f"      inputs: {f['inputs']}")
+        for d in c.discards[:5]:
+            lines.append(
+                f"    trial {d['trial']}: discarded  {d['reason']} ({key} {d['trial']}])"
+            )
     lines.append("ALL PASSED" if report.all_passed else "VIOLATIONS FOUND")
     return lines

@@ -18,7 +18,7 @@ from qhmeans import (
     pinching_channel,
     random_cptp,
 )
-from qhmeans.channels import kraus_defect
+from qhmeans.channels import _regularize_pd, kraus_defect
 
 from conftest import REF_A1, REF_A2, random_pd_np
 
@@ -154,6 +154,16 @@ class TestDpi:
             A, B = pd(random_pd_np(rng, 3)), pd(random_pd_np(rng, 3))
             worst = min(worst, check_dpi(ARCSINE_SPEC, T, A, B))
         assert worst >= -1e-9
+
+    def test_channel_between_dimensions(self, rng):
+        # Inputs and outputs of different sizes go through separate stacks.
+        for i in range(10):
+            T = random_cptp(3, 2, 3, seed=[9, i])
+            A, B = pd(random_pd_np(rng, 3)), pd(random_pd_np(rng, 3))
+            TA, TB = (_regularize_pd(apply_channel(T, M)) for M in (A, B))
+            slack = check_dpi(ARCSINE_SPEC, T, A, B)
+            assert slack == phi(A, B, ARCSINE_SPEC) - phi(TA, TB, ARCSINE_SPEC)
+            assert slack >= -1e-9
 
     def test_degenerate_output_discarded(self):
         # channel collapsing everything onto one ray: output is rank one, and

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from qhmeans import (
     phi_via_g,
     sqrt_pd,
 )
+from qhmeans.divergences import _phi_batch
 
 from conftest import (
     REF_A1,
@@ -244,6 +247,55 @@ class TestPhiViaBregman:
                 assert direct == pytest.approx(via_g, abs=1e-9)
                 assert direct == pytest.approx(via_breg, abs=1e-9)
                 assert via_g == pytest.approx(via_breg, abs=1e-9)
+
+
+class TestBatchedPhi:
+    """One batched call evaluates many pairs; each entry is the one-pair phi."""
+
+    def _mixed_pairs(self, rng, dim=3):
+        A = random_pd_np(rng, dim)
+        pairs = [(pd(A), pd(A))]
+        for spread in range(1, 7):
+            pairs.append((pd(random_pd_np(rng, dim, spread)), pd(random_pd_np(rng, dim, spread))))
+        return pairs
+
+    def test_entries_match_one_pair_calls_and_cross_checks(self, rng):
+        pairs = self._mixed_pairs(rng)
+        for gen in ALL_MEAN_GENERATORS:
+            spec = DivergenceSpec(gen)
+            batch = _phi_batch(pairs, spec)
+            assert batch.shape == (len(pairs),)
+            for value, (A, B) in zip(batch, pairs):
+                scale = A.trace() + B.trace()
+                assert abs(value - phi(A, B, spec)) <= 1e-14 * scale
+                assert value == pytest.approx(phi_via_g(A, B, spec), abs=1e-9)
+                assert value == pytest.approx(phi_via_bregman(A, B, spec), abs=1e-9)
+
+    def test_pairs_of_several_dimensions(self, rng):
+        pairs = [(pd(random_pd_np(rng, d)), pd(random_pd_np(rng, d))) for d in (3, 2, 3, 4)]
+        batch = _phi_batch(pairs, ARCSINE_SPEC)
+        assert batch.tolist() == [phi(A, B, ARCSINE_SPEC) for A, B in pairs]
+
+    def test_warns_for_an_ill_conditioned_second_member(self):
+        eye = np.eye(2)
+        with pytest.warns(ConditioningWarning, match="member 1"):
+            _phi_batch([(eye, eye), (np.diag([5e14, 1.0]), eye)], ARCSINE_SPEC)
+
+    def test_mean_outside_the_cone_raises(self):
+        # f(x) = 2 - x^2 has f(1) = 1 and is strictly concave, but it is not
+        # operator monotone: at A = I, B = diag(4, 1) the "mean" is diag(-14, 1).
+        gen = SimpleNamespace(
+            f=lambda x: 2.0 - np.asarray(x, dtype=np.float64) ** 2,
+            f_prime=lambda x: -2.0 * np.asarray(x, dtype=np.float64),
+            weight=0.5,
+            representing_measure=lambda: None,
+        )
+        spec = DivergenceSpec(gen)
+        eye, B = pd(np.eye(2)), pd(np.diag([4.0, 1.0]))
+        with pytest.raises(DomainError, match="not positive definite"):
+            phi(eye, B, spec)
+        with pytest.raises(DomainError, match="mean 1 of a stack of 2"):
+            _phi_batch([(eye, eye), (eye, B)], spec)
 
 
 class TestCommutativePhi:
