@@ -4,7 +4,7 @@ The central quantity is phi(A, B) = Tr((1-c) A + c B - A sigma B) for a mean
 sigma with weight c.  Three algebraically equivalent evaluation paths are
 provided (direct, through g, through an operator Bregman divergence); tests
 hold them to pairwise agreement, so a regression in any one path is caught
-by the others.  The direct path evaluates a stack of pairs in one batched
+by the others.  The direct path evaluates stacks of pairs in one batched
 pass (_means, _phi_batch), and phi and kubo_ando_mean are its one-pair
 calls; the g and Bregman paths keep their own unbatched route.
 """
@@ -15,13 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CommutativityError,
-    DimensionMismatchError,
-    DomainError,
-    UnsupportedGeneratorError,
-)
-from .generators import DivergenceSpec, Generator, is_mean_normalized
+from .errors import CommutativityError, DimensionMismatchError, DomainError
+from .generators import DivergenceSpec, Generator, _require_mean_normalized
 from .hermitian import (
     HermitianMatrix,
     MatrixLike,
@@ -48,24 +43,21 @@ def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike):
     return root, _hermitian_part(s @ b @ s)
 
 
-def _means(a: np.ndarray, b: np.ndarray, gen: Generator, check_pd: bool = True) -> np.ndarray:
-    """A_k sigma B_k over stacks a, b of shape (n, d, d), as one (n, d, d) stack.
+def _means(a: np.ndarray, b: np.ndarray, f: Callable, check_pd: bool = True) -> np.ndarray:
+    """Hermitian parts of A_k sigma B_k over stacks a, b of shape (n, d, d).
 
-    One batched eigh of the A stack gives A^{+-1/2} (warning on each
-    ill-conditioned member), one of the middles A^{-1/2} B A^{-1/2} gives
-    f on their (n, d) spectra, and one batched eigvalsh holds every mean to
+    f is the mean's generator, applied to the (n, d) spectra of the middles
+    A^{-1/2} B A^{-1/2}; it may return shape (..., n, d), several generators
+    per pair, for a (..., n, d, d) stack of means.  One batched eigh of the A
+    stack gives A^{+-1/2} (warning on each ill-conditioned member), one of the
+    middles gives their spectra, and one batched eigvalsh holds every mean to
     the PositiveDefiniteMatrix predicate; check_pd=False leaves that test to
-    the caller.
+    the caller.  f is not checked for f(1) = 1.
     """
-    if not is_mean_normalized(gen):
-        raise UnsupportedGeneratorError(
-            f"{type(gen).__name__} is not mean-normalized; "
-            "operator means need f(1) = 1 and weight in (0,1)"
-        )
     root, s = _roots(a, warn=True)
-    means = root @ _apply_spectral_raw(_hermitian_part(s @ b @ s), gen.f) @ root
+    means = _hermitian_part(root @ _apply_spectral_raw(_hermitian_part(s @ b @ s), f) @ root)
     if check_pd:
-        _require_pd(np.linalg.eigvalsh(_hermitian_part(means)), "mean")
+        _require_pd(np.linalg.eigvalsh(means).reshape(-1, means.shape[-1]), "mean")
     return means
 
 
@@ -78,21 +70,17 @@ def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefi
     """
     a, b = pd(A).mat, pd(B).mat
     _check_same_dim(a, b)
+    _require_mean_normalized(gen)
     # The PositiveDefiniteMatrix constructor applies the predicate _means skips.
-    return PositiveDefiniteMatrix(_means(a[None], b[None], gen, check_pd=False)[0])
+    return PositiveDefiniteMatrix(_means(a[None], b[None], gen.f, check_pd=False)[0])
 
 
-def _phi_batch(pairs, spec: DivergenceSpec) -> np.ndarray:
-    """phi(A, B) for each (A, B) in pairs, from one _means call over the stack."""
-    a = [pd(A).mat for A, _ in pairs]
-    b = [pd(B).mat for _, B in pairs]
-    for x, y in zip(a, b):
-        _check_same_dim(x, y)
-    if len({x.shape for x in a}) > 1:
-        # Pairs of several dimensions, as from a channel that changes it.
-        return np.array([_phi_batch([pair], spec)[0] for pair in pairs])
-    a, b = np.array(a), np.array(b)
-    mean = _means(a, b, spec.generator)
+def _phi_batch(a: np.ndarray, b: np.ndarray, spec: DivergenceSpec) -> np.ndarray:
+    """phi(A_k, B_k) over stacks a, b of shape (n, d, d), from one _means call.
+
+    The caller holds every member to the positive definite predicate.
+    """
+    mean = _means(a, b, spec.generator.f)
     return ((1 - spec.c) * _trace(a) + spec.c * _trace(b) - _trace(mean)).real
 
 
@@ -102,7 +90,9 @@ def _trace(stack: np.ndarray) -> np.ndarray:
 
 def phi(A: MatrixLike, B: MatrixLike, spec: DivergenceSpec) -> float:
     """Divergence Tr((1-c) A + c B - A sigma B); nonnegative, zero iff A = B."""
-    return float(_phi_batch([(A, B)], spec)[0])
+    a, b = pd(A).mat, pd(B).mat
+    _check_same_dim(a, b)
+    return float(_phi_batch(a[None], b[None], spec)[0])
 
 
 def g_of(spec: DivergenceSpec, x):

@@ -191,6 +191,14 @@ def is_mean_normalized(gen: Generator) -> bool:
     return abs(float(gen.f(1.0)) - 1.0) <= 1e-12 and 0.0 < gen.weight < 1.0
 
 
+def _require_mean_normalized(gen: Generator) -> None:
+    if not is_mean_normalized(gen):
+        raise UnsupportedGeneratorError(
+            f"{type(gen).__name__} is not mean-normalized; "
+            "operator means need f(1) = 1 and weight in (0,1)"
+        )
+
+
 _CONCAVITY_GRID = np.logspace(-3, 3, 512)
 
 
@@ -211,7 +219,7 @@ def _check_strictly_concave(gen: Generator) -> None:
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """A strictly concave mean generator with its weight c in (0,1).
+    """A strictly concave mean generator (f(1) = 1) with its weight c in (0,1).
 
     The induced divergence is phi(A, B) = Tr((1-c) A + c B - A sigma B).
     """
@@ -229,6 +237,7 @@ class DivergenceSpec:
         w = float(gen.weight)
         if not 0.0 < w < 1.0:
             raise DomainError(f"generator weight {w} must lie in (0,1)")
+        _require_mean_normalized(gen)
         mu = gen.representing_measure()
         if isinstance(mu, DiscreteMeasure) and all(
             loc in (0.0, 1.0) for loc, _ in mu.atoms

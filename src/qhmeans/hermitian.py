@@ -151,14 +151,15 @@ def eig_hermitian(H: MatrixLike) -> SpectralDecomposition:
 
 def _apply_spectral_raw(mat: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """U diag(fn(w)) U* of a matrix or a stack, without wrapper overhead; fn must
-    be finite on every spectrum w."""
+    be finite on every spectrum w.  fn may add leading axes to w's shape
+    (several functions of each spectrum); the result keeps them."""
     w, U = np.linalg.eigh(mat)
     with np.errstate(all="ignore"):
         fw = np.asarray(fn(w), dtype=np.float64)
     bad = ~np.isfinite(fw)
     if bad.any():
         raise DomainError(
-            f"function is not finite at eigenvalue(s) {w[bad].tolist()}"
+            f"function is not finite at eigenvalue(s) {np.broadcast_to(w, fw.shape)[bad].tolist()}"
         )
     return _spectral(U, fw)
 
@@ -257,20 +258,6 @@ def is_positive_definite(H: MatrixLike, tol: float = 1e-12) -> bool:
     return bool(np.linalg.eigvalsh(_mat(herm(H)))[0] > tol)
 
 
-def _divided_differences(w: np.ndarray, fw: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """First divided differences (fn(w_a) - fn(w_b)) / (w_a - w_b) over the last axis.
-
-    Near-degenerate pairs take the average of fn' at the two points.  Leading
-    axes broadcast, so a stack of spectra gives a stack of tables.
-    """
-    num = fw[..., :, None] - fw[..., None, :]
-    den = w[..., :, None] - w[..., None, :]
-    scale = np.maximum(np.abs(w[..., :, None]), np.abs(w[..., None, :]))
-    degenerate = np.abs(den) <= 1e-10 * np.maximum(scale, 1.0)
-    ratio = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
-    return np.where(degenerate, (dw[..., :, None] + dw[..., None, :]) / 2, ratio)
-
-
 def _power_divided_differences(w: np.ndarray, t: float) -> np.ndarray:
     """First divided differences of x^t over the last axis of a positive spectrum.
 
@@ -286,10 +273,29 @@ def _power_divided_differences(w: np.ndarray, t: float) -> np.ndarray:
     return a ** (t - 1) * ratio
 
 
-# Relative eigenvalue separation below which second divided differences use
-# their tie limits.  Differencing the first-order table costs about eps / sep
-# (relative), the tie limit about sep, so the two balance near eps^(1/3).
-_SECOND_TIE_RTOL = 1e-5
+# Relative eigenvalue separation below which divided differences take their
+# tie limits.  A second difference formed from the first-order table loses
+# about eps / sep (relative) and its tie limit about sep, which balance near
+# eps^(1/3); a first difference loses eps / sep against sep^2 for the mean of
+# f', so the same threshold keeps it near eps^(2/3).
+_TIE_RTOL = 1e-5
+
+
+def _tied(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) <= _TIE_RTOL * np.maximum(np.abs(a), np.abs(b))
+
+
+def _divided_differences(w: np.ndarray, fw: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """First divided differences (fn(w_a) - fn(w_b)) / (w_a - w_b) over the last axis.
+
+    Pairs tied to relative separation _TIE_RTOL take the average of fn'
+    at the two points.  Leading axes broadcast, so a stack of spectra gives a
+    stack of tables.
+    """
+    den = w[..., :, None] - w[..., None, :]
+    tie = _tied(w[..., :, None], w[..., None, :])
+    ratio = (fw[..., :, None] - fw[..., None, :]) / np.where(tie, 1.0, den)
+    return np.where(tie, (dw[..., :, None] + dw[..., None, :]) / 2, ratio)
 
 
 def _second_divided_differences(
@@ -305,11 +311,7 @@ def _second_divided_differences(
     """
     wi, wk, wl = w[..., :, None, None], w[..., None, :, None], w[..., None, None, :]
     t_ik = table[..., :, :, None]
-
-    def tied(a, b):
-        return np.abs(a - b) <= _SECOND_TIE_RTOL * np.maximum(np.abs(a), np.abs(b))
-
-    tie_il, tie_ik = tied(wi, wl), tied(wi, wk)
+    tie_il, tie_ik = _tied(wi, wl), _tied(wi, wk)
     general = (t_ik - table[..., None, :, :]) / np.where(tie_il, 1.0, wi - wl)
     near = (dw[..., :, None, None] - t_ik) / np.where(tie_ik, 1.0, wi - wk)
     return np.where(tie_il, np.where(tie_ik, d2w[..., :, None, None] / 2, near), general)

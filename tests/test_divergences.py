@@ -261,9 +261,10 @@ class TestBatchedPhi:
 
     def test_entries_match_one_pair_calls_and_cross_checks(self, rng):
         pairs = self._mixed_pairs(rng)
+        a, b = (np.array([pair[j].mat for pair in pairs]) for j in (0, 1))
         for gen in ALL_MEAN_GENERATORS:
             spec = DivergenceSpec(gen)
-            batch = _phi_batch(pairs, spec)
+            batch = _phi_batch(a, b, spec)
             assert batch.shape == (len(pairs),)
             for value, (A, B) in zip(batch, pairs):
                 scale = A.trace() + B.trace()
@@ -271,15 +272,10 @@ class TestBatchedPhi:
                 assert value == pytest.approx(phi_via_g(A, B, spec), abs=1e-9)
                 assert value == pytest.approx(phi_via_bregman(A, B, spec), abs=1e-9)
 
-    def test_pairs_of_several_dimensions(self, rng):
-        pairs = [(pd(random_pd_np(rng, d)), pd(random_pd_np(rng, d))) for d in (3, 2, 3, 4)]
-        batch = _phi_batch(pairs, ARCSINE_SPEC)
-        assert batch.tolist() == [phi(A, B, ARCSINE_SPEC) for A, B in pairs]
-
     def test_warns_for_an_ill_conditioned_second_member(self):
         eye = np.eye(2)
         with pytest.warns(ConditioningWarning, match="member 1"):
-            _phi_batch([(eye, eye), (np.diag([5e14, 1.0]), eye)], ARCSINE_SPEC)
+            _phi_batch(np.array([eye, np.diag([5e14, 1.0])]), np.array([eye, eye]), ARCSINE_SPEC)
 
     def test_mean_outside_the_cone_raises(self):
         # f(x) = 2 - x^2 has f(1) = 1 and is strictly concave, but it is not
@@ -295,7 +291,7 @@ class TestBatchedPhi:
         with pytest.raises(DomainError, match="not positive definite"):
             phi(eye, B, spec)
         with pytest.raises(DomainError, match="mean 1 of a stack of 2"):
-            _phi_batch([(eye, eye), (eye, B)], spec)
+            _phi_batch(np.array([eye.mat, eye.mat]), np.array([eye.mat, B.mat]), spec)
 
 
 class TestCommutativePhi:

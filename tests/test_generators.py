@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,17 @@ class TestDivergenceSpec:
     def test_rejects_log(self):
         with pytest.raises(UnsupportedGeneratorError):
             DivergenceSpec(LogGenerator())
+
+    def test_rejects_generator_not_normalized_at_one(self):
+        # Strictly concave with weight in (0,1), but f(1) = 2: no operator mean.
+        gen = SimpleNamespace(
+            f=lambda x: 2.0 * np.sqrt(np.asarray(x, dtype=np.float64)),
+            f_prime=lambda x: 1.0 / np.sqrt(np.asarray(x, dtype=np.float64)),
+            weight=0.5,
+            representing_measure=lambda: None,
+        )
+        with pytest.raises(UnsupportedGeneratorError, match="not mean-normalized"):
+            DivergenceSpec(gen)
 
     def test_rejects_affine_arithmetic(self):
         with pytest.raises(DomainError):

@@ -254,6 +254,20 @@ class TestFrechetDerivative:
         out = frechet_derivative(np.sqrt, lambda w: 0.5 / np.sqrt(w), pd(np.eye(2)), Y)
         assert np.linalg.norm(out.mat - 0.5 * Y.mat) <= 1e-12
 
+    @pytest.mark.parametrize("t", [0.3, 0.5])
+    @pytest.mark.parametrize("base", [1e-3, 1.0, 37.3])
+    def test_power_table_against_exact_arithmetic(self, t, base):
+        # Relative separations 1e-14 to 1e10 cross the tie threshold, where
+        # the mean of f' hands over to the difference quotient.
+        for sep in np.logspace(-14, 10, 97):
+            w = np.array([base, base * (1 + sep)])
+            out = _divided_differences(w, w**t, t * w ** (t - 1))[0, 1]
+            with localcontext() as ctx:
+                ctx.prec = 50
+                a, b, T = Decimal(float(w[0])), Decimal(float(w[1])), Decimal(t)
+                ref = T * a ** (T - 1) if a == b else (b**T - a**T) / (b - a)
+            assert abs(out - float(ref)) <= 1e-10 * float(ref)
+
 
 def _exact_second_difference(t, a, b, c):
     """f^[2](a, b, c) of x^t in 50-digit decimal arithmetic, with the tie
