@@ -208,7 +208,7 @@ def _axiom_trials(spec, dim, draws):
     y = _hermitian_stack(np.array([d[2] for d in draws]))
     moved = np.concatenate((a + t * y, a - t * y))
     _require_pd(np.linalg.eigvalsh(moved))
-    values = _phi_batch(np.concatenate((a, a, moved)), np.concatenate((b, a, a, a)), spec)
+    values = _phi_batch(np.concatenate((a, a, a, a)), np.concatenate((b, a, moved)), spec)
     outcomes = []
     for A, B, (value, diag, plus, minus) in zip(a, b, values.reshape(4, -1).T.tolist()):
         inputs = partial(_encoded, A=A, B=B)

@@ -272,6 +272,13 @@ class TestBatchedPhi:
                 assert value == pytest.approx(phi_via_g(A, B, spec), abs=1e-9)
                 assert value == pytest.approx(phi_via_bregman(A, B, spec), abs=1e-9)
 
+    def test_pairs_of_several_dimensions(self, rng):
+        for d in (3, 2, 3, 4):
+            pairs = [(pd(random_pd_np(rng, d)), pd(random_pd_np(rng, d))) for _ in range(3)]
+            a, b = (np.array([pair[j].mat for pair in pairs]) for j in (0, 1))
+            batch = _phi_batch(a, b, ARCSINE_SPEC)
+            assert batch.tolist() == [phi(A, B, ARCSINE_SPEC) for A, B in pairs]
+
     def test_warns_for_an_ill_conditioned_second_member(self):
         eye = np.eye(2)
         with pytest.warns(ConditioningWarning, match="member 1"):

@@ -12,7 +12,8 @@ import qhmeans.properties as properties
 from qhmeans import DegenerateTrialError, DivergenceSpec, arcsine_generator
 from qhmeans.channels import check_dpi, check_joint_convexity, kraus_defect, random_cptp
 from qhmeans.cli import parse_generator
-from qhmeans.properties import format_report, random_pd, run_campaigns, trial_rng
+from qhmeans.divergences import phi
+from qhmeans.properties import format_report, random_hermitian, random_pd, run_campaigns, trial_rng
 from qhmeans.serialize import matrix_from_json
 
 ARCSINE_SPEC = DivergenceSpec(arcsine_generator())
@@ -107,6 +108,32 @@ def test_dpi_trial_matches_the_one_channel_check():
         A, B = random_pd(rng, 3), random_pd(rng, 3)
         (slack,) = slacks
         assert abs(slack - check_dpi(ARCSINE_SPEC, T, A, B)) <= 1e-13
+
+
+def test_axiom_trial_matches_one_pair_phi():
+    # The harmonic mean with weight 0.3 is not symmetric, so phi differs
+    # between its arguments and the derivatives must be taken in the second.
+    spec = DivergenceSpec(parse_generator("harmonic:0.3"))
+    t = 1e-5
+    batched = _batched_slacks(
+        "divergence_axioms",
+        partial(properties._axiom_draw, 3),
+        partial(properties._axiom_trials, spec, 3),
+    )
+    for i, slacks in enumerate(batched):
+        rng = trial_rng(11, "divergence_axioms", i)
+        A, B = random_pd(rng, 3), random_pd(rng, 3)
+        Y = random_hermitian(rng, 3)
+        value, diag = phi(A, B, spec), phi(A, A, spec)
+        plus, minus = phi(A, A.mat + t * Y, spec), phi(A, A.mat - t * Y, spec)
+        expected = [
+            value,
+            1e-10 - abs(diag),
+            1e-6 - abs((plus - minus) / (2 * t)),
+            (plus - 2 * diag + minus) / (t * t) + 1e-6,
+        ]
+        for slack, e in zip(slacks, expected, strict=True):
+            assert abs(slack - e) <= 1e-13
 
 
 @pytest.mark.parametrize(
