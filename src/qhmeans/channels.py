@@ -129,7 +129,9 @@ def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> QuantumChannel:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Real part, then imaginary part, from one draw of the rng."""
+    re, im = rng.standard_normal((2, *shape))
+    return re + 1j * im
 
 
 def _kraus_stack(g: np.ndarray, d_out: int, env_dim: int) -> np.ndarray:

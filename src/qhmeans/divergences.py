@@ -44,11 +44,13 @@ def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike):
 
 
 def _means(a: np.ndarray, b: np.ndarray, f: Callable, check_pd: bool = True) -> np.ndarray:
-    """Hermitian parts of A_k sigma B_k over stacks a, b of shape (n, d, d).
+    """Hermitian parts of A_k sigma B_k over a stack a of shape (n, d, d) and a
+    stack b of shape (..., n, d, d): leading axes of b give several second
+    arguments per A_k.
 
-    f is the mean's generator, applied to the (n, d) spectra of the middles
-    A^{-1/2} B A^{-1/2}; it may return shape (..., n, d), several generators
-    per pair, for a (..., n, d, d) stack of means.  One batched eigh of the A
+    f is the mean's generator, applied to the (..., n, d) spectra of the
+    middles A^{-1/2} B A^{-1/2}; it may add leading axes, several generators
+    per pair, and the stack of means keeps them.  One batched eigh of the A
     stack gives A^{+-1/2} (warning on each ill-conditioned member), one of the
     middles gives their spectra, and one batched eigvalsh holds every mean to
     the PositiveDefiniteMatrix predicate; check_pd=False leaves that test to
@@ -76,7 +78,8 @@ def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefi
 
 
 def _phi_batch(a: np.ndarray, b: np.ndarray, spec: DivergenceSpec) -> np.ndarray:
-    """phi(A_k, B_k) over stacks a, b of shape (n, d, d), from one _means call.
+    """phi(A_k, B_k) over stacks a (n, d, d) and b (..., n, d, d), from one
+    _means call.
 
     The caller holds every member to the positive definite predicate.
     """

@@ -201,10 +201,18 @@ def f_mu(mu: Measure, x, order: int = DEFAULT_QUAD_ORDER):
     """
     rule = quadrature(mu, order)
     xs = np.asarray(x, dtype=np.float64)
-    _check_positive(xs)
-    l = rule.nodes
-    vals = np.dot(xs[..., None] / ((1 - l) * xs[..., None] + l), rule.weights)
+    vals = _generator_values(xs, rule.nodes, rule.weights)
     return float(vals) if np.isscalar(x) or xs.ndim == 0 else vals
+
+
+def _generator_values(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of w_k x / ((1-l_k) x + l_k) over the last axis of nodes and weights,
+    which broadcast against x[..., None]: one rule for every x, or a stack of
+    rules (atoms padded with zero weight) for a stack of spectra."""
+    _check_positive(x)
+    x = x[..., None]
+    # A (1, K) by (K, 1) product per value: a dot product that broadcasts.
+    return ((x / ((1 - nodes) * x + nodes))[..., None, :] @ weights[..., None])[..., 0, 0]
 
 
 def f_mu_prime(mu: Measure, x, order: int = DEFAULT_QUAD_ORDER):
@@ -221,9 +229,31 @@ def f_mu_prime(mu: Measure, x, order: int = DEFAULT_QUAD_ORDER):
     return float(vals) if np.isscalar(x) or xs.ndim == 0 else vals
 
 
-def _hockey_stick(mu: DiscreteMeasure, t: float) -> float:
-    # integral of (l - t)_+ dmu; piecewise linear in t with kinks at atoms
-    return float(sum(m * max(l - t, 0.0) for l, m in mu.atoms))
+def _padded(rows) -> np.ndarray:
+    """Vectors of unequal length as the rows of one array, zero-padded."""
+    lengths = np.array([len(r) for r in rows])
+    out = np.zeros((len(rows), lengths.max()))
+    out[np.arange(lengths.max()) < lengths[:, None]] = np.concatenate(rows)
+    return out
+
+
+def _convex_order_holds(mu_locs, mu_masses, nu_locs, nu_masses, tol: float = 1e-10) -> np.ndarray:
+    """convex_order_leq over n pairs of discrete measures given as atom arrays
+    of shape (n, K), padded with zero mass, as an (n,) boolean array.
+
+    Equal means, and at every atom location t (padding included, which only
+    adds true constraints) the hockey-stick integral of (l - t)_+ under mu at
+    most that under nu.
+    """
+    means_equal = np.abs(np.sum(mu_masses * mu_locs, -1) - np.sum(nu_masses * nu_locs, -1)) <= tol
+    t = np.concatenate((mu_locs, nu_locs), -1)[:, None, :]
+
+    def hockey_stick(locs, masses):
+        # (n, 2K): the integral at each threshold, piecewise linear in t
+        return np.sum(masses[..., None] * np.maximum(locs[..., None] - t, 0.0), axis=-2)
+
+    dominated = hockey_stick(mu_locs, mu_masses) <= hockey_stick(nu_locs, nu_masses) + tol
+    return means_equal & dominated.all(-1)
 
 
 def convex_order_leq(mu: Measure, nu: Measure, tol: float = 1e-10) -> bool:
@@ -237,9 +267,5 @@ def convex_order_leq(mu: Measure, nu: Measure, tol: float = 1e-10) -> bool:
         raise UnsupportedVariantError(
             "convex order comparison is only supported for discrete measures"
         )
-    if abs(center_of_mass(mu) - center_of_mass(nu)) > tol:
-        return False
-    thresholds = {l for l, _ in mu.atoms} | {l for l, _ in nu.atoms}
-    return all(
-        _hockey_stick(mu, t) <= _hockey_stick(nu, t) + tol for t in thresholds
-    )
+    locs, masses = _padded([mu.locations, nu.locations]), _padded([mu.masses, nu.masses])
+    return bool(_convex_order_holds(locs[:1], masses[:1], locs[1:], masses[1:], tol)[0])

@@ -4,7 +4,11 @@ Each campaign derives one rng per trial from (campaign seed, campaign id,
 trial index), so runs are reproducible and trials are independent.  A
 campaign draws all its trials first, then evaluates them in one stacked pass
 whose batched QR, eigh and eigvalsh calls do not grow in number with the
-trials; a trial's own special cases keep it out of that pass.  Slacks are
+trials; a trial's own special cases keep it out of that pass.  The
+convex-order campaign holds its measures as atom arrays, zero-padded to one
+(n, K) shape, from draw to verdict: one array test decides the convex order of
+every pair, and one array sum gives both generators of every ordered pair.
+Measure objects are built only for a failing trial's inputs.  Slacks are
 signed margins: a campaign passes while its worst slack stays above
 -1e-9.  The corrupt-channel switch injects a deliberately non-trace-preserving
 Kraus family as a negative control; the harness must flag it.
@@ -28,9 +32,9 @@ from .channels import (
 )
 from .divergences import _means, _phi_batch
 from .errors import DegenerateTrialError, DomainError
-from .generators import DivergenceSpec, MeasureGenerator
+from .generators import DivergenceSpec
 from .hermitian import PositiveDefiniteMatrix, _hermitian_part, _require_pd, _spectral, frobenius_dist
-from .measures import DiscreteMeasure, convex_order_leq
+from .measures import DiscreteMeasure, _convex_order_holds, _generator_values, _padded
 from .serialize import matrix_to_json as _matrix_json
 
 SLACK_FLOOR = -1e-9
@@ -206,11 +210,12 @@ def _axiom_trials(spec, dim, draws):
     t = 1e-5
     a, b = _pd_stacks([d[:2] for d in draws], dim)
     y = _hermitian_stack(np.array([d[2] for d in draws]))
-    moved = np.concatenate((a + t * y, a - t * y))
-    _require_pd(np.linalg.eigvalsh(moved))
-    values = _phi_batch(np.concatenate((a, a, a, a)), np.concatenate((b, a, moved)), spec)
+    moved = np.stack((a + t * y, a - t * y))
+    _require_pd(np.linalg.eigvalsh(moved).reshape(-1, dim))
+    # Each A's roots are taken once and serve its four second arguments.
+    values = _phi_batch(a, np.concatenate((b[None], a[None], moved)), spec)
     outcomes = []
-    for A, B, (value, diag, plus, minus) in zip(a, b, values.reshape(4, -1).T.tolist()):
+    for A, B, (value, diag, plus, minus) in zip(a, b, values.T.tolist()):
         inputs = partial(_encoded, A=A, B=B)
         records = [
             (value, "nonnegativity phi(A,B) >= 0", inputs),
@@ -226,48 +231,59 @@ def _axiom_trials(spec, dim, draws):
     return outcomes
 
 
-def random_convex_order_pair(rng: np.random.Generator):
-    """A pair mu <= nu in the convex order: nu random, mu its contraction."""
+def _convex_order_atoms(rng: np.random.Generator):
+    """The atoms of random_convex_order_pair as arrays: mu's locations, nu's
+    locations and the masses they share."""
     n = int(rng.integers(2, 6))
     locs = rng.uniform(0.05, 0.95, size=n)
     masses = rng.dirichlet(np.ones(n))
-    nu = DiscreteMeasure(tuple(zip(locs, masses)))
     mean = float(np.dot(locs, masses))
     shrink = rng.uniform(0.0, 0.95)
-    mu = DiscreteMeasure(
-        tuple((mean + shrink * (l - mean), m) for l, m in zip(locs, masses))
-    )
-    return mu, nu
+    return mean + shrink * (locs - mean), locs, masses
+
+
+def _atoms(locs: np.ndarray, masses: np.ndarray) -> tuple:
+    return tuple(zip(locs.tolist(), masses.tolist()))
+
+
+def random_convex_order_pair(rng: np.random.Generator):
+    """A pair mu <= nu in the convex order: nu random, mu its contraction."""
+    mu_locs, nu_locs, masses = _convex_order_atoms(rng)
+    return DiscreteMeasure(_atoms(mu_locs, masses)), DiscreteMeasure(_atoms(nu_locs, masses))
 
 
 def _convex_order_draw(dim, rng):
-    mu, nu = random_convex_order_pair(rng)
-    return mu, nu, _pd_draw(rng, dim), _pd_draw(rng, dim)
+    return (*_convex_order_atoms(rng), _pd_draw(rng, dim), _pd_draw(rng, dim))
+
+
+def _atom_inputs(mu_locs, nu_locs, masses, **matrices) -> dict:
+    return _encoded(mu=_atoms(mu_locs, masses), nu=_atoms(nu_locs, masses), **matrices)
 
 
 def _convex_order_trials(dim, draws):
-    ordered = [k for k, (mu, nu, *_) in enumerate(draws) if convex_order_leq(mu, nu)]
-    a, b = _pd_stacks([d[2:] for d in draws], dim)[:, ordered]
-    # Probability measures on (0, 1) generate means with f(1) = 1 and weight
-    # in (0, 1), so the generators skip kubo_ando_mean's normalization check.
-    gens = [[MeasureGenerator(draws[k][j]) for k in ordered] for j in (0, 1)]
+    # Zero-mass padding adds nothing to the order test or to f_mu.
+    mu_locs, nu_locs, masses = (_padded([d[j] for d in draws]) for j in range(3))
+    ordered = _convex_order_holds(mu_locs, masses, nu_locs, masses)
+    a, b = _pd_stacks([d[3:] for d in draws], dim)[:, ordered]
+    locs = np.stack((mu_locs, nu_locs))[:, ordered, None]
+    weights = masses[ordered, None]
 
     def f(w):
-        # Each generator sees its spectrum as the (1, d) stack kubo_ando_mean
-        # passes, so the means match the one-pair means exactly.
-        return np.array([[g.f(w[k : k + 1]) for k, g in enumerate(row)] for row in gens]).reshape(2, *w.shape)
+        # f_mu and f_nu of each ordered pair's middle spectrum, shape (2, n, d).
+        # Probability measures on (0, 1) generate means with f(1) = 1 and
+        # weight in (0, 1), so _means' missing normalization check is moot.
+        return _generator_values(w, locs, weights)
 
     low, high = _means(a, b, f)
-    gaps = np.linalg.eigvalsh(high - low)[:, 0].tolist()
-    pairs = dict(zip(ordered, zip(a, b, gaps)))
+    gaps = iter(zip(a, b, np.linalg.eigvalsh(high - low)[:, 0].tolist()))
     outcomes = []
-    for k, (mu, nu, *_) in enumerate(draws):
-        if k in pairs:
-            A, B, gap = pairs[k]
-            inputs = partial(_encoded, mu=mu.atoms, nu=nu.atoms, A=A, B=B)
+    for is_ordered, (mu_l, nu_l, m, *_) in zip(ordered.tolist(), draws):
+        if is_ordered:
+            A, B, gap = next(gaps)
+            inputs = partial(_atom_inputs, mu_l, nu_l, m, A=A, B=B)
             outcomes.append([(gap, "mean monotonicity under convex order", inputs)])
         else:
-            inputs = partial(_encoded, mu=mu.atoms, nu=nu.atoms)
+            inputs = partial(_atom_inputs, mu_l, nu_l, m)
             outcomes.append([(-1.0, "constructed pair not in convex order", inputs)])
     return outcomes
 

@@ -18,7 +18,7 @@ from qhmeans import (
     pinching_channel,
     random_cptp,
 )
-from qhmeans.channels import _regularization_shift, kraus_defect
+from qhmeans.channels import _complex_gaussian, _regularization_shift, kraus_defect
 
 from conftest import REF_A1, REF_A2, random_pd_np
 
@@ -224,3 +224,14 @@ class TestJointConvexity:
                     worst, check_joint_convexity(ARCSINE_SPEC, pair_one, pair_two, s)
                 )
         assert worst >= -1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize("shape", [(3, 3), (9, 3), (2, 4, 4), (1,)])
+def test_complex_gaussian_keeps_the_two_draw_stream(seed, shape):
+    # The seeding contract: the real parts are drawn before the imaginary
+    # parts, and the rng ends where two separate draws would leave it.
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = two.standard_normal(shape) + 1j * two.standard_normal(shape)
+    assert np.array_equal(_complex_gaussian(one, shape), expected)
+    assert one.standard_normal() == two.standard_normal()

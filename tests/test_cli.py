@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +225,22 @@ class TestProperties:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+REPORTS = Path(__file__).parent / "data" / "properties_report"
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "corrupt"])
+@pytest.mark.parametrize("generator", ["arcsine", "geometric:0.5", "harmonic:0.3"])
+def test_properties_report_matches_the_pinned_text(generator, corrupt, capsys):
+    # The files hold the console script's stdout for these arguments, written
+    # before the convex-order campaign moved to atom arrays; CI diffs the
+    # installed script against them too.
+    argv = ["properties", "--generator", generator, "--seed", "7", "--trials", "20", "--dim", "3"]
+    code = main(argv + ["--corrupt-channel"] * corrupt)
+    assert code == (4 if corrupt else 0)
+    name = f"{generator.replace(':', '-')}-{'corrupt' if corrupt else 'honest'}.txt"
+    assert capsys.readouterr().out == (REPORTS / name).read_text()
 
 
 class TestVerifyPaper:

@@ -18,6 +18,7 @@ from qhmeans import (
     f_mu_prime,
     quadrature,
 )
+from qhmeans.measures import _convex_order_holds
 
 X_GRID = np.logspace(-3, 3, 61)
 
@@ -233,3 +234,73 @@ class TestConvexOrder:
             )
             assert convex_order_leq(mu, nu)
             assert np.all(f_mu(mu, X_GRID) <= f_mu(nu, X_GRID) + 1e-10)
+
+
+def _brute_force_leq(mu, nu, tol=1e-10):
+    """The convex order by its definition on a dense grid of thresholds."""
+    grid = np.linspace(0.0, 1.0, 100001)
+
+    def hockey_stick(atoms):
+        return sum(m * np.maximum(l - grid, 0.0) for l, m in atoms)
+
+    mean_gap = sum(l * m for l, m in mu.atoms) - sum(l * m for l, m in nu.atoms)
+    return abs(mean_gap) <= tol and bool(np.all(hockey_stick(mu.atoms) <= hockey_stick(nu.atoms) + tol))
+
+
+def _merged(nu, rng):
+    """mu <= nu: nu's atoms merged in random groups into their barycenters."""
+    groups = rng.integers(0, len(nu.atoms), size=len(nu.atoms))
+    atoms = []
+    for g in np.unique(groups):
+        members = [a for a, k in zip(nu.atoms, groups) if k == g]
+        mass = sum(m for _, m in members)
+        atoms.append((sum(l * m for l, m in members) / mass, mass))
+    return DiscreteMeasure(tuple(atoms))
+
+
+def _spread(nu, delta):
+    """nu with its largest atom moved up by delta and the next one down, mean kept."""
+    atoms = sorted(nu.atoms)
+    (l1, m1), (l2, m2) = atoms[-1], atoms[-2]
+    return DiscreteMeasure((*atoms[:-2], (l2 - delta * m1 / m2, m2), (l1 + delta, m1)))
+
+
+def _order_cases(seed=3, n=40):
+    """Ragged pairs of 1-5 atoms with their verdict: merged (ordered),
+    reversed (None: ordered only when no atoms merged), means shifted by 1e-6,
+    and spread just past dominance."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        k = int(rng.integers(1, 6))
+        nu = DiscreteMeasure(tuple(zip(rng.uniform(0.05, 0.95, k), rng.dirichlet(np.ones(k)))))
+        mu = _merged(nu, rng)
+        shifted = DiscreteMeasure(tuple((l + 1e-6, m) for l, m in mu.atoms))
+        cases += [(mu, nu, True), (nu, mu, None), (shifted, nu, False)]
+        if k > 1:
+            cases += [(_spread(nu, 1e-4), nu, False), (_spread(nu, 1e-6), nu, False)]
+    return cases
+
+
+class TestConvexOrderCore:
+    def test_agrees_with_the_brute_force_grid(self):
+        # A spread violates dominance on the whole interval between the two
+        # atoms it moves, so the grid resolves even the 1e-6 spreads.
+        for mu, nu, expected in _order_cases():
+            verdict = convex_order_leq(mu, nu)
+            assert verdict is _brute_force_leq(mu, nu)
+            if expected is not None:
+                assert verdict is expected
+
+    def test_padded_batch_matches_one_pair_calls(self):
+        cases = _order_cases()
+
+        def padded(measures):
+            out = np.zeros((2, len(measures), 5))
+            for i, m in enumerate(measures):
+                out[:, i, : len(m.atoms)] = np.array(m.atoms).T
+            return out
+
+        (mu_locs, mu_masses), (nu_locs, nu_masses) = (padded([c[j] for c in cases]) for j in (0, 1))
+        batched = _convex_order_holds(mu_locs, mu_masses, nu_locs, nu_masses)
+        assert batched.tolist() == [convex_order_leq(mu, nu) for mu, nu, _ in cases]

@@ -5,15 +5,24 @@ import time
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qhmeans.channels as channels
+import qhmeans.measures as measures
 import qhmeans.properties as properties
-from qhmeans import DegenerateTrialError, DivergenceSpec, arcsine_generator
+from qhmeans import DegenerateTrialError, DivergenceSpec, MeasureGenerator, arcsine_generator
 from qhmeans.channels import check_dpi, check_joint_convexity, kraus_defect, random_cptp
 from qhmeans.cli import parse_generator
-from qhmeans.divergences import phi
-from qhmeans.properties import format_report, random_hermitian, random_pd, run_campaigns, trial_rng
+from qhmeans.divergences import kubo_ando_mean, phi
+from qhmeans.properties import (
+    format_report,
+    random_convex_order_pair,
+    random_hermitian,
+    random_pd,
+    run_campaigns,
+    trial_rng,
+)
 from qhmeans.serialize import matrix_from_json
 
 ARCSINE_SPEC = DivergenceSpec(arcsine_generator())
@@ -134,6 +143,55 @@ def test_axiom_trial_matches_one_pair_phi():
         ]
         for slack, e in zip(slacks, expected, strict=True):
             assert abs(slack - e) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_convex_order_trial_matches_one_pair_means(dim):
+    batched = _batched_slacks(
+        "convex_order",
+        partial(properties._convex_order_draw, dim),
+        partial(properties._convex_order_trials, dim),
+    )
+    for i, slacks in enumerate(batched):
+        rng = trial_rng(11, "convex_order", i)
+        mu, nu = random_convex_order_pair(rng)
+        A, B = random_pd(rng, dim), random_pd(rng, dim)
+        low = kubo_ando_mean(A, B, MeasureGenerator(mu)).mat
+        high = kubo_ando_mean(A, B, MeasureGenerator(nu)).mat
+        (slack,) = slacks
+        assert abs(slack - np.linalg.eigvalsh(high - low)[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("every", [2, 1])
+def test_convex_order_flags_exactly_the_swapped_pairs(every):
+    # Negative control: mu and nu swapped on every `every`-th trial.  With
+    # every trial swapped, the means are evaluated over an empty batch.
+    trials = 8
+    swapped = list(range(0, trials, every))
+    order = iter(range(trials))
+
+    def draw(rng):
+        mu, nu, *rest = properties._convex_order_draw(3, rng)
+        return (nu, mu, *rest) if next(order) in swapped else (mu, nu, *rest)
+
+    result = properties._campaign(
+        "convex_order", 11, trials, draw, partial(properties._convex_order_trials, 3)
+    )
+    assert result.violations == len(swapped)
+    assert [f["trial"] for f in result.failures] == swapped
+    for f in result.failures:
+        mu, nu = random_convex_order_pair(trial_rng(11, "convex_order", f["trial"]))
+        assert f["slack"] == -1.0
+        assert f["detail"] == "constructed pair not in convex order"
+        assert f["inputs"] == {"mu": nu.atoms, "nu": mu.atoms}
+
+
+def test_warm_campaigns_build_no_quadrature_rules():
+    run_campaigns(ARCSINE_SPEC, seed=1, trials=10, dim=3)
+    misses = measures._cached_rule.cache_info().misses
+    for seed in range(2, 6):
+        run_campaigns(ARCSINE_SPEC, seed=seed, trials=10, dim=3)
+    assert measures._cached_rule.cache_info().misses == misses
 
 
 @pytest.mark.parametrize(
