@@ -213,13 +213,23 @@ class _Workspace:
         """
         e, W, K, table = self._first_order(X)
         m, d = e.shape
-        B = np.moveaxis(self._second_table(e, table) * K[..., None], -1, 1)
+        # Every (m, d, d, d) product is written into one of two buffers, and H
+        # is summed in place: fewer short-lived blocks per call, which an
+        # allocator that trims its heap eagerly would hand back to the OS and
+        # fault in again on the next call.
+        Y = np.empty((m, d, d, d), dtype=np.complex128)
+        np.multiply(np.moveaxis(self._second_table(e, table), -1, 1), K[:, None], out=Y)
         Wt = np.swapaxes(W, -1, -2)
-        Y = (W[:, None] @ B @ np.conj(Wt)[:, None]) * self.weights[:, None, None, None]
-        Z = np.conj(Wt)[..., :, None] * Wt[..., None, :]
+        Wh = np.conj(Wt)
+        Z = W[:, None] @ Y
+        np.matmul(Z, Wh[:, None], out=Y)
+        Y *= -self.weights[:, None, None, None]  # -w_j Y_jl: T is the first term's negative
+        np.multiply(Wh[..., :, None], Wt[..., None, :], out=Z)
         T = (Y.reshape(m * d, d * d).T @ Z.reshape(m * d, d * d)).reshape(d, d, d, d)
-        T = T.transpose(0, 2, 1, 3)
-        return -(T + np.conj(T.transpose(1, 0, 3, 2))).reshape(d * d, d * d)
+        H = np.empty_like(T)
+        np.conjugate(T.transpose(2, 0, 3, 1), out=H)
+        H += T.transpose(0, 2, 1, 3)
+        return H.reshape(d * d, d * d)
 
 
 def objective(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:

@@ -7,8 +7,11 @@ A measure mu encodes an operator monotone generator through
 so every evaluation below reduces to a weighted sum over quadrature nodes.
 Discrete measures are summed exactly; the arcsine and Beta-type densities get
 Gauss rules matched to their endpoint singularities.  Those two densities
-generate x^{1/2} and x^t in closed form (power_exponent), so f_mu and
-f_mu_prime on them serve as an independent quadrature oracle.
+generate x^{1/2} and x^t in closed form (power_exponent), and have centers of
+mass 1/2 and t, so f_mu and f_mu_prime on them serve as an independent
+quadrature oracle.  Only that oracle's Beta-type rule needs scipy, which is
+imported on the first quadrature, f_mu or f_mu_prime call that builds it;
+everything else in the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, UnsupportedVariantError
 
@@ -142,6 +144,9 @@ def _chebyshev_rule(order: int) -> QuadratureRule:
 def _jacobi_rule(t: float, order: int) -> QuadratureRule:
     # Gauss-Jacobi on [-1,1] with weight (1-x)^(-t) (1+x)^(t-1) matches the
     # Beta-type endpoint exponents after the affine map to [0,1].
+    # Imported here: the package's only scipy use, and most of a process's start-up.
+    from scipy.special import roots_jacobi
+
     with np.errstate(invalid="ignore"):
         x, w = roots_jacobi(order, -t, t - 1.0)
     nodes = (x + 1.0) / 2.0
@@ -184,7 +189,14 @@ def power_exponent(mu: Measure) -> Optional[float]:
 
 
 def center_of_mass(mu: Measure) -> float:
-    """First moment c(mu) = integral of l dmu(l), in [0,1]."""
+    """First moment c(mu) = integral of l dmu(l), in [0,1].
+
+    It is f_mu'(1): 1/2 for the arcsine density and t for the Beta-type
+    density, exactly; the sum over the atoms or nodes otherwise.
+    """
+    t = power_exponent(mu)
+    if t is not None:
+        return t
     rule = quadrature(mu)
     return float(np.dot(rule.weights, rule.nodes))
 

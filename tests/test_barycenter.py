@@ -6,11 +6,13 @@ from scipy.optimize import brentq
 
 from qhmeans import (
     ArcsineMeasure,
+    BetaTypeMeasure,
     DimensionMismatchError,
     DivergenceSpec,
     DomainError,
     GeometricGenerator,
     LogGenerator,
+    MeasureGenerator,
     NonConvergenceError,
     SolverOptions,
     UnsupportedGeneratorError,
@@ -232,6 +234,19 @@ class TestSolveBarycenter:
         a = np.stack([np.diag(A.mat).real for A in ens.matrices])
         oracle = scalar_power_barycenter(a, ens.weights, t)
         assert np.max(np.abs(np.diag(report.solution.mat).real - oracle)) <= 1e-6
+
+    @pytest.mark.parametrize("t", [0.1, 0.25, 0.75])
+    def test_beta_type_barycenter_is_the_geometric_one(self, rng, t):
+        # Both generators are x^t with c = t; a c taken from a Gauss rule's
+        # first moment (0.1 + 2.1e-10 at t = 0.1) moved the barycenter by 8.8e-9
+        spec = DivergenceSpec(MeasureGenerator(BetaTypeMeasure(t)))
+        assert spec.c == t
+        opts = SolverOptions(residual_tol=1e-12)
+        for ens in (ref_ensemble(), random_ensemble(rng, 3, 3)):
+            beta = solve_barycenter(ens, spec, opts)
+            geometric = solve_barycenter(ens, DivergenceSpec(GeometricGenerator(t)), opts)
+            assert beta.converged and geometric.converged
+            assert np.linalg.norm(beta.solution.mat - geometric.solution.mat) <= 1e-12
 
     @pytest.mark.parametrize("case", ["reference", "spread-3"])
     def test_objective_trace_non_increasing(self, case):

@@ -1,0 +1,62 @@
+"""The package imports and runs on numpy alone.
+
+scipy is needed only by the Beta-type Gauss rule behind `quadrature`, `f_mu`
+and `f_mu_prime`, and is imported on its first use.  Each case runs in a
+fresh interpreter, since this test process has scipy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+REPORT_SCIPY = """
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _scipy_modules_after(code: str) -> list:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code + REPORT_SCIPY],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_cli_and_solvers_load_no_scipy():
+    code = """
+import contextlib, io
+import numpy as np
+import qhmeans, qhmeans.cli, qhmeans.properties
+from qhmeans import ensemble, solve_power_mean
+from qhmeans.serialize import matrix_to_json
+
+a = json.dumps(matrix_to_json(np.diag([4.0, 1.0])))
+b = json.dumps(matrix_to_json(0.5 * np.array([[5.0, 3.0], [3.0, 5.0]])))
+runs = (
+    ["verify-paper"],
+    ["divergence", "--inline", a, "--inline", b, "--generator", "beta:0.25"],
+    ["properties", "--generator", "arcsine", "--trials", "3"],
+)
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qhmeans.cli.main(argv) == 0, argv
+report = solve_power_mean(ensemble([np.diag([4.0, 1.0]), np.eye(2)], [0.5, 0.5]), 0.5)
+assert report.converged
+"""
+    assert _scipy_modules_after(code) == []
+
+
+def test_beta_type_quadrature_loads_scipy_on_use():
+    code = """
+from qhmeans import BetaTypeMeasure, quadrature
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+rule = quadrature(BetaTypeMeasure(0.3), 64)
+assert rule.nodes.shape == (64,) and abs(rule.weights.sum() - 1.0) < 1e-12
+"""
+    assert "scipy.special" in _scipy_modules_after(code)

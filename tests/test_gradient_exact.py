@@ -143,21 +143,24 @@ HESSIAN_GENERATORS = [
 HESSIAN_IDS = ["geometric0.25", "geometric0.5", "harmonic0.3", "arcsine", "discrete3"]
 
 
-def _hessian_problem(rng, gen):
-    ens, X = _random_problem(rng, 4, 3, 1.0)
+def _hessian_problem(rng, gen, dim=4):
+    ens, X = _random_problem(rng, dim, 3, 1.0)
     ws = _Workspace(ens, DivergenceSpec(gen))
     X = _as_state(ens, X)
     ws.gradient(X)
     return ws, X
 
 
+# d = 1 has one index pair, so only larger d can tell the index transposes of
+# the assembly apart; d = 8 is the largest in the benchmark's solver mix.
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
 @pytest.mark.parametrize("gen", HESSIAN_GENERATORS, ids=HESSIAN_IDS)
-def test_hessian_matches_gradient_differences(rng, gen):
+def test_hessian_matches_gradient_differences(rng, gen, dim):
     h = 1e-6
     for _ in range(3):
-        ws, X = _hessian_problem(rng, gen)
-        H = random_hermitian_np(rng, 4)
-        applied = (ws.hessian(X) @ H.reshape(-1)).reshape(4, 4)
+        ws, X = _hessian_problem(rng, gen, dim)
+        H = random_hermitian_np(rng, dim)
+        applied = (ws.hessian(X) @ H.reshape(-1)).reshape(dim, dim)
         central = (ws.gradient(X + h * H) - ws.gradient(X - h * H)) / (2 * h)
         assert np.linalg.norm(applied - central) <= 1e-8 * np.linalg.norm(central)
 
