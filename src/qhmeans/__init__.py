@@ -7,7 +7,6 @@ from .barycenter import (
     WeightedEnsemble,
     ensemble,
     euclidean_gradient,
-    frechet_derivative_fmu,
     noncommutativity_measure,
     objective,
     residual,
@@ -76,13 +75,10 @@ from .hermitian import (
     thompson_dist,
 )
 from .measures import (
-    DEFAULT_QUAD_ORDER,
     ArcsineMeasure,
     BetaTypeMeasure,
     DiscreteMeasure,
     Measure,
-    QuadratureRule,
-    TabulatedMeasure,
     center_of_mass,
     convex_order_leq,
     dirac,

@@ -42,7 +42,7 @@ from .hermitian import (
     pd,
     thompson_dist,
 )
-from .measures import DEFAULT_QUAD_ORDER, Measure, power_exponent, quadrature
+from .measures import power_exponent
 
 # Newton step search: the smallest step tried and the factor each rejected
 # trial shrinks the step by.
@@ -149,7 +149,8 @@ class _Workspace:
         # f is x^t for the continuous densities and a finite sum over the
         # measure's atoms otherwise; both give exact divided differences.
         self.power = power_exponent(mu)
-        self.rule = quadrature(mu) if self.power is None else None
+        if self.power is None:
+            self.locations, self.masses = mu.locations, mu.masses
         self.weights = np.ascontiguousarray(ens.weights)
         self.mats = _stacked(ens)
         self.inv_roots = _roots(self.mats)[1]
@@ -167,25 +168,25 @@ class _Workspace:
 
     def _table(self, e: np.ndarray) -> np.ndarray:
         """Divided differences f^[1](e_j) of every member, shape (m, d, d)."""
-        if self.rule is None:
+        if self.power is not None:
             return _power_divided_differences(e, self.power)
         # (f(a) - f(b)) / (a - b) = sum_k q_k l_k / (((1-l_k) a + l_k)((1-l_k) b + l_k))
         # for f = f_mu: a sum of positive terms, with no cancellation at near-ties.
-        l = self.rule.nodes
+        l = self.locations
         P = 1.0 / ((1 - l) * e[..., None] + l)
-        return (P * (self.rule.weights * l)) @ np.swapaxes(P, -1, -2)
+        return (P * (self.masses * l)) @ np.swapaxes(P, -1, -2)
 
     def _second_table(self, e: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Second divided differences f^[2](e_i, e_k, e_l) of every member, (m, d, d, d)."""
-        if self.rule is None:
-            t = self.power
+        t = self.power
+        if t is not None:
             return _second_divided_differences(
                 e, table, t * e ** (t - 1), t * (t - 1) * e ** (t - 2)
             )
         # -sum_k q_k l_k (1-l_k) / (P_a P_b P_c): same-sign terms again.
-        l = self.rule.nodes
+        l = self.locations
         P = 1.0 / ((1 - l) * e[..., None] + l)
-        Q = np.swapaxes(P * (self.rule.weights * l * (1 - l)), -1, -2)
+        Q = np.swapaxes(P * (self.masses * l * (1 - l)), -1, -2)
         return -((P[..., :, None, :] * P[..., None, :, :]) @ Q[:, None])
 
     def objective(self, X: np.ndarray) -> float:
@@ -251,7 +252,7 @@ def euclidean_gradient(
     ens: WeightedEnsemble,
     X: MatrixLike,
     spec: DivergenceSpec,
-    quad_order: int = DEFAULT_QUAD_ORDER,
+    quad_order: Optional[int] = None,
 ) -> HermitianMatrix:
     """Euclidean gradient G of the barycenter objective at X.
 
@@ -259,9 +260,9 @@ def euclidean_gradient(
     M_j = A_j^{-1/2} X A_j^{-1/2}, evaluated exactly in the eigenbasis of M_j
     through the divided-difference table of f on its spectrum: in closed form
     for x^t (the geometric, arcsine and Beta-type generators) and as a finite
-    sum over the atoms of any other representing measure.  quad_order changes
-    nothing and is kept for callers that pass it.  The directional derivative
-    in any Hermitian direction Y is Tr(G Y).
+    sum over the atoms of any other representing measure.  quad_order is
+    ignored and accepted only for callers that still pass it positionally.
+    The directional derivative in any Hermitian direction Y is Tr(G Y).
     """
     ws = _Workspace(ens, spec)
     return HermitianMatrix(ws.gradient(_as_state(ens, X)))
@@ -270,29 +271,6 @@ def euclidean_gradient(
 def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
     """Frobenius norm of the stationarity defect at X (zero at the barycenter)."""
     return float(np.linalg.norm(euclidean_gradient(ens, X, spec).mat))
-
-
-def frechet_derivative_fmu(
-    mu: Measure,
-    X: MatrixLike,
-    Y: MatrixLike,
-    order: int = DEFAULT_QUAD_ORDER,
-) -> HermitianMatrix:
-    """Derivative of the matrix generator X -> f_mu(X) in direction Y.
-
-    Quadrature form: integral of l ((1-l) X + l I)^{-1} Y ((1-l) X + l I)^{-1};
-    agrees with the divided-difference evaluation of the same derivative.
-    """
-    Xm = _mat(pd(X))
-    Ym = _mat(Y)
-    if Xm.shape != Ym.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {Xm.shape} vs {Ym.shape}")
-    rule = quadrature(mu, order)
-    l = rule.nodes[:, None, None]
-    eye = np.eye(Xm.shape[0], dtype=np.complex128)
-    R = np.linalg.inv((1 - l) * Xm + l * eye)
-    out = np.einsum("k,kab,bc,kcd->ad", rule.weights * rule.nodes, R, Ym, R)
-    return HermitianMatrix(out)
 
 
 def _cholesky_ok(X: np.ndarray) -> bool:

@@ -21,18 +21,10 @@ from .measures import (
     BetaTypeMeasure,
     DiscreteMeasure,
     Measure,
-    _check_positive,
     center_of_mass,
     f_mu,
     f_mu_prime,
-    power_exponent,
 )
-
-
-def _positive(x) -> np.ndarray:
-    xs = np.asarray(x, dtype=np.float64)
-    _check_positive(xs)
-    return xs
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -118,26 +110,16 @@ class HarmonicGenerator:
 
 @dataclass(frozen=True)
 class MeasureGenerator:
-    """Generator f_mu defined by a probability measure on [0,1].
-
-    Discrete and tabulated measures are summed exactly; the arcsine and
-    Beta-type densities are evaluated in closed form as x^{1/2} and x^t, which
-    their Gauss rules only approximate far from 1.
-    """
+    """Generator f_mu defined by a probability measure on [0,1], evaluated by
+    f_mu and f_mu_prime."""
 
     mu: Measure
 
     def f(self, x):
-        t = power_exponent(self.mu)
-        if t is None:
-            return f_mu(self.mu, x)
-        return _positive(x) ** t
+        return f_mu(self.mu, x)
 
     def f_prime(self, x):
-        t = power_exponent(self.mu)
-        if t is None:
-            return f_mu_prime(self.mu, x)
-        return t * _positive(x) ** (t - 1)
+        return f_mu_prime(self.mu, x)
 
     @property
     def weight(self) -> float:

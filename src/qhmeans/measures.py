@@ -1,23 +1,19 @@
-"""Probability measures on [0,1], their quadrature rules, and the convex order.
+"""Probability measures on [0,1], their generators, and the convex order.
 
 A measure mu encodes an operator monotone generator through
 
-    f_mu(x) = integral of x / ((1-l) x + l) dmu(l),    x > 0,
+    f_mu(x) = integral of x / ((1-l) x + l) dmu(l),    x > 0.
 
-so every evaluation below reduces to a weighted sum over quadrature nodes.
-Discrete measures are summed exactly; the arcsine and Beta-type densities get
-Gauss rules matched to their endpoint singularities.  Those two densities
-generate x^{1/2} and x^t in closed form (power_exponent), and have centers of
-mass 1/2 and t, so f_mu and f_mu_prime on them serve as an independent
-quadrature oracle.  Only that oracle's Beta-type rule needs scipy, which is
-imported on the first quadrature, f_mu or f_mu_prime call that builds it;
-everything else in the package runs on numpy alone.
+f_mu, f_mu_prime and center_of_mass evaluate it exactly: as the sum over the
+atoms of a DiscreteMeasure, and in closed form for the arcsine and Beta-type
+densities, which generate x^{1/2} and x^t (power_exponent).  quadrature, the
+Gauss rule of a density as a DiscreteMeasure, is a reference for tests that no
+evaluation path calls; its Beta-type rule is the package's only use of scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -25,32 +21,6 @@ import numpy as np
 from .errors import DomainError, UnsupportedVariantError
 
 MASS_ATOL = 1e-10
-# Gauss rules converge geometrically, but the integrand's pole sits at
-# l = x/(x-1): for x near 1e3 the convergence factor is only ~1.065 per
-# node pair, so ~220 nodes are needed for 1e-10 accuracy across
-# x in [1e-3, 1e3].  256 keeps a margin and is still microseconds to use.
-DEFAULT_QUAD_ORDER = 256
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes in [0,1] and positive weights summing to one."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise DomainError("nodes and weights must be equal-length vectors")
-        if abs(weights.sum() - 1.0) > 1e-8:
-            raise DomainError(f"quadrature mass {weights.sum()!r} is not 1")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -108,40 +78,18 @@ class BetaTypeMeasure:
         object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class TabulatedMeasure:
-    """A density given directly by a precomputed quadrature on (0,1)."""
-
-    nodes: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        nodes = tuple(float(x) for x in self.nodes)
-        weights = tuple(float(w) for w in self.weights)
-        if len(nodes) != len(weights) or not nodes:
-            raise DomainError("nodes and weights must be equal-length and nonempty")
-        if not all(0.0 < x < 1.0 for x in nodes):
-            raise DomainError("tabulated nodes must lie in the open interval (0,1)")
-        if any(w <= 0 for w in weights):
-            raise DomainError("tabulated weights must be positive")
-        if abs(sum(weights) - 1.0) > MASS_ATOL:
-            raise DomainError(f"tabulated weights sum to {sum(weights)}, expected 1")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+Measure = Union[DiscreteMeasure, ArcsineMeasure, BetaTypeMeasure]
 
 
-Measure = Union[DiscreteMeasure, ArcsineMeasure, BetaTypeMeasure, TabulatedMeasure]
-
-
-def _chebyshev_rule(order: int) -> QuadratureRule:
+def _chebyshev_rule(order: int) -> tuple:
     # Gauss-Chebyshev (first kind) mapped from [-1,1] to [0,1]; all weights
     # are equal once the 1/pi normalization of the arcsine density is folded in.
     k = np.arange(1, order + 1)
     u = np.cos((2 * k - 1) * np.pi / (2 * order))
-    return QuadratureRule((1 + u) / 2, np.full(order, 1.0 / order), order)
+    return (1 + u) / 2, np.full(order, 1.0 / order)
 
 
-def _jacobi_rule(t: float, order: int) -> QuadratureRule:
+def _jacobi_rule(t: float, order: int) -> tuple:
     # Gauss-Jacobi on [-1,1] with weight (1-x)^(-t) (1+x)^(t-1) matches the
     # Beta-type endpoint exponents after the affine map to [0,1].
     # Imported here: the package's only scipy use, and most of a process's start-up.
@@ -149,38 +97,34 @@ def _jacobi_rule(t: float, order: int) -> QuadratureRule:
 
     with np.errstate(invalid="ignore"):
         x, w = roots_jacobi(order, -t, t - 1.0)
-    nodes = (x + 1.0) / 2.0
-    weights = w * np.sin(t * np.pi) / np.pi
-    return QuadratureRule(nodes, weights, order)
+    return (x + 1.0) / 2.0, w * np.sin(t * np.pi) / np.pi
 
 
-@lru_cache(maxsize=512)
-def _cached_rule(mu: Measure, order: int) -> QuadratureRule:
-    if isinstance(mu, DiscreteMeasure):
-        return QuadratureRule(mu.locations, mu.masses, order)
-    if isinstance(mu, ArcsineMeasure):
-        return _chebyshev_rule(order)
-    if isinstance(mu, BetaTypeMeasure):
-        return _jacobi_rule(mu.t, order)
-    if isinstance(mu, TabulatedMeasure):
-        return QuadratureRule(np.array(mu.nodes), np.array(mu.weights), order)
-    raise UnsupportedVariantError(f"unknown measure variant {type(mu).__name__}")
+def _atoms(locs: np.ndarray, masses: np.ndarray) -> tuple:
+    return tuple(zip(locs.tolist(), masses.tolist()))
 
 
-def quadrature(mu: Measure, order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
-    """Quadrature rule integrating smooth functions against mu.
+def quadrature(mu: Measure, order: int) -> DiscreteMeasure:
+    """The order-node Gauss rule of a density, as a DiscreteMeasure.
 
-    Discrete and tabulated measures return their own atoms/nodes; the order
-    argument only controls the Gauss rules for the continuous densities.
+    Gauss-Chebyshev for the arcsine density, Gauss-Jacobi for the Beta-type
+    density; a discrete measure is returned unchanged.  A reference for
+    tests: f_mu(quadrature(mu, n), x) approximates the closed form f_mu(mu, x).
     """
     if order < 2:
         raise DomainError(f"quadrature order {order} must be at least 2")
-    return _cached_rule(mu, int(order))
+    if isinstance(mu, DiscreteMeasure):
+        return mu
+    if isinstance(mu, ArcsineMeasure):
+        return DiscreteMeasure(_atoms(*_chebyshev_rule(int(order))))
+    if isinstance(mu, BetaTypeMeasure):
+        return DiscreteMeasure(_atoms(*_jacobi_rule(mu.t, int(order))))
+    raise UnsupportedVariantError(f"unknown measure variant {type(mu).__name__}")
 
 
 def power_exponent(mu: Measure) -> Optional[float]:
     """The t with f_mu(x) = x^t for the arcsine (t = 1/2) and Beta-type
-    densities; None for discrete and tabulated measures, which are finite sums."""
+    densities; None for a discrete measure, whose generator is a finite sum."""
     if isinstance(mu, ArcsineMeasure):
         return 0.5
     if isinstance(mu, BetaTypeMeasure):
@@ -192,13 +136,12 @@ def center_of_mass(mu: Measure) -> float:
     """First moment c(mu) = integral of l dmu(l), in [0,1].
 
     It is f_mu'(1): 1/2 for the arcsine density and t for the Beta-type
-    density, exactly; the sum over the atoms or nodes otherwise.
+    density, exactly; the sum over the atoms otherwise.
     """
     t = power_exponent(mu)
     if t is not None:
         return t
-    rule = quadrature(mu)
-    return float(np.dot(rule.weights, rule.nodes))
+    return float(np.dot(mu.masses, mu.locations))
 
 
 def _check_positive(x: np.ndarray) -> None:
@@ -206,39 +149,48 @@ def _check_positive(x: np.ndarray) -> None:
         raise DomainError("argument must be strictly positive")
 
 
-def f_mu(mu: Measure, x, order: int = DEFAULT_QUAD_ORDER):
-    """Generator value f_mu(x) = sum of w_k x / ((1-l_k) x + l_k).
-
-    Accepts a positive scalar or 1-d array; f_mu(mu, 1) == 1 identically.
+def f_mu(mu: Measure, x, order: Optional[int] = None):
+    """Generator value f_mu(x) at a positive scalar or array: x^t for the
+    arcsine (t = 1/2) and Beta-type densities, the sum of m_k x / ((1-l_k) x + l_k)
+    over the atoms (l_k, m_k) of a discrete measure.  order is ignored; it is
+    accepted for callers that still pass a Gauss order positionally.
     """
-    rule = quadrature(mu, order)
     xs = np.asarray(x, dtype=np.float64)
-    vals = _generator_values(xs, rule.nodes, rule.weights)
-    return float(vals) if np.isscalar(x) or xs.ndim == 0 else vals
+    t = power_exponent(mu)
+    if t is None:
+        vals = _generator_values(xs, mu.locations, mu.masses)
+    else:
+        _check_positive(xs)
+        vals = xs ** t
+    return float(vals) if xs.ndim == 0 else vals
 
 
 def _generator_values(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Sum of w_k x / ((1-l_k) x + l_k) over the last axis of nodes and weights,
-    which broadcast against x[..., None]: one rule for every x, or a stack of
-    rules (atoms padded with zero weight) for a stack of spectra."""
+    which broadcast against x[..., None]: one measure's atoms for every x, or a
+    stack of them (padded with zero weight) for a stack of spectra."""
     _check_positive(x)
     x = x[..., None]
     # A (1, K) by (K, 1) product per value: a dot product that broadcasts.
     return ((x / ((1 - nodes) * x + nodes))[..., None, :] @ weights[..., None])[..., 0, 0]
 
 
-def f_mu_prime(mu: Measure, x, order: int = DEFAULT_QUAD_ORDER):
-    """Generator derivative sum of w_k l_k / ((1-l_k) x + l_k)^2.
+def f_mu_prime(mu: Measure, x, order: Optional[int] = None):
+    """Generator derivative: t x^(t-1) for the arcsine and Beta-type densities,
+    the sum of m_k l_k / ((1-l_k) x + l_k)^2 over the atoms of a discrete measure.
 
-    At x = 1 this collapses to the center of mass of mu.
+    At x = 1 this is the center of mass of mu.  order is ignored, as in f_mu.
     """
-    rule = quadrature(mu, order)
     xs = np.asarray(x, dtype=np.float64)
     _check_positive(xs)
-    l = rule.nodes
-    den = (1 - l) * xs[..., None] + l
-    vals = np.dot(l / (den * den), rule.weights)
-    return float(vals) if np.isscalar(x) or xs.ndim == 0 else vals
+    t = power_exponent(mu)
+    if t is not None:
+        vals = t * xs ** (t - 1)
+    else:
+        l = mu.locations
+        den = (1 - l) * xs[..., None] + l
+        vals = np.dot(l / (den * den), mu.masses)
+    return float(vals) if xs.ndim == 0 else vals
 
 
 def _padded(rows) -> np.ndarray:

@@ -34,7 +34,7 @@ from .divergences import _means, _phi_batch
 from .errors import DegenerateTrialError, DomainError
 from .generators import DivergenceSpec
 from .hermitian import PositiveDefiniteMatrix, _hermitian_part, _require_pd, _spectral, frobenius_dist
-from .measures import DiscreteMeasure, _convex_order_holds, _generator_values, _padded
+from .measures import DiscreteMeasure, _atoms, _convex_order_holds, _generator_values, _padded
 from .serialize import matrix_to_json as _matrix_json
 
 SLACK_FLOOR = -1e-9
@@ -240,10 +240,6 @@ def _convex_order_atoms(rng: np.random.Generator):
     mean = float(np.dot(locs, masses))
     shrink = rng.uniform(0.0, 0.95)
     return mean + shrink * (locs - mean), locs, masses
-
-
-def _atoms(locs: np.ndarray, masses: np.ndarray) -> tuple:
-    return tuple(zip(locs.tolist(), masses.tolist()))
 
 
 def random_convex_order_pair(rng: np.random.Generator):

@@ -25,7 +25,6 @@ from .measures import (
     BetaTypeMeasure,
     DiscreteMeasure,
     Measure,
-    TabulatedMeasure,
 )
 
 
@@ -58,21 +57,29 @@ def measure_to_json(mu: Measure) -> dict:
         return {"kind": "beta", "t": mu.t}
     if isinstance(mu, DiscreteMeasure):
         return {"kind": "discrete", "atoms": [[l, m] for l, m in mu.atoms]}
-    if isinstance(mu, TabulatedMeasure):
-        return {"kind": "tabulated", "nodes": list(mu.nodes), "weights": list(mu.weights)}
     raise DomainError(f"unknown measure variant {type(mu).__name__}")
 
 
 def measure_from_json(obj: dict) -> Measure:
-    kind = obj.get("kind")
-    if kind == "arcsine":
-        return ArcsineMeasure()
-    if kind == "beta":
-        return BetaTypeMeasure(float(obj["t"]))
-    if kind == "discrete":
-        return DiscreteMeasure(tuple((float(l), float(m)) for l, m in obj["atoms"]))
-    if kind == "tabulated":
-        return TabulatedMeasure(tuple(obj["nodes"]), tuple(obj["weights"]))
+    """A measure from its JSON object.  The "tabulated" kind, nodes in (0,1)
+    with their weights, loads as the DiscreteMeasure of those atoms."""
+    try:
+        kind = obj.get("kind")
+        if kind == "arcsine":
+            return ArcsineMeasure()
+        if kind == "beta":
+            return BetaTypeMeasure(float(obj["t"]))
+        if kind == "discrete":
+            return DiscreteMeasure(tuple((float(l), float(m)) for l, m in obj["atoms"]))
+        if kind == "tabulated":
+            atoms = tuple(zip(obj["nodes"], obj["weights"], strict=True))
+            if not all(0.0 < float(x) < 1.0 for x, _ in atoms):
+                raise DomainError("tabulated nodes must lie in the open interval (0,1)")
+            return DiscreteMeasure(atoms)
+    except DomainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed measure object: {exc!r}") from exc
     raise DomainError(f"unknown measure kind {kind!r}")
 
 
@@ -91,19 +98,24 @@ def generator_to_json(gen: Generator) -> dict:
 
 
 def generator_from_json(obj: dict) -> Generator:
-    kind = obj.get("kind")
-    if kind == "arithmetic":
-        return ArithmeticGenerator(float(obj["lambda"]))
-    if kind == "geometric":
-        return GeometricGenerator(float(obj["lambda"]))
-    if kind == "harmonic":
-        return HarmonicGenerator(float(obj["lambda"]))
-    if kind == "measure":
-        return MeasureGenerator(measure_from_json(obj["mu"]))
-    if kind == "log":
-        return LogGenerator()
-    if kind == "power":
-        return GeometricGenerator(float(obj["t"]))
+    try:
+        kind = obj.get("kind")
+        if kind == "arithmetic":
+            return ArithmeticGenerator(float(obj["lambda"]))
+        if kind == "geometric":
+            return GeometricGenerator(float(obj["lambda"]))
+        if kind == "harmonic":
+            return HarmonicGenerator(float(obj["lambda"]))
+        if kind == "measure":
+            return MeasureGenerator(measure_from_json(obj["mu"]))
+        if kind == "log":
+            return LogGenerator()
+        if kind == "power":
+            return GeometricGenerator(float(obj["t"]))
+    except DomainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed generator object: {exc!r}") from exc
     raise DomainError(f"unknown generator kind {kind!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import fractional_matrix_power
 
 from qhmeans import PositiveDefiniteMatrix, pd
 
@@ -116,3 +117,11 @@ def assembled_gradient(ens, X, c, derivative):
         M = R @ X.mat @ R
         G -= w * (R @ derivative((M + M.conj().T) / 2, A.mat) @ R)
     return (G + G.conj().T) / 2
+
+
+def power_derivative(M, A, t):
+    """Df(M)[A] for f(x) = x^t from the block-triangular identity
+    f([[M, A], [0, M]]) = [[f(M), Df(M)[A]], [0, f(M)]], with scipy's
+    fractional_matrix_power, which shares no code with the library."""
+    block = np.block([[M, A], [np.zeros_like(M), M]])
+    return fractional_matrix_power(block, t)[: len(M), len(M):]

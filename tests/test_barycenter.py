@@ -20,7 +20,6 @@ from qhmeans import (
     ensemble,
     euclidean_gradient,
     frechet_derivative,
-    frechet_derivative_fmu,
     f_mu,
     f_mu_prime,
     herm,
@@ -42,6 +41,7 @@ from conftest import (
     REF_ONE_STEP,
     assembled_gradient,
     pinned_spectrum_ensemble_np,
+    power_derivative,
     random_hermitian_np,
     random_pd_np,
     random_unitary_np,
@@ -183,32 +183,17 @@ class TestGradient:
             euclidean_gradient(ens, pd(np.eye(2)), spec)
 
 
-class TestFrechetDerivativeFmu:
-    def test_identity_base_point(self, rng):
-        # integrand collapses to l * Y, so the result is c(mu) Y
-        Y = random_hermitian_np(rng, 3)
-        out = frechet_derivative_fmu(ArcsineMeasure(), pd(np.eye(3)), herm(Y))
-        assert np.linalg.norm(out.mat - 0.5 * Y) <= 1e-12
-
-    def test_diagonal_entrywise(self, rng):
-        # for diagonal X and Y the derivative acts entrywise as f'(x_i) y_i
-        mu = ArcsineMeasure()
-        x = np.exp(rng.uniform(-1, 1, size=4))
-        y = rng.standard_normal(4)
-        out = frechet_derivative_fmu(mu, pd(np.diag(x)), herm(np.diag(y)))
-        expected = np.diag(f_mu_prime(mu, x) * y)
-        assert np.linalg.norm(out.mat - expected) <= 1e-10
-
-    def test_quadrature_vs_divided_differences(self, rng):
-        mu = ArcsineMeasure()
+class TestMeasureFrechetDerivative:
+    @pytest.mark.parametrize("mu", [ArcsineMeasure(), BetaTypeMeasure(0.3)], ids=["arcsine", "beta0.3"])
+    def test_divided_differences_vs_block_identity(self, rng, mu):
+        t = mu.t if isinstance(mu, BetaTypeMeasure) else 0.5
         for _ in range(10):
             X = pd(random_pd_np(rng, 4))
             Y = herm(random_hermitian_np(rng, 4))
-            quad_path = frechet_derivative_fmu(mu, X, Y)
             dk_path = frechet_derivative(
                 lambda w: f_mu(mu, w), lambda w: f_mu_prime(mu, w), X, Y
             )
-            assert np.linalg.norm(quad_path.mat - dk_path.mat) <= 1e-8
+            assert np.linalg.norm(power_derivative(X.mat, Y.mat, t) - dk_path.mat) <= 1e-8
 
 
 class TestSolveBarycenter:

@@ -290,3 +290,18 @@ class TestErrorHandling:
     def test_non_pd_input(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.json", np.diag([1.0, -1.0]))
         assert main(["mean", "--input", a, "--input", a]) == 2
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            '{"kind":"geometric"}',
+            '{"kind":"measure"}',
+            '{"kind":"measure","mu":5}',
+            '{"kind":"measure","mu":{"kind":"beta"}}',
+            '{"kind":"measure","mu":{"kind":"discrete","atoms":5}}',
+        ],
+    )
+    def test_malformed_generator_json(self, ref_files, capsys, generator):
+        a, b, _ = ref_files
+        assert main(["divergence", "--input", a, "--input", b, "--generator", generator]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed")

@@ -1,8 +1,9 @@
 """The package imports and runs on numpy alone.
 
-scipy is needed only by the Beta-type Gauss rule behind `quadrature`, `f_mu`
-and `f_mu_prime`, and is imported on its first use.  Each case runs in a
-fresh interpreter, since this test process has scipy loaded already.
+scipy is needed only by the Beta-type Gauss rule that `quadrature` builds, a
+test reference that no evaluation path calls, and is imported on its first
+use.  Each case runs in a fresh interpreter, since this test process has
+scipy loaded already.
 """
 
 import json
@@ -52,11 +53,26 @@ assert report.converged
     assert _scipy_modules_after(code) == []
 
 
+def test_generator_evaluation_loads_no_scipy():
+    code = """
+import numpy as np
+from qhmeans import BetaTypeMeasure, MeasureGenerator, center_of_mass, f_mu, f_mu_prime
+
+mu = BetaTypeMeasure(0.3)
+x = np.array([0.5, 1.0, 4.0])
+assert np.allclose(f_mu(mu, x), x ** 0.3)
+assert np.allclose(f_mu_prime(mu, x), 0.3 * x ** -0.7)
+assert center_of_mass(mu) == 0.3
+assert np.allclose(MeasureGenerator(mu).f(x), x ** 0.3)
+"""
+    assert _scipy_modules_after(code) == []
+
+
 def test_beta_type_quadrature_loads_scipy_on_use():
     code = """
 from qhmeans import BetaTypeMeasure, quadrature
 assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 rule = quadrature(BetaTypeMeasure(0.3), 64)
-assert rule.nodes.shape == (64,) and abs(rule.weights.sum() - 1.0) < 1e-12
+assert len(rule.atoms) == 64 and abs(rule.masses.sum() - 1.0) < 1e-12
 """
     assert "scipy.special" in _scipy_modules_after(code)

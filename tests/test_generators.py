@@ -18,6 +18,7 @@ from qhmeans import (
     UnsupportedGeneratorError,
     dirac,
     f_mu,
+    quadrature,
 )
 
 GRID = np.logspace(-2, 2, 41)
@@ -70,7 +71,7 @@ class TestRepresentingMeasures:
         # the error near 1e-9 for lam far from 1/2; a wrong pairing would be
         # off at order one.
         gen = GeometricGenerator(lam)
-        quad_vals = f_mu(gen.representing_measure(), GRID)
+        quad_vals = f_mu(quadrature(gen.representing_measure(), 256), GRID)
         assert np.max(np.abs(quad_vals - GRID**lam)) <= 1e-8
 
     def test_arcsine_measure_matches_geometric_half(self):

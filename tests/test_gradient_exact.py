@@ -1,9 +1,9 @@
 """The divided-difference barycenter gradient and Hessian against independent assemblies.
 
 Each reference builds G = c I - sum_j w_j A_j^{-1/2} Df(M_j)[A_j] A_j^{-1/2}
-one member at a time, from `frechet_derivative_fmu` (resolvent quadrature)
-for measure generators, from the block-triangular identity for x^t and from
-`frechet_derivative` for closed forms.  The Hessian is checked against
+one member at a time, from the block-triangular identity for x^t (the
+arcsine and Beta-type densities) and from `frechet_derivative` for discrete
+measures and closed forms.  The Hessian is checked against
 central differences of the gradient.
 """
 
@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import fractional_matrix_power
 
 from qhmeans import (
     ArcsineMeasure,
@@ -26,17 +25,15 @@ from qhmeans import (
     arcsine_generator,
     ensemble,
     euclidean_gradient,
+    f_mu,
     f_mu_prime,
     frechet_derivative,
-    frechet_derivative_fmu,
     pd,
 )
 
 from qhmeans.barycenter import _as_state, _Workspace
 
-from conftest import assembled_gradient, random_hermitian_np, random_pd_np
-
-REFERENCE_ORDER = 4096
+from conftest import assembled_gradient, power_derivative, random_hermitian_np, random_pd_np
 
 
 def _random_problem(rng, dim, m, spread):
@@ -51,20 +48,21 @@ def _random_problem(rng, dim, m, spread):
     ids=["arcsine", "beta0.3", "discrete3"],
 )
 @pytest.mark.parametrize("spread", [1.0, 4.0])
-def test_measure_generators_match_resolvent_quadrature(rng, mu, spread):
+def test_measure_generators_match_independent_derivatives(rng, mu, spread):
     spec = DivergenceSpec(MeasureGenerator(mu))
-    if isinstance(mu, BetaTypeMeasure):
-        # The order-4096 Jacobi rule is itself off by about 6e-8 (relative)
-        # here, so x^t takes Df(M)[A] from f([[M, A], [0, M]]) = [[f(M), Df(M)[A]], [0, f(M)]].
+    if isinstance(mu, DiscreteMeasure):
         def derivative(M, A):
-            block = np.block([[M, A], [np.zeros_like(M), M]])
-            return fractional_matrix_power(block, mu.t)[: len(M), len(M):]
+            return frechet_derivative(
+                lambda x: f_mu(mu, x), lambda x: f_mu_prime(mu, x), M, A
+            ).mat
     else:
+        t = mu.t if isinstance(mu, BetaTypeMeasure) else 0.5
+
         def derivative(M, A):
-            return frechet_derivative_fmu(mu, M, A, REFERENCE_ORDER).mat
+            return power_derivative(M, A, t)
     for _ in range(3):
         ens, X = _random_problem(rng, 4, 3, spread)
-        exact = euclidean_gradient(ens, X, spec, REFERENCE_ORDER).mat
+        exact = euclidean_gradient(ens, X, spec).mat
         reference = assembled_gradient(ens, X, spec.c, derivative)
         assert np.linalg.norm(exact - reference) <= 1e-10 * max(1.0, np.linalg.norm(reference))
 

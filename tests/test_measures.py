@@ -9,7 +9,6 @@ from qhmeans import (
     BetaTypeMeasure,
     DiscreteMeasure,
     DomainError,
-    TabulatedMeasure,
     UnsupportedVariantError,
     center_of_mass,
     convex_order_leq,
@@ -42,6 +41,14 @@ def beta_moment_oracle(t: float, k: int) -> float:
     return val * np.sin(t * np.pi) / np.pi
 
 
+def beta_integral(t: float, g) -> float:
+    """Integral of g against the Beta-type density by QAWS, to 1e-10 relative:
+    the resolvent integrands of f_mu and f_mu' span e^-9 to e^9."""
+    val, err = quad(g, 0.0, 1.0, weight="alg", wvar=(t - 1.0, -t), epsabs=0.0, epsrel=1e-10, limit=500)
+    assert err < 1e-10 * abs(val)
+    return val * np.sin(t * np.pi) / np.pi
+
+
 class TestConstruction:
     def test_discrete_validates_mass(self):
         with pytest.raises(DomainError):
@@ -60,10 +67,6 @@ class TestConstruction:
             BetaTypeMeasure(1.0)
         with pytest.raises(DomainError):
             BetaTypeMeasure(0.0)
-
-    def test_tabulated_open_interval(self):
-        with pytest.raises(DomainError):
-            TabulatedMeasure((0.0, 0.5), (0.5, 0.5))
 
 
 class TestCenterOfMass:
@@ -87,14 +90,21 @@ class TestCenterOfMass:
 
 
 class TestQuadrature:
-    def test_single_atom(self):
-        rule = quadrature(dirac(0.5))
-        assert rule.nodes.tolist() == [0.5]
-        assert rule.weights.tolist() == [1.0]
+    def test_discrete_unchanged(self):
+        mu = dirac(0.5)
+        assert quadrature(mu, 64) is mu
 
     def test_arcsine_normalization(self):
         rule = quadrature(ArcsineMeasure(), 64)
-        assert abs(rule.weights.sum() - 1.0) <= 1e-12
+        assert abs(rule.masses.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("order", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("mu", [ArcsineMeasure(), BetaTypeMeasure(0.3)], ids=["arcsine", "beta0.3"])
+    def test_gauss_rules_are_discrete_measures(self, mu, order):
+        # DiscreteMeasure checks every atom and the total mass on construction.
+        rule = quadrature(mu, order)
+        assert isinstance(rule, DiscreteMeasure) and len(rule.atoms) == order
+        assert abs(rule.masses.sum() - 1.0) <= 1e-15
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
@@ -103,16 +113,16 @@ class TestQuadrature:
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_beta_mass_and_mean_vs_adaptive_oracle(self, t):
         rule = quadrature(BetaTypeMeasure(t), 64)
-        assert rule.weights.sum() == pytest.approx(beta_moment_oracle(t, 0), abs=1e-8)
-        mean = float(np.dot(rule.weights, rule.nodes))
+        assert rule.masses.sum() == pytest.approx(beta_moment_oracle(t, 0), abs=1e-8)
+        mean = float(np.dot(rule.masses, rule.locations))
         assert mean == pytest.approx(beta_moment_oracle(t, 1), abs=1e-8)
         assert mean == pytest.approx(t, abs=1e-8)
 
     def test_nodes_inside_unit_interval(self):
         for mu in SAMPLE_MEASURES:
-            rule = quadrature(mu)
-            assert np.all(rule.nodes >= 0) and np.all(rule.nodes <= 1)
-            assert np.all(rule.weights > 0)
+            rule = quadrature(mu, 256)
+            assert np.all(rule.locations >= 0) and np.all(rule.locations <= 1)
+            assert np.all(rule.masses > 0)
 
 
 class TestGeneratorFunction:
@@ -149,19 +159,30 @@ class TestGeneratorFunction:
         beta = f_mu(BetaTypeMeasure(0.5), X_GRID)
         assert np.max(np.abs(arc - beta)) <= 1e-10
 
-    def test_doubling_converged_at_default(self):
-        from qhmeans import DEFAULT_QUAD_ORDER
-
-        base = f_mu(ArcsineMeasure(), X_GRID, order=DEFAULT_QUAD_ORDER)
-        doubled = f_mu(ArcsineMeasure(), X_GRID, order=2 * DEFAULT_QUAD_ORDER)
+    def test_gauss_rules_converge_to_closed_form(self):
+        base = f_mu(quadrature(ArcsineMeasure(), 256), X_GRID)
+        doubled = f_mu(quadrature(ArcsineMeasure(), 512), X_GRID)
         assert np.max(np.abs(base - doubled)) < 1e-9
+        assert np.max(np.abs(base - f_mu(ArcsineMeasure(), X_GRID))) < 1e-9
         # Beta-type rules hit the double-precision node-placement plateau
         # (~1e-8 near the grid edges), so they get a looser bound.
         for t in (0.25, 0.75):
-            base = f_mu(BetaTypeMeasure(t), X_GRID, order=DEFAULT_QUAD_ORDER)
-            doubled = f_mu(BetaTypeMeasure(t), X_GRID, order=2 * DEFAULT_QUAD_ORDER)
+            base = f_mu(quadrature(BetaTypeMeasure(t), 256), X_GRID)
+            doubled = f_mu(quadrature(BetaTypeMeasure(t), 512), X_GRID)
             assert np.max(np.abs(base - doubled)) < 1e-7
-            assert np.max(np.abs(base - X_GRID**t)) < 1e-7
+            assert np.max(np.abs(base - f_mu(BetaTypeMeasure(t), X_GRID))) < 1e-7
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
+    def test_closed_forms_match_adaptive_oracle(self, t):
+        # f_mu and f_mu' by their defining integrals against the Beta-type
+        # density (the arcsine one at t = 1/2), across e^-12 to e^12.
+        mu = ArcsineMeasure() if t == 0.5 else BetaTypeMeasure(t)
+        worst = 0.0
+        for x in np.exp(np.linspace(-12.0, 12.0, 9)):
+            value = beta_integral(t, lambda l: x / ((1 - l) * x + l))
+            slope = beta_integral(t, lambda l: l / ((1 - l) * x + l) ** 2)
+            worst = max(worst, abs(f_mu(mu, x) / value - 1), abs(f_mu_prime(mu, x) / slope - 1))
+        assert worst <= 1e-10
 
 
 class TestGeneratorDerivative:

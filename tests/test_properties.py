@@ -1,6 +1,7 @@
 """The seeded property campaigns: discards, failure records and their inputs."""
 
 import json
+import sys
 import time
 from functools import partial
 from pathlib import Path
@@ -186,12 +187,27 @@ def test_convex_order_flags_exactly_the_swapped_pairs(every):
         assert f["inputs"] == {"mu": nu.atoms, "nu": mu.atoms}
 
 
-def test_warm_campaigns_build_no_quadrature_rules():
+def test_warm_campaigns_build_no_quadrature_rules(monkeypatch):
     run_campaigns(ARCSINE_SPEC, seed=1, trials=10, dim=3)
-    misses = measures._cached_rule.cache_info().misses
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    quadrature = counted("quadrature", measures.quadrature)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qhmeans" and hasattr(module, "quadrature"):
+            monkeypatch.setattr(module, "quadrature", quadrature)
+    monkeypatch.setattr(
+        measures.DiscreteMeasure, "__post_init__",
+        counted("DiscreteMeasure", measures.DiscreteMeasure.__post_init__),
+    )
     for seed in range(2, 6):
         run_campaigns(ARCSINE_SPEC, seed=seed, trials=10, dim=3)
-    assert measures._cached_rule.cache_info().misses == misses
+    assert calls == []
 
 
 @pytest.mark.parametrize(

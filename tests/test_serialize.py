@@ -17,6 +17,7 @@ from qhmeans import (
     solve_barycenter,
     DivergenceSpec,
     arcsine_generator,
+    phi,
 )
 from qhmeans.serialize import (
     channel_from_json,
@@ -99,6 +100,18 @@ class TestMeasureAndGeneratorJson:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             generator_from_json({"kind": "exotic"})
+
+    def test_tabulated_loads_as_discrete(self):
+        obj = {"kind": "tabulated", "nodes": [0.2, 0.5], "weights": [0.5, 0.5]}
+        mu = measure_from_json(obj)
+        assert mu == DiscreteMeasure(((0.2, 0.5), (0.5, 0.5)))
+        for edge in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                measure_from_json({**obj, "nodes": [edge, 0.5]})
+        assert measure_to_json(mu)["kind"] == "discrete"
+        spec = DivergenceSpec(MeasureGenerator(mu))
+        B = np.array([[2.5, 1.5], [1.5, 2.5]])
+        assert phi(np.diag([4.0, 1.0]), B, spec) == 0.9301364200082682
 
 
 class TestEnsembleAndChannelJson:
