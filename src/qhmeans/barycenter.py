@@ -16,7 +16,7 @@ the mean-equation solution quantifies noncommutativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,10 +34,13 @@ from .hermitian import (
     PositiveDefiniteMatrix,
     _hermitian_part,
     _mat,
+    _inv_root,
     _power_divided_differences,
+    _require_pd,
     _roots,
     _second_divided_differences,
     _spectral,
+    _validated_pd,
     frobenius_dist,
     pd,
     thompson_dist,
@@ -52,18 +55,33 @@ _SHRINK = 0.5
 
 @dataclass(frozen=True, eq=False)
 class WeightedEnsemble:
-    """Positive definite matrices A_1..A_m with positive weights summing to 1."""
+    """Positive definite matrices A_1..A_m with positive weights summing to 1.
+
+    The members are validated together: one Hermitian part and one eigvalsh of
+    their (m, d, d) stack, which is kept as `stack` for the solvers.  Members
+    given as PositiveDefiniteMatrix are kept as they are; the others become
+    PositiveDefiniteMatrix views of the stack.
+    """
 
     matrices: tuple
     weights: np.ndarray
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = tuple(pd(A) for A in self.matrices)
-        if not mats:
+        members = tuple(self.matrices)
+        if not members:
             raise DomainError("an ensemble needs at least one matrix")
-        dim = mats[0].dim
-        if any(A.dim != dim for A in mats):
+        arrays = [_mat(A) for A in members]
+        dim = arrays[0].shape[0]
+        if any(a.shape[0] != dim for a in arrays):
             raise DimensionMismatchError("all ensemble matrices must share a dimension")
+        stack = _hermitian_part(np.stack(arrays))
+        _require_pd(np.linalg.eigvalsh(stack), "member")
+        stack.setflags(write=False)
+        mats = tuple(
+            A if isinstance(A, PositiveDefiniteMatrix) else _validated_pd(S)
+            for A, S in zip(members, stack)
+        )
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(mats),):
             raise DimensionMismatchError(
@@ -76,6 +94,7 @@ class WeightedEnsemble:
         w.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -88,11 +107,6 @@ class WeightedEnsemble:
     def arithmetic_mean(self) -> PositiveDefiniteMatrix:
         acc = sum(w * A.mat for w, A in zip(self.weights, self.matrices))
         return PositiveDefiniteMatrix(acc)
-
-
-def _stacked(ens: WeightedEnsemble) -> np.ndarray:
-    """The members as one (m, d, d) complex array."""
-    return np.stack([A.mat for A in ens.matrices])
 
 
 def ensemble(matrices: Sequence[MatrixLike], weights: Sequence[float]) -> WeightedEnsemble:
@@ -152,8 +166,8 @@ class _Workspace:
         if self.power is None:
             self.locations, self.masses = mu.locations, mu.masses
         self.weights = np.ascontiguousarray(ens.weights)
-        self.mats = _stacked(ens)
-        self.inv_roots = _roots(self.mats)[1]
+        self.mats = ens.stack
+        self.inv_roots = _inv_root(self.mats)
         self.const = (1 - spec.c) * float(self.weights @ np.trace(self.mats, axis1=1, axis2=2).real)
         self.c = spec.c
         self._first = None
@@ -189,12 +203,34 @@ class _Workspace:
         Q = np.swapaxes(P * (self.masses * l * (1 - l)), -1, -2)
         return -((P[..., :, None, :] * P[..., None, :, :]) @ Q[:, None])
 
-    def objective(self, X: np.ndarray) -> float:
-        # Tr f(M_j) A_j = sum_i f(e_ji) (V_j* A_j V_j)_ii
+    def _mean_traces(self, X: np.ndarray) -> float:
+        """sum_j w_j Tr(A_j sigma X), with Tr(A_j sigma X) = Tr f(M_j) A_j
+        = sum_i f(e_ji) (V_j* A_j V_j)_ii."""
         e, _, K, _ = self._first_order(X)
         fe = np.asarray(self.spec.generator.f(e), dtype=np.float64)
         means = (fe * np.diagonal(K, axis1=1, axis2=2).real).sum(axis=1)
-        return self.const + self.c * float(np.trace(X).real) - float(self.weights @ means)
+        return float(self.weights @ means)
+
+    def objective(self, X: np.ndarray) -> float:
+        return self.const + self.c * float(np.trace(X).real) - self._mean_traces(X)
+
+    def ray_start(self, X: np.ndarray) -> np.ndarray:
+        """The minimizer a* X of the objective on the ray {a X, a > 0}, for f = x^t.
+
+        x^t makes sigma homogeneous, A sigma (a X) = a^t (A sigma X), so along
+        the ray F(a X) = const + t a Tr X - a^t S with S = sum_j w_j Tr(A_j sigma X)
+        (c = t for x^t), smallest at a* = (S / Tr X)^(1/(1-t)).  For proportional
+        members A_j = l_j A and X their arithmetic mean, a* X is the barycenter
+        (sum_j w_j l_j^(1-t))^(1/(1-t)) A.  M_j(a X) = a M_j(X), so the first-order
+        data at X carry over: e scales by a, the f^[1] table by a^(t-1), and
+        W_j and K_j are unchanged.  They are cached for a* X, which is returned.
+        """
+        t = self.power
+        alpha = (self._mean_traces(X) / float(np.trace(X).real)) ** (1 / (1 - t))
+        e, W, K, table = self._first_order(X)
+        start = alpha * X
+        self._first = (start, alpha * e, W, K, alpha ** (t - 1) * table)
+        return start
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
         _, W, K, table = self._first_order(X)
@@ -294,6 +330,11 @@ def solve_barycenter(
 ) -> SolverReport:
     """Minimize sum_j w_j phi(A_j, X) by damped Newton on the stationarity equation.
 
+    The solve starts at opts.initial_guess when one is given.  Otherwise it
+    starts at the arithmetic mean A of the members, or, when f = x^t, at the
+    multiple of A that minimizes the objective on the ray through it
+    (_Workspace.ray_start), which is the barycenter when the members are
+    proportional and costs no eigendecomposition beyond the one at A.
     Each iteration solves H P = -G for the exact Hessian H and gradient G at
     X, then halves the step s from 1 until X + sP passes a Cholesky test and
     ||G(X + sP)|| <= (1 - 1e-4 s) ||G(X)||; along P the squared gradient norm
@@ -306,6 +347,8 @@ def solve_barycenter(
     opts = opts or SolverOptions()
     ws = _Workspace(ens, spec)
     X = _initial_state(ens, opts)
+    if opts.initial_guess is None and ws.power is not None:
+        X = ws.ray_start(X)
     G = ws.gradient(X)
     trace = [ws.objective(X)]
     res = float(np.linalg.norm(G))
@@ -447,7 +490,7 @@ def solve_mean_equation(
     fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
     if fp1 <= 0:
         raise DomainError("generator must have positive derivative at 1")
-    mats = _stacked(ens)
+    mats = ens.stack
     weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
 
     def step(X):

@@ -3,8 +3,9 @@
 All matrix functions go through a single primitive, the eigendecomposition:
 dimensions here are small enough that correctness and auditability beat
 Pade or scaling-and-squaring schemes.  The private helpers _hermitian_part,
-_spectral and _roots are the package's one route for (M + M*)/2,
-U diag(f(w)) U* and A^{1/2} with A^{-1/2}, on one matrix or a stack of them.
+_spectral, _roots and _inv_root are the package's one route for (M + M*)/2,
+U diag(f(w)) U*, A^{1/2} with A^{-1/2}, and A^{-1/2} alone, on one matrix or a
+stack of them.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ class PositiveDefiniteMatrix(HermitianMatrix):
     def __post_init__(self):
         super().__post_init__()
         _require_pd(np.linalg.eigvalsh(self.mat))
+
+
+def _validated_pd(mat: np.ndarray) -> PositiveDefiniteMatrix:
+    """A PositiveDefiniteMatrix around a read-only Hermitian array whose
+    spectrum the caller has already held to _require_pd, without a second check."""
+    A = object.__new__(PositiveDefiniteMatrix)
+    object.__setattr__(A, "mat", mat)
+    return A
 
 
 def _extremes(w: np.ndarray) -> list:
@@ -206,6 +215,14 @@ def _roots(mat: np.ndarray, warn: bool = False):
     return _spectral(U, r), _spectral(U, 1.0 / r)
 
 
+def _inv_root(mat: np.ndarray, warn: bool = False) -> np.ndarray:
+    """A^{-1/2} alone, from one eigh: the same bits as _roots(mat, warn)[1]."""
+    w, U = np.linalg.eigh(mat)
+    if warn:
+        _warn_if_ill_conditioned(w)
+    return _spectral(U, 1.0 / np.sqrt(w))
+
+
 def sqrt_pd(A: MatrixLike) -> PositiveDefiniteMatrix:
     """Principal matrix square root of a positive definite matrix."""
     return _pd_spectral(A, np.sqrt)
@@ -246,7 +263,7 @@ def thompson_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Thompson metric max_i |log lambda_i(A^{-1/2} B A^{-1/2})|."""
     a, b = pd(A), pd(B)
     _check_same_dim(a.mat, b.mat)
-    s = _roots(a.mat, warn=True)[1]
+    s = _inv_root(a.mat, warn=True)
     w = np.linalg.eigvalsh(_hermitian_part(s @ b.mat @ s))
     if w[0] <= 0:
         raise DomainError("Thompson metric requires positive definite inputs")

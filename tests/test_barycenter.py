@@ -11,6 +11,7 @@ from qhmeans import (
     DivergenceSpec,
     DomainError,
     GeometricGenerator,
+    HarmonicGenerator,
     LogGenerator,
     MeasureGenerator,
     NonConvergenceError,
@@ -48,6 +49,10 @@ from conftest import (
 )
 
 ARCSINE_SPEC = DivergenceSpec(arcsine_generator())
+# Generators with f = x^t, whose Newton solves start on the ray through the
+# arithmetic mean.
+POWER_GENERATORS = [arcsine_generator(), GeometricGenerator(0.25), GeometricGenerator(0.75)]
+POWER_IDS = ["arcsine", "geometric:0.25", "geometric:0.75"]
 
 
 def ref_ensemble():
@@ -126,6 +131,34 @@ class TestEnsemble:
     def test_arithmetic_mean(self):
         ens = ensemble([np.diag([2.0, 2.0]), np.diag([4.0, 4.0])], [0.25, 0.75])
         assert np.allclose(ens.arithmetic_mean().mat, 3.5 * np.eye(2))
+
+    def test_members_are_validated_as_one_stack(self, rng, monkeypatch):
+        mats = [random_pd_np(rng, 3) for _ in range(8)]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        ens = ensemble(mats, np.full(8, 0.125))
+        assert calls == [(8, 3, 3)]
+        assert ens.stack.shape == (8, 3, 3) and not ens.stack.flags.writeable
+        for A, M, S in zip(mats, ens.matrices, ens.stack):
+            assert np.array_equal(M.mat, (A + A.conj().T) / 2)
+            assert np.array_equal(M.mat, S)
+
+    def test_non_positive_member_is_named(self, rng):
+        mats = [random_pd_np(rng, 3) for _ in range(8)]
+        mats[5] = np.diag([1.0, 0.5, -1e-3])
+        with pytest.raises(DomainError, match="member 5 of a stack of 8 is not positive definite"):
+            ensemble(mats, np.full(8, 0.125))
+
+    def test_positive_definite_members_are_kept(self, rng):
+        members = [pd(random_pd_np(rng, 3)) for _ in range(3)]
+        ens = ensemble(members, [0.2, 0.5, 0.3])
+        assert all(M is A for M, A in zip(ens.matrices, members))
 
 
 class TestObjective:
@@ -254,10 +287,63 @@ class TestSolveBarycenter:
         assert report.converged
         assert report.iterations <= 11
 
+    @pytest.mark.parametrize("gen", POWER_GENERATORS, ids=POWER_IDS)
+    def test_proportional_members_start_at_the_power_mean(self, rng, gen):
+        # for A_j = l_j A the ray-stationary start is the commuting-case
+        # barycenter (sum_j w_j l_j^(1-t))^(1/(1-t)) A, so no Newton step is taken
+        A = random_pd_np(rng, 3)
+        lam, w = np.array([1.0, 4.0, 0.5]), np.array([0.2, 0.5, 0.3])
+        ens = ensemble([l * A for l in lam], w)
+        spec = DivergenceSpec(gen)
+        t = spec.c
+        report = solve_barycenter(ens, spec)
+        assert report.converged and report.iterations == 0
+        expected = (w @ lam ** (1 - t)) ** (1 / (1 - t)) * A
+        scale = np.linalg.norm(expected)
+        assert np.linalg.norm(report.solution.mat - expected) <= 1e-13 * scale
+        fresh = residual(ens, report.solution, spec)
+        assert abs(report.final_residual - fresh) <= 64 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("gen", POWER_GENERATORS, ids=POWER_IDS)
+    def test_start_minimizes_the_objective_on_the_mean_ray(self, rng, gen):
+        spec = DivergenceSpec(gen)
+        t = spec.c
+        for _ in range(3):
+            ens = random_ensemble(rng, 3, 4, spread=1.0)
+            mean = ens.arithmetic_mean()
+            S = sum(
+                w * kubo_ando_mean(A, mean, gen).trace() for w, A in zip(ens.weights, ens.matrices)
+            )
+            alpha = (S / mean.trace()) ** (1 / (1 - t))
+            at = lambda a: objective(ens, a * mean.mat, spec)
+            report = solve_barycenter(ens, spec)
+            start = report.objective_trace[0]
+            assert start == pytest.approx(at(alpha), rel=1e-12)
+            assert start < at(0.99 * alpha) and start < at(1.01 * alpha)
+            # a tolerance the start already meets returns it: the residual read
+            # from the rescaled eigendecompositions matches a fresh evaluation
+            stop = solve_barycenter(ens, spec, SolverOptions(residual_tol=1e3))
+            assert stop.iterations == 0
+            point = alpha * mean.mat
+            assert np.linalg.norm(stop.solution.mat - point) <= 1e-12 * np.linalg.norm(point)
+            fresh = residual(ens, stop.solution, spec)
+            assert stop.final_residual == pytest.approx(fresh, rel=1e-10)
+
+    def test_atom_sum_generators_and_given_guesses_start_as_given(self, rng):
+        ens = random_ensemble(rng, 3, 4, spread=1.0)
+        mean = ens.arithmetic_mean()
+        harmonic = DivergenceSpec(HarmonicGenerator(0.3))
+        report = solve_barycenter(ens, harmonic)
+        assert report.objective_trace[0] == objective(ens, mean, harmonic)
+        geometric = DivergenceSpec(GeometricGenerator(0.5))
+        report = solve_barycenter(ens, geometric, SolverOptions(initial_guess=mean))
+        assert report.objective_trace[0] == objective(ens, mean, geometric)
+
     def test_reference_problem_newton_iterations(self):
-        report = solve_barycenter(ref_ensemble(), ARCSINE_SPEC)
-        assert report.converged
-        assert report.iterations <= 4
+        for gen in (arcsine_generator(), GeometricGenerator(0.5)):
+            report = solve_barycenter(ref_ensemble(), DivergenceSpec(gen))
+            assert report.converged
+            assert report.iterations <= 3
 
     @pytest.mark.parametrize("dim, seed", [(4, 0), (4, 5), (2, 22), (2, 24), (2, 26), (4, 28)])
     def test_converges_on_spread_3_pairs(self, dim, seed):
