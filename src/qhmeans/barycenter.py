@@ -8,10 +8,14 @@ the damped Newton solver shares one eigendecomposition per member and point
 among objective, gradient and Hessian, and the stationarity residual
 differentiates exactly the objective it minimizes.  The
 power-mean equation and the noncommutative mean equation share one batched
-fixed-point map, X -> X^{1/2} (sum_j w_j f'(M_j^{-1})) X^{1/2} / f'(1) with
-M_j = X^{-1/2} A_j X^{-1/2}, iterated under Anderson acceleration; for
-commuting inputs all of these agree, and the gap between the barycenter and
-the mean-equation solution quantifies noncommutativity.
+fixed-point map, T(X) = X^{1/2} S X^{1/2} with S = sum_j w_j f'(M_j^{-1}) / f'(1)
+and M_j = X^{-1/2} A_j X^{-1/2}.  The solver tests the plain map's residual
+||T(X) - X|| / ||X|| and, under Anderson acceleration, steps along
+X #_beta T(X) = X^{1/2} S^beta X^{1/2}: beta = 1/(1-t) when f = x^t, which
+solves commuting and two-member ensembles in one step, and beta = 1 (the
+plain map) otherwise.  For commuting inputs all of these agree, and the gap
+between the barycenter and the mean-equation solution quantifies
+noncommutativity.
 """
 
 from __future__ import annotations
@@ -105,8 +109,18 @@ class WeightedEnsemble:
         return len(self.matrices)
 
     def arithmetic_mean(self) -> PositiveDefiniteMatrix:
-        acc = sum(w * A.mat for w, A in zip(self.weights, self.matrices))
-        return PositiveDefiniteMatrix(acc)
+        return PositiveDefiniteMatrix(self._mean_array())
+
+    def _mean_array(self) -> np.ndarray:
+        """sum_j w_j A_j of the stack, summed in member order.
+
+        lambda_min of the sum is at least sum_j w_j lambda_min(A_j) and its
+        lambda_max at most sum_j w_j lambda_max(A_j), so its
+        lambda_min / lambda_max is at least the smallest such ratio of a
+        member: it passes the positive definite test whenever the validated
+        members do.
+        """
+        return sum(w * A for w, A in zip(self.weights, self.stack))
 
 
 def ensemble(matrices: Sequence[MatrixLike], weights: Sequence[float]) -> WeightedEnsemble:
@@ -320,7 +334,7 @@ def _cholesky_ok(X: np.ndarray) -> bool:
 def _initial_state(ens: WeightedEnsemble, opts: SolverOptions) -> np.ndarray:
     if opts.initial_guess is not None:
         return _as_state(ens, opts.initial_guess)
-    return _as_state(ens, ens.arithmetic_mean())
+    return ens._mean_array()
 
 
 def solve_barycenter(
@@ -405,21 +419,25 @@ def _anderson_point(T, f, dX, dF):
     return Y if _cholesky_ok(Y) else None
 
 
-def _fixed_point(ens, opts, step_fn) -> SolverReport:
-    """Anderson-accelerated iteration of the map T = step_fn to its fixed point.
+def _fixed_point(ens, opts, step_fn, beta) -> SolverReport:
+    """Anderson-accelerated iteration to the fixed point of T(X) = X^{1/2} S X^{1/2},
+    where step_fn(X) returns X^{1/2} and S.
 
-    Iteration k evaluates T at X_k and the residual F_k = T(X_k) - X_k, and
+    Iteration k evaluates T at X_k and the plain residual T(X_k) - X_k, and
     stops with X_k, the point that residual was measured at, once
-    ||F_k||_F / ||X_k||_F <= residual_tol; that relative residual of the plain
-    map is what objective_trace records per iteration.  An unconverged solve
-    returns the last map image T(X_k).
-    Otherwise X_{k+1} is the type-II Anderson extrapolation (Walker & Ni 2011)
+    ||T(X_k) - X_k||_F / ||X_k||_F <= residual_tol; that relative residual is
+    what objective_trace records per iteration.  Otherwise the next point
+    comes from U(X_k) = X_k #_beta T(X_k) = X_k^{1/2} S^beta X_k^{1/2}, which is
+    T(X_k) itself at beta = 1 and costs one more eigh of S otherwise.  An
+    unconverged solve returns the last U(X_k).
+    X_{k+1} is the type-II Anderson extrapolation (Walker & Ni 2011) of U
     from the last _ANDERSON_DEPTH differences dX_i of iterates and dF_i of
-    residuals: X_{k+1} = T(X_k) - sum_i g_i (dX_i + dF_i), with the real
-    coefficients g minimizing ||F_k - sum_i g_i dF_i||_F (normal equations),
-    so X_{k+1} stays Hermitian.  When those equations are singular or the
-    extrapolation fails the Cholesky test, X_{k+1} = T(X_k) and the history is
-    cleared.  Anderson residuals need not decrease monotonically.
+    residuals F = U - X: X_{k+1} = U(X_k) - sum_i g_i (dX_i + dF_i), with the
+    real coefficients g minimizing ||F_k - sum_i g_i dF_i||_F (normal
+    equations), so X_{k+1} stays Hermitian.  When those equations are
+    singular or the extrapolation fails the Cholesky test,
+    X_{k+1} = U(X_k) and the history is cleared.  Anderson residuals need
+    not decrease monotonically.
     """
     X = _initial_state(ens, opts)
     dX: list = []
@@ -428,13 +446,18 @@ def _fixed_point(ens, opts, step_fn) -> SolverReport:
     trace: list = []
     converged = False
     for _ in range(opts.max_iterations):
-        T = _hermitian_part(step_fn(X))
-        F = T - X
+        root, S = step_fn(X)
+        U = _hermitian_part(root @ S @ root)
+        F = U - X
         delta = float(np.linalg.norm(F) / max(np.linalg.norm(X), 1e-300))
         trace.append(delta)
         if delta <= opts.residual_tol:
             converged = True
             break
+        if beta != 1:
+            e, V = np.linalg.eigh(_hermitian_part(S))
+            U = _hermitian_part(root @ _spectral(V, e**beta) @ root)
+            F = U - X
         x, f = _real_vector(X), _real_vector(F)
         if f_prev is not None:
             dX.append(x - x_prev)
@@ -442,13 +465,13 @@ def _fixed_point(ens, opts, step_fn) -> SolverReport:
             if len(dF) > _ANDERSON_DEPTH:
                 del dX[0], dF[0]
         x_prev, f_prev = x, f
-        X = _anderson_point(T, f, dX, dF) if dF else None
+        X = _anderson_point(U, f, dX, dF) if dF else None
         if X is None:
-            X = T
+            X = U
             dX.clear()
             dF.clear()
     return SolverReport(
-        solution=PositiveDefiniteMatrix(X if converged else T),
+        solution=PositiveDefiniteMatrix(X if converged else U),
         iterations=len(trace),
         final_residual=trace[-1],
         objective_trace=trace,
@@ -484,12 +507,19 @@ def solve_mean_equation(
     Accepts a DivergenceSpec or a bare generator (e.g. the log generator,
     whose equation collapses to the weighted arithmetic mean).  Each step
     diagonalizes every M_j = X^{-1/2} A_j X^{-1/2} in one batched eigh.
+
+    When f = x^t the map is T(X) = sum_j w_j X #_{1-t} A_j, S is the
+    power sum sum_j w_j M_j^{1-t}, and the solver steps along
+    X^{1/2} S^{1/(1-t)} X^{1/2}, the power mean of order 1-t of the M_j
+    carried back by X^{1/2}: exact in one step for commuting members, and
+    so, by congruence with A_1^{-1/2}, for any two members.
     """
     opts = opts or SolverOptions()
     gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
     fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
     if fp1 <= 0:
         raise DomainError("generator must have positive derivative at 1")
+    t = power_exponent(gen.representing_measure())
     mats = ens.stack
     weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
 
@@ -497,9 +527,9 @@ def solve_mean_equation(
         root, iroot = _roots(X)
         e, V = np.linalg.eigh(_hermitian_part(iroot @ mats @ iroot))
         vals = weights * np.asarray(gen.f_prime(1.0 / e), dtype=np.float64)
-        return root @ _spectral(V, vals).sum(axis=0) @ root
+        return root, _spectral(V, vals).sum(axis=0)
 
-    return _fixed_point(ens, opts, step)
+    return _fixed_point(ens, opts, step, 1.0 if t is None else 1.0 / (1.0 - t))
 
 
 def noncommutativity_measure(

@@ -122,9 +122,10 @@ def quadrature(mu: Measure, order: int) -> DiscreteMeasure:
     raise UnsupportedVariantError(f"unknown measure variant {type(mu).__name__}")
 
 
-def power_exponent(mu: Measure) -> Optional[float]:
+def power_exponent(mu: Optional[Measure]) -> Optional[float]:
     """The t with f_mu(x) = x^t for the arcsine (t = 1/2) and Beta-type
-    densities; None for a discrete measure, whose generator is a finite sum."""
+    densities; None for a discrete measure, whose generator is a finite sum,
+    and for no measure."""
     if isinstance(mu, ArcsineMeasure):
         return 0.5
     if isinstance(mu, BetaTypeMeasure):
