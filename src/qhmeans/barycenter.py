@@ -8,10 +8,13 @@ the damped Newton solver shares one eigendecomposition per member and point
 among objective, gradient and Hessian, and the stationarity residual
 differentiates exactly the objective it minimizes.  The
 power-mean equation and the noncommutative mean equation share one batched
-fixed-point map, T(X) = X^{1/2} S X^{1/2} with S = sum_j w_j f'(M_j^{-1}) / f'(1)
-and M_j = X^{-1/2} A_j X^{-1/2}.  The solver tests the plain map's residual
+fixed-point map, T(X) = L S L* with S = sum_j w_j f'(M_j^{-1}) / f'(1) and
+M_j = L^{-1} A_j L^{-*}, where X = L L* is the Cholesky factorization of the
+iterate.  Kubo-Ando means are congruence-invariant (the transformer
+equality), so this is the map X^{1/2} S' X^{1/2} on M'_j = X^{-1/2} A_j X^{-1/2}
+without a square root.  The solver tests the plain map's residual
 ||T(X) - X|| / ||X|| and, under Anderson acceleration, steps along
-X #_beta T(X) = X^{1/2} S^beta X^{1/2}: beta = 1/(1-t) when f = x^t, which
+X #_beta T(X) = L S^beta L*: beta = 1/(1-t) when f = x^t, which
 solves commuting and two-member ensembles in one step, and beta = 1 (the
 plain map) otherwise.  For commuting inputs all of these agree, and the gap
 between the barycenter and the mean-equation solution quantifies
@@ -41,7 +44,6 @@ from .hermitian import (
     _inv_root,
     _power_divided_differences,
     _require_pd,
-    _roots,
     _second_divided_differences,
     _spectral,
     _validated_pd,
@@ -323,12 +325,12 @@ def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> floa
     return float(np.linalg.norm(euclidean_gradient(ens, X, spec).mat))
 
 
-def _cholesky_ok(X: np.ndarray) -> bool:
+def _cholesky(X: np.ndarray) -> Optional[np.ndarray]:
+    """The lower Cholesky factor L of X = L L*, or None if X fails the test."""
     try:
-        np.linalg.cholesky(X)
+        return np.linalg.cholesky(X)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
 
 
 def _initial_state(ens: WeightedEnsemble, opts: SolverOptions) -> np.ndarray:
@@ -378,7 +380,7 @@ def solve_barycenter(
         s = 1.0
         while s >= _MIN_STEP:
             Xt = X + s * P
-            if _cholesky_ok(Xt):
+            if _cholesky(Xt) is not None:
                 Gt = ws.gradient(Xt)
                 rt = float(np.linalg.norm(Gt))
                 if rt <= (1 - 1e-4 * s) * res:
@@ -408,55 +410,69 @@ def _real_vector(X: np.ndarray) -> np.ndarray:
     return X.view(np.float64).ravel()
 
 
-def _anderson_point(T, f, dX, dF):
-    """T - sum_i g_i (dX_i + dF_i) for the least-squares g, or None if that fails."""
+def _anderson_point(U, f, dX, dF):
+    """Y = U - sum_i g_i (dX_i + dF_i) for the least-squares g, with its Cholesky
+    factor, or None if either fails."""
     D = np.array(dF)
     try:
         g = np.linalg.solve(D @ D.T, D @ f)
     except np.linalg.LinAlgError:
         return None
-    Y = T - (g @ (np.array(dX) + D)).view(np.complex128).reshape(T.shape)
-    return Y if _cholesky_ok(Y) else None
+    Y = U - (g @ (np.array(dX) + D)).view(np.complex128).reshape(U.shape)
+    L = _cholesky(Y)
+    return None if L is None else (Y, L)
+
+
+def _half_power(S: np.ndarray, beta: float) -> np.ndarray:
+    """S^(beta/2) of a positive definite S: by products when beta/2 is a whole
+    number (beta = 2 at t = 1/2, beta = 4 at t = 3/4), else from one eigh."""
+    k = beta / 2
+    if k.is_integer():
+        return np.linalg.matrix_power(S, int(k))
+    e, V = np.linalg.eigh(S)
+    return _spectral(V, e**k)
 
 
 def _fixed_point(ens, opts, step_fn, beta) -> SolverReport:
-    """Anderson-accelerated iteration to the fixed point of T(X) = X^{1/2} S X^{1/2},
-    where step_fn(X) returns X^{1/2} and S.
+    """Anderson-accelerated iteration to the fixed point of T(X) = L S L*, where
+    L is the Cholesky factor of X = L L* and step_fn(L) returns S.
 
     Iteration k evaluates T at X_k and the plain residual T(X_k) - X_k, and
-    stops with X_k, the point that residual was measured at, once
-    ||T(X_k) - X_k||_F / ||X_k||_F <= residual_tol; that relative residual is
-    what objective_trace records per iteration.  Otherwise the next point
-    comes from U(X_k) = X_k #_beta T(X_k) = X_k^{1/2} S^beta X_k^{1/2}, which is
-    T(X_k) itself at beta = 1 and costs one more eigh of S otherwise.  An
-    unconverged solve returns the last U(X_k).
+    stops once ||T(X_k) - X_k||_F / ||X_k||_F <= residual_tol or the iteration
+    cap is reached; that relative residual is what objective_trace records per
+    iteration, and X_k, the point it was measured at, is returned either way.
+    Otherwise the next point comes from U(X_k) = X_k #_beta T(X_k) = G G* with
+    G = L S^(beta/2), which is T(X_k) itself at beta = 1, takes matrix
+    products when beta/2 is a whole number and one more eigh of S otherwise.
     X_{k+1} is the type-II Anderson extrapolation (Walker & Ni 2011) of U
     from the last _ANDERSON_DEPTH differences dX_i of iterates and dF_i of
     residuals F = U - X: X_{k+1} = U(X_k) - sum_i g_i (dX_i + dF_i), with the
     real coefficients g minimizing ||F_k - sum_i g_i dF_i||_F (normal
-    equations), so X_{k+1} stays Hermitian.  When those equations are
-    singular or the extrapolation fails the Cholesky test,
-    X_{k+1} = U(X_k) and the history is cleared.  Anderson residuals need
-    not decrease monotonically.
+    equations), so X_{k+1} stays Hermitian.  Its Cholesky factor is both the
+    cone test and the next L.  When those equations are singular or the
+    extrapolation fails the Cholesky test, X_{k+1} = U(X_k) and the history is
+    cleared; if U(X_k) fails the test too, the solve ends unconverged at X_k.
+    Anderson residuals need not decrease monotonically.  A starting point
+    that fails the Cholesky test raises DomainError.
     """
     X = _initial_state(ens, opts)
+    L = _cholesky(X)
+    if L is None:
+        raise DomainError("the starting point fails the Cholesky test")
     dX: list = []
     dF: list = []
     x_prev = f_prev = None
     trace: list = []
-    converged = False
-    for _ in range(opts.max_iterations):
-        root, S = step_fn(X)
-        U = _hermitian_part(root @ S @ root)
+    while True:
+        S = step_fn(L)
+        U = _hermitian_part(L @ S @ np.conj(L.T))
         F = U - X
-        delta = float(np.linalg.norm(F) / max(np.linalg.norm(X), 1e-300))
-        trace.append(delta)
-        if delta <= opts.residual_tol:
-            converged = True
+        trace.append(float(np.linalg.norm(F) / max(np.linalg.norm(X), 1e-300)))
+        if trace[-1] <= opts.residual_tol or len(trace) == opts.max_iterations:
             break
         if beta != 1:
-            e, V = np.linalg.eigh(_hermitian_part(S))
-            U = _hermitian_part(root @ _spectral(V, e**beta) @ root)
+            G = L @ _half_power(S, beta)
+            U = _hermitian_part(G @ np.conj(G.T))
             F = U - X
         x, f = _real_vector(X), _real_vector(F)
         if f_prev is not None:
@@ -465,17 +481,20 @@ def _fixed_point(ens, opts, step_fn, beta) -> SolverReport:
             if len(dF) > _ANDERSON_DEPTH:
                 del dX[0], dF[0]
         x_prev, f_prev = x, f
-        X = _anderson_point(U, f, dX, dF) if dF else None
-        if X is None:
-            X = U
+        point = _anderson_point(U, f, dX, dF) if dF else None
+        if point is None:
             dX.clear()
             dF.clear()
+            point = U, _cholesky(U)
+            if point[1] is None:
+                break
+        X, L = point
     return SolverReport(
-        solution=PositiveDefiniteMatrix(X if converged else U),
+        solution=PositiveDefiniteMatrix(X),
         iterations=len(trace),
         final_residual=trace[-1],
         objective_trace=trace,
-        converged=converged,
+        converged=trace[-1] <= opts.residual_tol,
     )
 
 
@@ -506,13 +525,16 @@ def solve_mean_equation(
     the square-root generator it reduces to the order-1/2 power mean equation.
     Accepts a DivergenceSpec or a bare generator (e.g. the log generator,
     whose equation collapses to the weighted arithmetic mean).  Each step
-    diagonalizes every M_j = X^{-1/2} A_j X^{-1/2} in one batched eigh.
+    takes the Cholesky factor L of X (X = L L*) in place of X^{1/2}: the
+    right side is unchanged under that congruence, L S L* with
+    S = (1/c) sum_j w_j f'(M_j^{-1}) and M_j = L^{-1} A_j L^{-*}, and one
+    batched eigh diagonalizes every M_j.
 
     When f = x^t the map is T(X) = sum_j w_j X #_{1-t} A_j, S is the
     power sum sum_j w_j M_j^{1-t}, and the solver steps along
-    X^{1/2} S^{1/(1-t)} X^{1/2}, the power mean of order 1-t of the M_j
-    carried back by X^{1/2}: exact in one step for commuting members, and
-    so, by congruence with A_1^{-1/2}, for any two members.
+    L S^{1/(1-t)} L*, the power mean of order 1-t of the M_j carried back
+    by L: exact in one step for commuting members, and so, by congruence
+    with A_1^{-1/2}, for any two members.
     """
     opts = opts or SolverOptions()
     gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
@@ -523,11 +545,11 @@ def solve_mean_equation(
     mats = ens.stack
     weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
 
-    def step(X):
-        root, iroot = _roots(X)
-        e, V = np.linalg.eigh(_hermitian_part(iroot @ mats @ iroot))
+    def step(L):
+        Li = np.linalg.inv(L)
+        e, V = np.linalg.eigh(Li @ mats @ np.conj(Li.T))
         vals = weights * np.asarray(gen.f_prime(1.0 / e), dtype=np.float64)
-        return root, _spectral(V, vals).sum(axis=0)
+        return _spectral(V, vals).sum(axis=0)
 
     return _fixed_point(ens, opts, step, 1.0 if t is None else 1.0 / (1.0 - t))
 

@@ -33,6 +33,8 @@ from qhmeans import (
     solve_mean_equation,
     solve_power_mean,
 )
+from qhmeans import barycenter
+from qhmeans.hermitian import _spectral
 
 from conftest import (
     REF_A1,
@@ -565,6 +567,37 @@ def map_residual(ens, X, s):
     return float(np.linalg.norm(image - X.mat) / np.linalg.norm(X.mat))
 
 
+def harmonic_map_residual(ens, X, lam):
+    """The mean-equation map residual of HarmonicGenerator(lam) through kubo_ando_mean.
+
+    f'(1/m) / f'(1) = h(m)^2 for h(m) = m / (lam m + 1 - lam), the generator of
+    HarmonicGenerator(1 - lam), so each member's term X^{1/2} h(M_j)^2 X^{1/2}
+    is K_j X^{-1} K_j with K_j = X sigma_h A_j.
+    """
+    gen = HarmonicGenerator(1.0 - lam)
+    Xi = np.linalg.inv(X.mat)
+    image = 0
+    for w, A in zip(ens.weights, ens.matrices):
+        K = kubo_ando_mean(X, A, gen).mat
+        image = image + w * (K @ Xi @ K)
+    return float(np.linalg.norm(image - X.mat) / np.linalg.norm(X.mat))
+
+
+def fixed_point_solve(ens, solver, opts):
+    """solve_power_mean at t for "power:t", solve_mean_equation with
+    HarmonicGenerator(lam) for "harmonic:lam"."""
+    family, _, arg = solver.partition(":")
+    if family == "power":
+        return solve_power_mean(ens, float(arg), opts)
+    return solve_mean_equation(ens, HarmonicGenerator(float(arg)), opts)
+
+
+def large_exponent_ensemble():
+    """Eight 2x2 members at spread 3, on which Anderson acceleration of the
+    plain map alone stalls near 1e-3 at t = 0.95."""
+    return ensemble(*pinned_spectrum_ensemble_np(np.random.default_rng([0, 2, 8, 3]), 2, 8, 3))
+
+
 def two_member_power_mean(A, B, w, t):
     """The fixed point of X = (1-w) X #_p A + w X #_p B, p = 1-t, in closed form:
     A^{1/2} ((1-w) I + w C^p)^{1/p} A^{1/2} with C = A^{-1/2} B A^{-1/2}."""
@@ -602,9 +635,8 @@ class TestFixedPointMap:
         assert err <= 1e-10
 
     def test_large_exponent_does_not_stall(self):
-        # t = 0.95 at spread 3: the plain map contracts by only 0.95 per step,
-        # and Anderson acceleration of it alone stalls near 1e-3 on this input
-        ens = ensemble(*pinned_spectrum_ensemble_np(np.random.default_rng([0, 2, 8, 3]), 2, 8, 3))
+        # t = 0.95: the plain map contracts by only 0.95 per step
+        ens = large_exponent_ensemble()
         opts = SolverOptions()
         report = solve_power_mean(ens, 0.95, opts)
         assert report.converged
@@ -682,6 +714,88 @@ class TestFixedPointMap:
         assert report.iterations == 1 == len(report.objective_trace)
         assert report.final_residual == report.objective_trace[-1]
         assert report.final_residual > SolverOptions().residual_tol
+
+    @pytest.mark.parametrize("t, iterations", [(0.75, 1), (0.95, 3)], ids=["reference", "large-exponent"])
+    def test_unconverged_solve_returns_the_point_it_reports(self, t, iterations):
+        # the returned solution is X_k, where final_residual was measured, not
+        # the next point the solver would have tried
+        ens = ref_ensemble() if t == 0.75 else large_exponent_ensemble()
+        report = solve_power_mean(ens, t, SolverOptions(max_iterations=iterations))
+        assert not report.converged
+        assert report.iterations == iterations
+        again = solve_power_mean(
+            ens, t, SolverOptions(max_iterations=1, initial_guess=report.solution)
+        )
+        assert again.final_residual == report.final_residual
+        assert map_residual(ens, report.solution, 1.0 - t) == pytest.approx(
+            report.final_residual, rel=1e-10
+        )
+
+    def test_fallback_that_fails_cholesky_ends_the_solve_unconverged(self, monkeypatch):
+        # only the start factors: the first fallback point U(X_0) "fails", so
+        # the solve stops at X_0 and reports it, with no exception
+        factor = barycenter._cholesky
+        calls = []
+
+        def start_only(X):
+            calls.append(X)
+            return factor(X) if len(calls) == 1 else None
+
+        monkeypatch.setattr(barycenter, "_cholesky", start_only)
+        ens = ref_ensemble()
+        report = solve_power_mean(ens, 0.75)
+        assert len(calls) == 2
+        assert not report.converged
+        assert report.iterations == 1
+        assert np.array_equal(report.solution.mat, ens.arithmetic_mean().mat)
+
+    @pytest.mark.parametrize(
+        "solver, per_iteration",
+        [("power:0.25", 2), ("power:0.5", 1), ("power:0.75", 1), ("harmonic:0.3", 1)],
+    )
+    def test_eigh_calls_per_iteration(self, monkeypatch, solver, per_iteration):
+        # the M_j stack takes one batched eigh; S^(beta/2) takes products at
+        # beta = 2 and 4, one more eigh at beta = 4/3 (t = 1/4), and nothing at
+        # beta = 1 (the harmonic generator is not a power)
+        ens = spread_ensemble(3, 4, 8, 1.0)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        counts = []
+        for n in (2, 3):
+            calls.clear()
+            opts = SolverOptions(max_iterations=n, residual_tol=1e-300)
+            assert fixed_point_solve(ens, solver, opts).iterations == n
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == per_iteration
+
+    @pytest.mark.parametrize("solver", ["power:0.25", "power:0.5", "power:0.75", "harmonic:0.3"])
+    def test_first_residual_is_the_map_residual(self, rng, solver):
+        # the Cholesky congruence L^{-1} A_j L^{-*} gives the map of the square
+        # root congruence X^{-1/2} A_j X^{-1/2}
+        ens = random_ensemble(rng, 4, 5, 1.5)
+        X = pd(random_pd_np(rng, 4, 1.0))
+        report = fixed_point_solve(ens, solver, SolverOptions(max_iterations=1, initial_guess=X))
+        family, _, arg = solver.partition(":")
+        if family == "power":
+            expected = map_residual(ens, X, 1.0 - float(arg))
+        else:
+            expected = harmonic_map_residual(ens, X, float(arg))
+        assert expected >= 0.01  # X is not the mean
+        assert report.objective_trace[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [2.0, 4.0])
+    def test_half_power_by_products_matches_the_spectral_power(self, rng, beta):
+        S = random_pd_np(rng, 6, 1.0)
+        e, V = np.linalg.eigh(S)
+        spectral = _spectral(V, e ** (beta / 2))
+        products = barycenter._half_power(S, beta)
+        assert np.linalg.norm(products - spectral) <= 1e-13 * np.linalg.norm(spectral)
 
 
 class TestNoncommutativityMeasure:
