@@ -43,6 +43,7 @@ from .hermitian import (
     _mat,
     _inv_root,
     _power_divided_differences,
+    _require_finite,
     _require_pd,
     _second_divided_differences,
     _spectral,
@@ -81,7 +82,9 @@ class WeightedEnsemble:
         dim = arrays[0].shape[0]
         if any(a.shape[0] != dim for a in arrays):
             raise DimensionMismatchError("all ensemble matrices must share a dimension")
-        stack = _hermitian_part(np.stack(arrays))
+        stack = np.stack(arrays)
+        _require_finite(stack, "an ensemble member")
+        stack = _hermitian_part(stack)
         _require_pd(np.linalg.eigvalsh(stack), "member")
         stack.setflags(write=False)
         mats = tuple(
@@ -93,9 +96,10 @@ class WeightedEnsemble:
             raise DimensionMismatchError(
                 f"{len(mats)} matrices but weight vector of shape {w.shape}"
             )
-        if np.any(w <= 0):
+        # Positive forms, so a NaN weight fails them.
+        if not (w > 0).all():
             raise DomainError("ensemble weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise DomainError(f"ensemble weights sum to {w.sum()!r}, expected 1")
         w.setflags(write=False)
         object.__setattr__(self, "matrices", mats)

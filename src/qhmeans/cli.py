@@ -31,10 +31,9 @@ from .generators import (
     GeometricGenerator,
     HarmonicGenerator,
     LogGenerator,
-    MeasureGenerator,
+    arcsine_generator,
 )
 from .hermitian import PositiveDefiniteMatrix, frobenius_dist, pd
-from .measures import ArcsineMeasure, BetaTypeMeasure
 from .serialize import (
     ensemble_from_json,
     generator_from_json,
@@ -68,20 +67,18 @@ def parse_generator(text: str) -> Generator:
     name, _, arg = text.partition(":")
     name = name.lower()
     if name == "arcsine":
-        return MeasureGenerator(ArcsineMeasure())
+        return arcsine_generator()
     if name == "log":
         return LogGenerator()
     if not arg:
         raise InputError(f"generator {name!r} needs a parameter, e.g. '{name}:0.5'")
     value = float(arg)
-    if name in ("geometric", "power"):
+    if name in ("geometric", "power", "beta"):
         return GeometricGenerator(value)
     if name == "arithmetic":
         return ArithmeticGenerator(value)
     if name == "harmonic":
         return HarmonicGenerator(value)
-    if name == "beta":
-        return MeasureGenerator(BetaTypeMeasure(value))
     raise InputError(f"unknown generator shorthand {text!r}")
 
 
@@ -199,7 +196,7 @@ def cmd_verify_paper(args) -> int:
     ens = WeightedEnsemble(
         (pd(REFERENCE_A1), pd(REFERENCE_A2)), np.array([0.5, 0.5])
     )
-    spec = DivergenceSpec(MeasureGenerator(ArcsineMeasure()))
+    spec = DivergenceSpec(arcsine_generator())
     report = solve_barycenter(ens, spec, _solver_options(args))
     if not report.converged:
         print("barycenter solver did not converge", file=sys.stderr)

@@ -1,11 +1,13 @@
 """Scalar generators of operator means and the divergences they induce.
 
-Named generators (arithmetic, geometric, harmonic) carry closed forms for
-f and f'; the measure-backed variant sums a finite measure exactly and
-evaluates the arcsine and Beta-type densities as the powers they generate.
-The log generator belongs to the relaxed commutative family: it is only
-required to be strictly concave and C^1, not operator monotone.  PowerGenerator, the
-x^t of that family, is an alias of GeometricGenerator.
+Every Kubo-Ando mean is given by a probability measure mu on [0,1] (Kubo &
+Ando, Math. Ann. 246 (1980)), and MeasureGenerator evaluates its f through
+f_mu and f_mu_prime: x^t in closed form for the arcsine and Beta-type
+densities, the atom sum otherwise.  The named generators (arithmetic,
+geometric, harmonic) are constructors of the MeasureGenerator of their
+measure; PowerGenerator, the x^t of the relaxed commutative family, is an
+alias of GeometricGenerator.  The log generator belongs to that family only:
+it is required to be strictly concave and C^1, not operator monotone.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .measures import (
     DiscreteMeasure,
     Measure,
     center_of_mass,
+    dirac,
     f_mu,
     f_mu_prime,
 )
@@ -32,80 +35,6 @@ def _check_unit_interval(name: str, value: float) -> float:
     if not 0.0 < value < 1.0:
         raise DomainError(f"{name}={value} must lie in the open interval (0,1)")
     return value
-
-
-@dataclass(frozen=True)
-class ArithmeticGenerator:
-    """f(x) = (1-lam) + lam x; the weighted arithmetic mean."""
-
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _check_unit_interval("lam", self.lam))
-
-    def f(self, x):
-        return (1 - self.lam) + self.lam * np.asarray(x, dtype=np.float64)
-
-    def f_prime(self, x):
-        return np.full_like(np.asarray(x, dtype=np.float64), self.lam)
-
-    @property
-    def weight(self) -> float:
-        return self.lam
-
-    def representing_measure(self) -> Optional[Measure]:
-        return DiscreteMeasure(((0.0, 1 - self.lam), (1.0, self.lam)))
-
-
-@dataclass(frozen=True)
-class GeometricGenerator:
-    """f(x) = x^lam; the weighted geometric mean."""
-
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _check_unit_interval("lam", self.lam))
-
-    def f(self, x):
-        return np.asarray(x, dtype=np.float64) ** self.lam
-
-    def f_prime(self, x):
-        return self.lam * np.asarray(x, dtype=np.float64) ** (self.lam - 1)
-
-    @property
-    def weight(self) -> float:
-        return self.lam
-
-    def representing_measure(self) -> Optional[Measure]:
-        # x^lam is represented by the Beta-type density with t = lam
-        # (arcsine at lam = 1/2); validated numerically in the test suite.
-        return BetaTypeMeasure(self.lam)
-
-
-@dataclass(frozen=True)
-class HarmonicGenerator:
-    """f(x) = x / ((1-lam) x + lam); the weighted harmonic mean."""
-
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _check_unit_interval("lam", self.lam))
-
-    def f(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return x / ((1 - self.lam) * x + self.lam)
-
-    def f_prime(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        den = (1 - self.lam) * x + self.lam
-        return self.lam / (den * den)
-
-    @property
-    def weight(self) -> float:
-        return self.lam
-
-    def representing_measure(self) -> Optional[Measure]:
-        return DiscreteMeasure(((self.lam, 1.0),))
 
 
 @dataclass(frozen=True)
@@ -147,18 +76,28 @@ class LogGenerator:
         return None
 
 
-# f(x) = x^t of the relaxed commutative family is the geometric generator:
-# same f, f', weight and representing measure.
+def ArithmeticGenerator(lam: float) -> MeasureGenerator:
+    """f(x) = (1-lam) + lam x, the weighted arithmetic mean: mass 1-lam at 0
+    and lam at 1."""
+    lam = _check_unit_interval("lam", lam)
+    return MeasureGenerator(DiscreteMeasure(((0.0, 1 - lam), (1.0, lam))))
+
+
+def GeometricGenerator(lam: float) -> MeasureGenerator:
+    """f(x) = x^lam, the weighted geometric mean: the Beta-type density t = lam."""
+    return MeasureGenerator(BetaTypeMeasure(_check_unit_interval("lam", lam)))
+
+
+def HarmonicGenerator(lam: float) -> MeasureGenerator:
+    """f(x) = x / ((1-lam) x + lam), the weighted harmonic mean: a unit atom at lam."""
+    return MeasureGenerator(dirac(_check_unit_interval("lam", lam)))
+
+
+# f(x) = x^t of the relaxed commutative family is the geometric generator.
 PowerGenerator = GeometricGenerator
 
 
-Generator = Union[
-    ArithmeticGenerator,
-    GeometricGenerator,
-    HarmonicGenerator,
-    MeasureGenerator,
-    LogGenerator,
-]
+Generator = Union[MeasureGenerator, LogGenerator]
 
 
 def arcsine_generator() -> MeasureGenerator:
@@ -167,9 +106,7 @@ def arcsine_generator() -> MeasureGenerator:
 
 
 def is_mean_normalized(gen: Generator) -> bool:
-    """True iff f(1) = 1 and the weight lies in (0,1)."""
-    if isinstance(gen, LogGenerator):
-        return False
+    """True iff f(1) = 1 and the weight lies in (0,1); log has f(1) = 0."""
     return abs(float(gen.f(1.0)) - 1.0) <= 1e-12 and 0.0 < gen.weight < 1.0
 
 

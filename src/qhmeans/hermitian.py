@@ -70,7 +70,9 @@ class HermitianMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _hermitian_part(_as_square_complex(self.mat))
+        mat = _as_square_complex(self.mat)
+        _require_finite(mat)
+        mat = _hermitian_part(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -106,6 +108,13 @@ def _extremes(w: np.ndarray) -> list:
     """(smallest, largest) eigenvalue, as floats, of each ascending spectrum in
     w, one (d,) or a stack (n, d)."""
     return [(row[0], row[-1]) for row in w.reshape(-1, w.shape[-1]).tolist()]
+
+
+def _require_finite(a: np.ndarray, what: str = "matrix") -> None:
+    """Every entry of a matrix, or of a stack of them, is finite: one test of
+    the whole array, made before any arithmetic on it can warn about inf or NaN."""
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} has a non-finite entry")
 
 
 def _require_pd(w: np.ndarray, what: str = "matrix") -> None:

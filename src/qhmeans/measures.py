@@ -36,10 +36,10 @@ class DiscreteMeasure:
         for loc, mass in atoms:
             if not 0.0 <= loc <= 1.0:
                 raise DomainError(f"atom location {loc} outside [0,1]")
-            if mass <= 0.0:
+            if not mass > 0.0:
                 raise DomainError(f"atom mass {mass} must be positive")
         total = sum(m for _, m in atoms)
-        if abs(total - 1.0) > MASS_ATOL:
+        if not abs(total - 1.0) <= MASS_ATOL:
             raise DomainError(f"atom masses sum to {total}, expected 1")
         object.__setattr__(self, "atoms", atoms)
 
@@ -146,7 +146,9 @@ def center_of_mass(mu: Measure) -> float:
 
 
 def _check_positive(x: np.ndarray) -> None:
-    if np.any(x <= 0):
+    # The array method, not np.any: no dispatch cost.  NaN and an empty
+    # array pass.
+    if (x <= 0).any():
         raise DomainError("argument must be strictly positive")
 
 

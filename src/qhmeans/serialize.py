@@ -84,12 +84,6 @@ def measure_from_json(obj: dict) -> Measure:
 
 
 def generator_to_json(gen: Generator) -> dict:
-    if isinstance(gen, ArithmeticGenerator):
-        return {"kind": "arithmetic", "lambda": gen.lam}
-    if isinstance(gen, GeometricGenerator):
-        return {"kind": "geometric", "lambda": gen.lam}
-    if isinstance(gen, HarmonicGenerator):
-        return {"kind": "harmonic", "lambda": gen.lam}
     if isinstance(gen, MeasureGenerator):
         return {"kind": "measure", "mu": measure_to_json(gen.mu)}
     if isinstance(gen, LogGenerator):
@@ -98,6 +92,9 @@ def generator_to_json(gen: Generator) -> dict:
 
 
 def generator_from_json(obj: dict) -> Generator:
+    """A generator from its JSON object.  The named kinds (arithmetic,
+    geometric, harmonic, power) load as the MeasureGenerator of their measure,
+    which generator_to_json writes as the "measure" kind."""
     try:
         kind = obj.get("kind")
         if kind == "arithmetic":

@@ -126,6 +126,18 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             ensemble([np.eye(2), np.eye(2)], [1.0, 0.0])
 
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5]])
+    def test_non_finite_weights(self, weights):
+        with pytest.raises(DomainError):
+            ensemble([np.eye(2), np.eye(2)], weights)
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_member(self, rng, entry):
+        mats = [random_pd_np(rng, 3) for _ in range(4)]
+        mats[2][0, 0] = entry
+        with pytest.raises(DomainError, match="ensemble member has a non-finite entry"):
+            ensemble(mats, np.full(4, 0.25))
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             ensemble([], [])

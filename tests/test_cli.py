@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qhmeans.cli import main, parse_generator
-from qhmeans import GeometricGenerator, LogGenerator, MeasureGenerator
+from qhmeans import BetaTypeMeasure, GeometricGenerator, LogGenerator, MeasureGenerator
 from qhmeans.serialize import matrix_from_json, matrix_to_json
 
 from conftest import REF_A1, REF_A2, REF_BARYCENTER, inv2
@@ -38,6 +38,10 @@ class TestParseGenerator:
         assert isinstance(parse_generator("arcsine"), MeasureGenerator)
         # the commutative family's x^t is the geometric generator
         assert parse_generator("power:0.25") == GeometricGenerator(0.25)
+
+    def test_power_shorthands_build_one_generator(self):
+        gens = {parse_generator(f"{name}:0.25") for name in ("beta", "geometric", "power")}
+        assert gens == {MeasureGenerator(BetaTypeMeasure(0.25))}
 
     def test_json_form(self):
         assert parse_generator('{"kind":"geometric","lambda":0.5}') == GeometricGenerator(0.5)
@@ -314,6 +318,21 @@ class TestErrorHandling:
     def test_non_pd_input(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.json", np.diag([1.0, -1.0]))
         assert main(["mean", "--input", a, "--input", a]) == 2
+
+    @pytest.mark.parametrize(
+        "weights,entry",
+        [([float("nan"), 0.5], 1.0), ([0.5, 0.5], float("inf")), ([0.5, 0.5], float("nan"))],
+    )
+    def test_non_finite_ensemble(self, tmp_path, capsys, weights, entry):
+        ens = write_ensemble(tmp_path / "ens.json", [np.diag([entry, 1.0]), np.eye(2)], weights)
+        assert main(["barycenter", "--input", ens]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("entry", [float("inf"), float("nan")])
+    def test_non_finite_matrix(self, tmp_path, capsys, entry):
+        a = write_matrix(tmp_path / "a.json", np.diag([entry, 1.0]))
+        b = write_matrix(tmp_path / "b.json", np.eye(2))
+        assert main(["mean", "--input", a, "--input", b]) == 2
 
     @pytest.mark.parametrize(
         "generator",

@@ -23,6 +23,23 @@ from qhmeans import (
 
 GRID = np.logspace(-2, 2, 41)
 
+# The closed forms of the named means, (f, f') at lam: oracles for the
+# measures their constructors build.
+CLOSED_FORMS = {
+    ArithmeticGenerator: (
+        lambda lam, x: (1 - lam) + lam * x,
+        lambda lam, x: np.full_like(x, lam),
+    ),
+    GeometricGenerator: (
+        lambda lam, x: x**lam,
+        lambda lam, x: lam * x ** (lam - 1),
+    ),
+    HarmonicGenerator: (
+        lambda lam, x: x / ((1 - lam) * x + lam),
+        lambda lam, x: lam / ((1 - lam) * x + lam) ** 2,
+    ),
+}
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
@@ -63,7 +80,8 @@ class TestClosedForms:
 
 
 class TestRepresentingMeasures:
-    """The named generators must reproduce their measures' quadrature values."""
+    """The named generators are their representing measures: they match the
+    closed forms of their means and the Gauss rules of their densities."""
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     def test_geometric_is_beta_type(self, lam):
@@ -78,18 +96,22 @@ class TestRepresentingMeasures:
         gen = MeasureGenerator(ArcsineMeasure())
         assert np.max(np.abs(np.asarray(gen.f(GRID)) - np.sqrt(GRID))) <= 1e-10
 
-    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
-    def test_harmonic_is_single_atom(self, lam):
-        gen = HarmonicGenerator(lam)
-        mu = gen.representing_measure()
-        assert mu == dirac(lam)
-        assert np.max(np.abs(f_mu(mu, GRID) - np.asarray(gen.f(GRID)))) <= 1e-14
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
+    def test_named_generators_are_their_measures(self, lam):
+        assert ArithmeticGenerator(lam) == MeasureGenerator(
+            DiscreteMeasure(((0.0, 1 - lam), (1.0, lam)))
+        )
+        assert GeometricGenerator(lam) == MeasureGenerator(BetaTypeMeasure(lam))
+        assert HarmonicGenerator(lam) == MeasureGenerator(dirac(lam))
+        assert PowerGenerator(lam) == GeometricGenerator(lam)
 
-    @pytest.mark.parametrize("lam", [0.3, 0.7])
-    def test_arithmetic_is_endpoint_mixture(self, lam):
-        gen = ArithmeticGenerator(lam)
-        mu = gen.representing_measure()
-        assert np.max(np.abs(f_mu(mu, GRID) - np.asarray(gen.f(GRID)))) <= 1e-14
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("cls", list(CLOSED_FORMS), ids=lambda c: c.__name__)
+    def test_named_generators_match_closed_forms(self, cls, lam):
+        f, f_prime = CLOSED_FORMS[cls]
+        gen = cls(lam)
+        np.testing.assert_allclose(gen.f(GRID), f(lam, GRID), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(gen.f_prime(GRID), f_prime(lam, GRID), rtol=1e-14, atol=0)
 
 
 class TestDivergenceSpec:

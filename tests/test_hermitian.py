@@ -52,6 +52,15 @@ class TestConstruction:
             pd(np.diag([1e-16, 1.0]))
         pd(1e-14 * np.eye(2))
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+    def test_rejects_non_finite_entries(self, entry):
+        # checked before any arithmetic: no RuntimeWarning comes first
+        M = np.eye(2, dtype=complex)
+        M[0, 0] = entry
+        for build in (pd, herm):
+            with pytest.raises(DomainError, match="non-finite"):
+                build(M)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(DomainError):
             herm(np.ones((2, 3)))

@@ -17,7 +17,7 @@ from qhmeans import (
     f_mu_prime,
     quadrature,
 )
-from qhmeans.measures import _convex_order_holds
+from qhmeans.measures import _check_positive, _convex_order_holds
 
 X_GRID = np.logspace(-3, 3, 61)
 
@@ -57,6 +57,10 @@ class TestConstruction:
     def test_discrete_validates_location(self):
         with pytest.raises(DomainError):
             DiscreteMeasure(((1.5, 1.0),))
+
+    def test_discrete_rejects_nan_mass(self):
+        with pytest.raises(DomainError):
+            DiscreteMeasure(((0.3, np.nan), (0.6, 1.0)))
 
     def test_discrete_rejects_nonpositive_mass(self):
         with pytest.raises(DomainError):
@@ -146,6 +150,14 @@ class TestGeneratorFunction:
             f_mu(ArcsineMeasure(), 0.0)
         with pytest.raises(DomainError):
             f_mu(ArcsineMeasure(), -2.0)
+
+    def test_positivity_check(self):
+        for bad in (0.0, -2.0, [1.0, 0.0], [[3.0], [-1e-300]]):
+            with pytest.raises(DomainError):
+                _check_positive(np.asarray(bad))
+        # the empty batch of a campaign and a scalar pass
+        _check_positive(np.empty((0, 4)))
+        _check_positive(np.asarray(2.0))
 
     def test_monotone_and_concave_on_grid(self):
         for mu in SAMPLE_MEASURES:

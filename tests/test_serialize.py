@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from qhmeans import (
+    ArithmeticGenerator,
     ArcsineMeasure,
     BetaTypeMeasure,
     DiscreteMeasure,
     DomainError,
     GeometricGenerator,
+    HarmonicGenerator,
     LogGenerator,
     MeasureGenerator,
+    PowerGenerator,
     ensemble,
     pinching_channel,
     random_cptp,
@@ -96,6 +99,28 @@ class TestMeasureAndGeneratorJson:
         ) == GeometricGenerator(0.5)
         assert generator_from_json({"kind": "log"}) == LogGenerator()
         assert generator_from_json({"kind": "power", "t": 0.25}) == GeometricGenerator(0.25)
+
+    @pytest.mark.parametrize(
+        "gen", [ArithmeticGenerator(0.3), GeometricGenerator(0.5), HarmonicGenerator(0.3)]
+    )
+    def test_named_generators_are_written_as_measures(self, gen):
+        obj = generator_to_json(gen)
+        assert obj["kind"] == "measure"
+        assert generator_from_json(json.loads(json.dumps(obj))) == gen
+
+    @pytest.mark.parametrize(
+        "obj,gen",
+        [
+            ({"kind": "arithmetic", "lambda": 0.3}, ArithmeticGenerator(0.3)),
+            ({"kind": "geometric", "lambda": 0.5}, GeometricGenerator(0.5)),
+            ({"kind": "harmonic", "lambda": 0.3}, HarmonicGenerator(0.3)),
+            ({"kind": "power", "t": 0.25}, PowerGenerator(0.25)),
+            ({"kind": "measure", "mu": {"kind": "arcsine"}}, arcsine_generator()),
+            ({"kind": "log"}, LogGenerator()),
+        ],
+    )
+    def test_every_documented_kind_reads(self, obj, gen):
+        assert generator_from_json(obj) == gen
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
