@@ -3,12 +3,14 @@
 The barycenter of matrices A_1..A_m with weights w under the divergence phi
 is the unique minimizer of X -> sum_j w_j phi(A_j, X).  Its gradient and
 Hessian are the exact first and second Daleckii-Krein (divided-difference)
-derivatives of f in the eigenbasis of each M_j = A_j^{-1/2} X A_j^{-1/2}, so
-the damped Newton solver shares one eigendecomposition per member and point
-among objective, gradient and Hessian, and the stationarity residual
-differentiates exactly the objective it minimizes.  The
-power-mean equation and the noncommutative mean equation share one batched
-fixed-point map, T(X) = L S L* with S = sum_j w_j f'(M_j^{-1}) / f'(1) and
+derivatives of f in the eigenbasis of each M_j = C_j^{-1} X C_j^{-*}, with
+A_j = C_j C_j* the member's Cholesky factorization (congruent to
+A_j^{-1/2} X A_j^{-1/2}), so the damped Newton solver shares one
+eigendecomposition per member and point among objective, gradient and
+Hessian, and the stationarity residual differentiates exactly the objective
+it minimizes.  The power-mean equation
+and the noncommutative mean equation share one batched fixed-point map,
+T(X) = L S L* with S = sum_j w_j f'(M_j^{-1}) / f'(1) and
 M_j = L^{-1} A_j L^{-*}, where X = L L* is the Cholesky factorization of the
 iterate.  Kubo-Ando means are congruence-invariant (the transformer
 equality), so this is the map X^{1/2} S' X^{1/2} on M'_j = X^{-1/2} A_j X^{-1/2}
@@ -41,18 +43,15 @@ from .hermitian import (
     PositiveDefiniteMatrix,
     _hermitian_part,
     _mat,
-    _inv_root,
-    _power_divided_differences,
     _require_finite,
     _require_pd,
-    _second_divided_differences,
     _spectral,
     _validated_pd,
     frobenius_dist,
     pd,
     thompson_dist,
 )
-from .measures import power_exponent
+from .measures import _first_differences, _second_differences, f_mu, power_exponent
 
 # Newton step search: the smallest step tried and the factor each rejected
 # trial shrinks the step by.
@@ -141,10 +140,11 @@ class SolverOptions:
     initial_guess: Optional[PositiveDefiniteMatrix] = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
-        if self.residual_tol <= 0:
-            raise DomainError("residual_tol must be positive")
+        # Positive forms, so a NaN tolerance fails them.
+        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 1):
+            raise DomainError("max_iterations must be an integer >= 1")
+        if not 0 < self.residual_tol < np.inf:
+            raise DomainError("residual_tol must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +166,13 @@ class SolverReport:
 class _Workspace:
     """Per-solve precomputation shared by objective, gradient and Hessian.
 
-    All three evaluate through the eigendecompositions V_j diag(e_j) V_j* of
-    M_j = A_j^{-1/2} X A_j^{-1/2}.  Those of the last point evaluated are kept,
-    so the objective and Hessian at an accepted trial reuse the gradient's.
+    The members are factored once, A_j = C_j C_j*.  All three evaluate through
+    the eigendecompositions V_j diag(e_j) V_j* of M_j = C_j^{-1} X C_j^{-*}; those
+    of the last point evaluated are kept, so the objective and Hessian at an
+    accepted trial reuse the gradient's.
     """
 
     def __init__(self, ens: WeightedEnsemble, spec: DivergenceSpec):
-        self.spec = spec
         gen = spec.generator
         mu = gen.representing_measure()
         if mu is None:
@@ -180,55 +180,31 @@ class _Workspace:
                 f"{type(gen).__name__} carries no representing measure; "
                 "the barycenter gradient needs one"
             )
-        # f is x^t for the continuous densities and a finite sum over the
-        # measure's atoms otherwise; both give exact divided differences.
+        self.mu = mu
         self.power = power_exponent(mu)
-        if self.power is None:
-            self.locations, self.masses = mu.locations, mu.masses
         self.weights = np.ascontiguousarray(ens.weights)
-        self.mats = ens.stack
-        self.inv_roots = _inv_root(self.mats)
-        self.const = (1 - spec.c) * float(self.weights @ np.trace(self.mats, axis1=1, axis2=2).real)
+        C = np.linalg.cholesky(ens.stack)
+        self.inv_factors = np.linalg.inv(C)
+        self.inv_factors_h = np.conj(np.swapaxes(self.inv_factors, -1, -2))
+        self.grams = np.conj(np.swapaxes(C, -1, -2)) @ C
+        self.const = (1 - spec.c) * float(self.weights @ ens.stack.trace(0, 1, 2).real)
         self.c = spec.c
         self._first = None
 
     def _first_order(self, X: np.ndarray):
-        """e_j, W_j = A_j^{-1/2} V_j, K_j = V_j* A_j V_j and the f^[1] table at X."""
+        """e_j, W_j = C_j^{-*} V_j, K_j = V_j* C_j* C_j V_j and the f^[1] table at X;
+        eigh reads one triangle of M_j, so no Hermitian part is taken."""
         if self._first is None or self._first[0] is not X:
-            e, V = np.linalg.eigh(_hermitian_part(self.inv_roots @ X @ self.inv_roots))
-            K = np.conj(np.swapaxes(V, -1, -2)) @ self.mats @ V
-            self._first = (X, e, self.inv_roots @ V, K, self._table(e))
+            e, V = np.linalg.eigh(self.inv_factors @ X @ self.inv_factors_h)
+            K = np.conj(np.swapaxes(V, -1, -2)) @ self.grams @ V
+            self._first = (X, e, self.inv_factors_h @ V, K, _first_differences(self.mu, e))
         return self._first[1:]
 
-    def _table(self, e: np.ndarray) -> np.ndarray:
-        """Divided differences f^[1](e_j) of every member, shape (m, d, d)."""
-        if self.power is not None:
-            return _power_divided_differences(e, self.power)
-        # (f(a) - f(b)) / (a - b) = sum_k q_k l_k / (((1-l_k) a + l_k)((1-l_k) b + l_k))
-        # for f = f_mu: a sum of positive terms, with no cancellation at near-ties.
-        l = self.locations
-        P = 1.0 / ((1 - l) * e[..., None] + l)
-        return (P * (self.masses * l)) @ np.swapaxes(P, -1, -2)
-
-    def _second_table(self, e: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Second divided differences f^[2](e_i, e_k, e_l) of every member, (m, d, d, d)."""
-        t = self.power
-        if t is not None:
-            return _second_divided_differences(
-                e, table, t * e ** (t - 1), t * (t - 1) * e ** (t - 2)
-            )
-        # -sum_k q_k l_k (1-l_k) / (P_a P_b P_c): same-sign terms again.
-        l = self.locations
-        P = 1.0 / ((1 - l) * e[..., None] + l)
-        Q = np.swapaxes(P * (self.masses * l * (1 - l)), -1, -2)
-        return -((P[..., :, None, :] * P[..., None, :, :]) @ Q[:, None])
-
     def _mean_traces(self, X: np.ndarray) -> float:
-        """sum_j w_j Tr(A_j sigma X), with Tr(A_j sigma X) = Tr f(M_j) A_j
-        = sum_i f(e_ji) (V_j* A_j V_j)_ii."""
+        """sum_j w_j Tr(A_j sigma X), with A_j sigma X = C_j f(M_j) C_j*, so
+        Tr(A_j sigma X) = Tr f(M_j) C_j* C_j = sum_i f(e_ji) (K_j)_ii."""
         e, _, K, _ = self._first_order(X)
-        fe = np.asarray(self.spec.generator.f(e), dtype=np.float64)
-        means = (fe * np.diagonal(K, axis1=1, axis2=2).real).sum(axis=1)
+        means = (f_mu(self.mu, e) * np.diagonal(K, axis1=1, axis2=2).real).sum(axis=1)
         return float(self.weights @ means)
 
     def objective(self, X: np.ndarray) -> float:
@@ -275,7 +251,7 @@ class _Workspace:
         # allocator that trims its heap eagerly would hand back to the OS and
         # fault in again on the next call.
         Y = np.empty((m, d, d, d), dtype=np.complex128)
-        np.multiply(np.moveaxis(self._second_table(e, table), -1, 1), K[:, None], out=Y)
+        np.multiply(np.moveaxis(_second_differences(self.mu, e, table), -1, 1), K[:, None], out=Y)
         Wt = np.swapaxes(W, -1, -2)
         Wh = np.conj(Wt)
         Z = W[:, None] @ Y
@@ -313,11 +289,11 @@ def euclidean_gradient(
     """Euclidean gradient G of the barycenter objective at X.
 
     G = c I - sum_j w_j A_j^{-1/2} Df(M_j)[A_j] A_j^{-1/2} with
-    M_j = A_j^{-1/2} X A_j^{-1/2}, evaluated exactly in the eigenbasis of M_j
-    through the divided-difference table of f on its spectrum: in closed form
-    for x^t (the geometric, arcsine and Beta-type generators) and as a finite
-    sum over the atoms of any other representing measure.  quad_order is
-    ignored and accepted only for callers that still pass it positionally.
+    M_j = A_j^{-1/2} X A_j^{-1/2}, evaluated exactly (_Workspace) through the
+    divided-difference table of f on its spectrum: in closed form for x^t (the
+    geometric, arcsine and Beta-type generators) and as a finite sum over the
+    atoms of any other representing measure.  quad_order is ignored and
+    accepted only for callers that still pass it positionally.
     The directional derivative in any Hermitian direction Y is Tr(G Y).
     """
     ws = _Workspace(ens, spec)

@@ -21,6 +21,7 @@ from .hermitian import (
     _check_same_dim,
     _hermitian_part,
     _mat,
+    _require_finite,
     _require_pd,
     pd,
 )
@@ -74,8 +75,9 @@ class QuantumChannel:
         shape = ks[0].shape
         if len(shape) != 2 or any(K.shape != shape for K in ks):
             raise DomainError("all Kraus operators must share one (d_out, d_in) shape")
+        _require_finite(np.array(ks), "a Kraus operator")
         defect = kraus_defect(ks)
-        if defect > TP_ATOL:
+        if not defect <= TP_ATOL:
             raise DomainError(
                 f"Kraus operators are not trace preserving: defect {defect:.3e}"
             )

@@ -187,9 +187,10 @@ def classical_hellinger(p, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise DimensionMismatchError("probability vectors must be equal-length 1-d")
-    if np.any(p < 0) or np.any(q < 0):
-        raise DomainError("probability vectors must be nonnegative")
     for name, v in (("p", p), ("q", q)):
-        if abs(v.sum() - 1.0) > 1e-10:
+        # Positive forms, tested before any arithmetic: NaN fails them.
+        if not (np.isfinite(v).all() and (v >= 0).all()):
+            raise DomainError(f"{name} must be a finite nonnegative vector")
+        if not abs(v.sum() - 1.0) <= 1e-10:
             raise DomainError(f"{name} sums to {v.sum()!r}, expected 1")
     return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))

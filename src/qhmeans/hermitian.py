@@ -3,9 +3,8 @@
 All matrix functions go through a single primitive, the eigendecomposition:
 dimensions here are small enough that correctness and auditability beat
 Pade or scaling-and-squaring schemes.  The private helpers _hermitian_part,
-_spectral, _roots and _inv_root are the package's one route for (M + M*)/2,
-U diag(f(w)) U*, A^{1/2} with A^{-1/2}, and A^{-1/2} alone, on one matrix or a
-stack of them.
+_spectral and _roots are the package's one route for (M + M*)/2,
+U diag(f(w)) U* and A^{1/2} with A^{-1/2}, on one matrix or a stack of them.
 """
 
 from __future__ import annotations
@@ -224,14 +223,6 @@ def _roots(mat: np.ndarray, warn: bool = False):
     return _spectral(U, r), _spectral(U, 1.0 / r)
 
 
-def _inv_root(mat: np.ndarray, warn: bool = False) -> np.ndarray:
-    """A^{-1/2} alone, from one eigh: the same bits as _roots(mat, warn)[1]."""
-    w, U = np.linalg.eigh(mat)
-    if warn:
-        _warn_if_ill_conditioned(w)
-    return _spectral(U, 1.0 / np.sqrt(w))
-
-
 def sqrt_pd(A: MatrixLike) -> PositiveDefiniteMatrix:
     """Principal matrix square root of a positive definite matrix."""
     return _pd_spectral(A, np.sqrt)
@@ -272,7 +263,7 @@ def thompson_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Thompson metric max_i |log lambda_i(A^{-1/2} B A^{-1/2})|."""
     a, b = pd(A), pd(B)
     _check_same_dim(a.mat, b.mat)
-    s = _inv_root(a.mat, warn=True)
+    s = _roots(a.mat, warn=True)[1]
     w = np.linalg.eigvalsh(_hermitian_part(s @ b.mat @ s))
     if w[0] <= 0:
         raise DomainError("Thompson metric requires positive definite inputs")
@@ -282,21 +273,6 @@ def thompson_dist(A: MatrixLike, B: MatrixLike) -> float:
 def is_positive_definite(H: MatrixLike, tol: float = 1e-12) -> bool:
     """True iff the smallest eigenvalue of a Hermitian matrix exceeds tol."""
     return bool(np.linalg.eigvalsh(_mat(herm(H)))[0] > tol)
-
-
-def _power_divided_differences(w: np.ndarray, t: float) -> np.ndarray:
-    """First divided differences of x^t over the last axis of a positive spectrum.
-
-    For a <= b, (b^t - a^t) / (b - a) = a^(t-1) expm1(t L) / expm1(L) with
-    L = log1p((b - a) / a) >= 0, and t a^(t-1) where L == 0: no difference of
-    close numbers is formed, so near-ties keep full relative accuracy.
-    """
-    a = np.minimum(w[..., :, None], w[..., None, :])
-    b = np.maximum(w[..., :, None], w[..., None, :])
-    L = np.log1p((b - a) / a)
-    tie = L == 0
-    ratio = np.where(tie, t, np.expm1(t * L) / np.where(tie, 1.0, np.expm1(L)))
-    return a ** (t - 1) * ratio
 
 
 # Relative eigenvalue separation below which divided differences take their

@@ -4,30 +4,39 @@ A measure mu encodes an operator monotone generator through
 
     f_mu(x) = integral of x / ((1-l) x + l) dmu(l),    x > 0.
 
-f_mu, f_mu_prime and center_of_mass evaluate it exactly: as the sum over the
-atoms of a DiscreteMeasure, and in closed form for the arcsine and Beta-type
-densities, which generate x^{1/2} and x^t (power_exponent).  quadrature, the
-Gauss rule of a density as a DiscreteMeasure, is a reference for tests that no
-evaluation path calls; its Beta-type rule is the package's only use of scipy.
+f_mu, f_mu_prime, center_of_mass and the divided-difference tables f_mu^[1]
+and f_mu^[2] (_first_differences, _second_differences) evaluate it exactly:
+as the sum over the atoms of a DiscreteMeasure, and in closed form for the
+arcsine and Beta-type densities, which generate x^{1/2} and x^t
+(power_exponent).  They are the package's one evaluation of a generator.
+quadrature, the Gauss rule of a density as a DiscreteMeasure, is a reference
+for tests that no evaluation path calls; its Beta-type rule is the package's
+only use of scipy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedVariantError
+from .hermitian import _second_divided_differences
 
 MASS_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely many atoms (location, mass) with locations in [0,1]."""
+    """Finitely many atoms (location, mass) with locations in [0,1] and masses
+    summing to 1 within MASS_ATOL.  locations and masses are read-only arrays
+    built once; masses are divided by their sum, so f_mu(1) = 1 to rounding."""
 
     atoms: tuple
+    locations: np.ndarray = field(init=False, repr=False, compare=False)
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple((float(l), float(m)) for l, m in self.atoms)
@@ -38,18 +47,14 @@ class DiscreteMeasure:
                 raise DomainError(f"atom location {loc} outside [0,1]")
             if not mass > 0.0:
                 raise DomainError(f"atom mass {mass} must be positive")
-        total = sum(m for _, m in atoms)
+        total = math.fsum(m for _, m in atoms)
         if not abs(total - 1.0) <= MASS_ATOL:
             raise DomainError(f"atom masses sum to {total}, expected 1")
+        arrays = np.array([[l for l, _ in atoms], [m / total for _, m in atoms]])
+        arrays.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def locations(self) -> np.ndarray:
-        return np.array([l for l, _ in self.atoms])
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([m for _, m in self.atoms])
+        object.__setattr__(self, "locations", arrays[0])
+        object.__setattr__(self, "masses", arrays[1])
 
 
 def dirac(location: float) -> DiscreteMeasure:
@@ -194,6 +199,40 @@ def f_mu_prime(mu: Measure, x, order: Optional[int] = None):
         den = (1 - l) * xs[..., None] + l
         vals = np.dot(l / (den * den), mu.masses)
     return float(vals) if xs.ndim == 0 else vals
+
+
+def _first_differences(mu: Measure, e: np.ndarray) -> np.ndarray:
+    """First divided differences f_mu^[1](e_i, e_k) over the last axis of a
+    positive spectrum, one (d,) or a stack (..., d): shape (..., d, d)."""
+    t = power_exponent(mu)
+    if t is not None:
+        # For a <= b, (b^t - a^t) / (b - a) = a^(t-1) expm1(t L) / expm1(L) with
+        # L = log1p((b - a) / a) >= 0, and t a^(t-1) where L == 0: no difference of
+        # close numbers is formed, so near-ties keep full relative accuracy.
+        a = np.minimum(e[..., :, None], e[..., None, :])
+        b = np.maximum(e[..., :, None], e[..., None, :])
+        L = np.log1p((b - a) / a)
+        tie = L == 0
+        ratio = np.where(tie, t, np.expm1(t * L) / np.where(tie, 1.0, np.expm1(L)))
+        return a ** (t - 1) * ratio
+    # (f(a) - f(b)) / (a - b) = sum_k q_k l_k / (((1-l_k) a + l_k)((1-l_k) b + l_k))
+    # for f = f_mu: a sum of positive terms, with no cancellation at near-ties.
+    l = mu.locations
+    P = 1.0 / ((1 - l) * e[..., None] + l)
+    return (P * (mu.masses * l)) @ np.swapaxes(P, -1, -2)
+
+
+def _second_differences(mu: Measure, e: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Second divided differences f_mu^[2](e_i, e_k, e_l), shape (..., d, d, d),
+    given first = _first_differences(mu, e)."""
+    t = power_exponent(mu)
+    if t is not None:
+        return _second_divided_differences(e, first, t * e ** (t - 1), t * (t - 1) * e ** (t - 2))
+    # -sum_k q_k l_k (1-l_k) / (P_a P_b P_c): same-sign terms again.
+    l = mu.locations
+    P = 1.0 / ((1 - l) * e[..., None] + l)
+    Q = np.swapaxes(P * (mu.masses * l * (1 - l)), -1, -2)
+    return -((P[..., :, None, :] * P[..., None, :, :]) @ Q[..., None, :, :])
 
 
 def _padded(rows) -> np.ndarray:

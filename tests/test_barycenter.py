@@ -175,6 +175,28 @@ class TestEnsemble:
         assert all(M is A for M, A in zip(ens.matrices, members))
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_iterations": 0},
+            {"max_iterations": 2.5},
+            {"max_iterations": 3.0},
+            {"residual_tol": 0.0},
+            {"residual_tol": -1e-8},
+            {"residual_tol": float("inf")},
+            {"residual_tol": float("nan")},
+        ],
+    )
+    def test_rejects_invalid_fields(self, kwargs):
+        with pytest.raises(DomainError):
+            SolverOptions(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        opts = SolverOptions(max_iterations=np.int64(3), residual_tol=np.float64(1e-6))
+        assert solve_barycenter(ref_ensemble(), ARCSINE_SPEC, opts).iterations <= 3
+
+
 class TestObjective:
     def test_single_matrix_at_itself(self, rng):
         A = random_pd_np(rng, 3)

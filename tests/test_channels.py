@@ -39,6 +39,12 @@ class TestConstruction:
         with pytest.raises(DomainError):
             QuantumChannel((np.eye(2), np.eye(3)))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_kraus_entry(self, entry):
+        # a NaN defect fails no "defect > TP_ATOL" test
+        with pytest.raises(DomainError, match="non-finite"):
+            QuantumChannel((np.array([[entry, 0.0], [0.0, 1.0]]),))
+
     def test_defect_of_valid_channel(self):
         T = pinching_channel(3)
         assert kraus_defect(T.kraus) <= 1e-14

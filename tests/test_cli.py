@@ -145,6 +145,18 @@ class TestBarycenter:
         report = json.loads(capsys.readouterr().out)  # report still printed
         assert report["converged"] is False
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_is_an_input_error(self, capsys, tol):
+        # an infinite tolerance once reported converged at iteration 0, and a
+        # NaN one ran out the iteration cap
+        a = '{"dim": 2, "re": [[4.0, 0.0], [0.0, 1.0]]}'
+        b = '{"dim": 2, "re": [[2.5, 1.5], [1.5, 2.5]]}'
+        blob = f'{{"matrices": [{a}, {b}], "weights": [0.5, 0.5]}}'
+        code = main(["barycenter", "--inline", blob, "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "residual_tol" in captured.err
+
     def test_table_format(self, ref_files, capsys):
         _, _, ens = ref_files
         code = main(["barycenter", "--input", ens, "--format", "table"])

@@ -363,6 +363,14 @@ class TestClassicalHellinger:
         with pytest.raises(DomainError):
             classical_hellinger([0.5, 0.4], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [np.nan, 1.0]), ([np.inf, 0.5], [0.5, 0.5])],
+    )
+    def test_rejects_non_finite(self, p, q):
+        with pytest.raises(DomainError, match="finite nonnegative"):
+            classical_hellinger(p, q)
+
     def test_range(self, rng):
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))

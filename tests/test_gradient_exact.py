@@ -32,6 +32,7 @@ from qhmeans import (
 )
 
 from qhmeans.barycenter import _as_state, _Workspace
+from qhmeans.measures import _first_differences
 
 from conftest import assembled_gradient, power_derivative, random_hermitian_np, random_pd_np
 
@@ -114,10 +115,10 @@ def _exact_power_difference(t, a, b):
 def test_power_table_near_ties_against_exact_arithmetic(t, sep):
     # The gradient's f^[1] table of x^t on clustered spectra; forming
     # (b^t - a^t) / (b - a) directly loses about eps / sep (relative) there.
-    ws = _Workspace(ensemble([np.eye(2)], [1.0]), DivergenceSpec(GeometricGenerator(t)))
+    mu = GeometricGenerator(t).representing_measure()
     for base in (1e-3, 1.0, 37.3):
         w = base * np.array([1.0, 1.0 + sep, 1.0 + 2 * sep, 5.0])
-        table = ws._table(w[None])[0]
+        table = _first_differences(mu, w[None])[0]
         for i, k in np.ndindex(4, 4):
             ref = _exact_power_difference(t, w[i], w[k])
             assert abs(table[i, k] - ref) <= 1e-13 * abs(ref)
@@ -139,6 +140,30 @@ HESSIAN_GENERATORS = [
     MeasureGenerator(DiscreteMeasure(((0.2, 0.5), (0.5, 0.3), (0.9, 0.2)))),
 ]
 HESSIAN_IDS = ["geometric0.25", "geometric0.5", "harmonic0.3", "arcsine", "discrete3"]
+
+
+def test_workspace_setup_takes_no_eigh(rng, monkeypatch):
+    # the members enter through their Cholesky factors; the first point takes
+    # the one batched eigh of the M_j stack
+    ens, X = _random_problem(rng, 4, 3, 1.0)
+    X = _as_state(ens, X)
+    specs = [DivergenceSpec(gen) for gen in HESSIAN_GENERATORS]
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for spec in specs:
+        ws = _Workspace(ens, spec)
+        assert calls == []
+        ws.gradient(X)
+        ws.objective(X)
+        ws.hessian(X)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def _hessian_problem(rng, gen, dim=4):

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,24 @@ from qhmeans import (
     ArcsineMeasure,
     BetaTypeMeasure,
     DiscreteMeasure,
+    DivergenceSpec,
     DomainError,
+    MeasureGenerator,
     UnsupportedVariantError,
     center_of_mass,
     convex_order_leq,
     dirac,
     f_mu,
     f_mu_prime,
+    kubo_ando_mean,
     quadrature,
 )
-from qhmeans.measures import _check_positive, _convex_order_holds
+from qhmeans.measures import (
+    _check_positive,
+    _convex_order_holds,
+    _first_differences,
+    _second_differences,
+)
 
 X_GRID = np.logspace(-3, 3, 61)
 
@@ -65,6 +75,28 @@ class TestConstruction:
     def test_discrete_rejects_nonpositive_mass(self):
         with pytest.raises(DomainError):
             DiscreteMeasure(((0.2, 0.0), (0.4, 1.0)))
+
+    def test_mass_sum_within_tolerance_generates_a_mean(self):
+        # masses off by 5e-11 pass the constructor, so the generator they make
+        # must be mean-normalized: f(1) = 1 to rounding
+        mu = DiscreteMeasure(((0.3, 0.5), (0.6, 0.5 + 5e-11)))
+        assert mu.atoms == ((0.3, 0.5), (0.6, 0.5 + 5e-11))
+        assert abs(f_mu(mu, 1.0) - 1.0) <= 1e-15
+        gen = MeasureGenerator(mu)
+        spec = DivergenceSpec(gen)
+        assert spec.c == pytest.approx(0.45, abs=1e-10)
+        A, B = np.diag([4.0, 1.0]), np.array([[2.5, 1.5], [1.5, 2.5]])
+        assert np.isfinite(kubo_ando_mean(A, B, gen).mat).all()
+
+    def test_mass_sum_beyond_tolerance_is_rejected(self):
+        with pytest.raises(DomainError, match="sum to"):
+            DiscreteMeasure(((0.3, 0.5), (0.6, 0.5 + 1e-9)))
+
+    def test_arrays_are_built_once_and_read_only(self):
+        mu = DiscreteMeasure(((0.2, 0.5), (0.8, 0.5)))
+        assert mu.locations is mu.locations and mu.masses is mu.masses
+        assert not mu.locations.flags.writeable and not mu.masses.flags.writeable
+        assert mu == DiscreteMeasure(((0.2, 0.5), (0.8, 0.5)))
 
     def test_beta_range(self):
         with pytest.raises(DomainError):
@@ -219,6 +251,41 @@ class TestGeneratorDerivative:
             for x in (0.5, 1.0, 3.0):
                 fd = (f_mu(mu, x + h) - f_mu(mu, x - h)) / (2 * h)
                 assert f_mu_prime(mu, x) == pytest.approx(fd, rel=1e-6)
+
+
+def _exact_atom_differences(mu, a, b, c):
+    """f_mu^[1](a, b) and f_mu^[2](a, b, c) of a discrete measure in 50-digit
+    decimal arithmetic, from differences of f_mu and, at ties, f_mu' and f_mu''."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pairs = zip(mu.locations.tolist(), mu.masses.tolist())
+        atoms = [(Decimal(l), Decimal(m)) for l, m in pairs]
+        f = lambda x: sum(m * x / ((1 - l) * x + l) for l, m in atoms)
+        f1 = lambda x: sum(m * l / ((1 - l) * x + l) ** 2 for l, m in atoms)
+        d1 = lambda x, y: f1(x) if x == y else (f(x) - f(y)) / (x - y)
+        first = d1(Decimal(float(a)), Decimal(float(b)))
+        a, b, c = sorted(Decimal(float(v)) for v in (a, b, c))
+        if a == c:
+            second = -sum(m * l * (1 - l) / ((1 - l) * a + l) ** 3 for l, m in atoms)
+        else:
+            second = (d1(a, b) - d1(b, c)) / (a - c)
+        return float(first), float(second)
+
+
+class TestDividedDifferences:
+    @pytest.mark.parametrize("sep", [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+    def test_atom_sum_tables_against_exact_arithmetic(self, sep):
+        # three clustered eigenvalues and one far away, at three scales in one
+        # stack; differencing f_mu directly would lose about eps / sep
+        mu = DiscreteMeasure(((0.2, 0.5), (0.5, 0.3), (0.9, 0.2)))
+        w = np.array([[1e-3], [1.0], [37.3]]) * np.array([1.0, 1.0 + sep, 1.0 + 2 * sep, 5.0])
+        first = _first_differences(mu, w)
+        second = _second_differences(mu, w, first)
+        assert first.shape == (3, 4, 4) and second.shape == (3, 4, 4, 4)
+        for n, i, k, l in np.ndindex(3, 4, 4, 4):
+            ref1, ref2 = _exact_atom_differences(mu, w[n, i], w[n, k], w[n, l])
+            assert abs(first[n, i, k] - ref1) <= 1e-13 * abs(ref1)
+            assert abs(second[n, i, k, l] - ref2) <= 1e-13 * abs(ref2)
 
 
 class TestConvexOrder:
