@@ -15,12 +15,13 @@ M_j = L^{-1} A_j L^{-*}, where X = L L* is the Cholesky factorization of the
 iterate.  Kubo-Ando means are congruence-invariant (the transformer
 equality), so this is the map X^{1/2} S' X^{1/2} on M'_j = X^{-1/2} A_j X^{-1/2}
 without a square root.  The solver tests the plain map's residual
-||T(X) - X|| / ||X|| and, under Anderson acceleration, steps along
-X #_beta T(X) = L S^beta L*: beta = 1/(1-t) when f = x^t, which
-solves commuting and two-member ensembles in one step, and beta = 1 (the
-plain map) otherwise.  For commuting inputs all of these agree, and the gap
-between the barycenter and the mean-equation solution quantifies
-noncommutativity.
+||T(X) - X|| / ||X||.  Its first step goes along X #_beta T(X) = L S^beta L*:
+beta = 1/(1-t) when f = x^t, which solves commuting and two-member
+ensembles in one step, and beta = 1 (the plain map) otherwise.  Later steps
+are Newton steps in the frame of L, on the map's Jacobian, a first
+Daleckii-Krein derivative built from the same eigendecompositions of the
+M_j.  For commuting inputs all of these agree, and the gap between the
+barycenter and the mean-equation solution quantifies noncommutativity.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ from .hermitian import (
     pd,
     thompson_dist,
 )
-from .measures import _first_differences, _second_differences, f_mu, power_exponent
+from .measures import (
+    _first_differences, _map_differences, _second_differences, f_mu, power_exponent
+)
 
 # Newton step search: the smallest step tried and the factor each rejected
 # trial shrinks the step by.
@@ -380,29 +383,6 @@ def solve_barycenter(
     )
 
 
-# Number of past (iterate, residual) differences the Anderson extrapolation
-# combines.
-_ANDERSON_DEPTH = 5
-
-
-def _real_vector(X: np.ndarray) -> np.ndarray:
-    """X as a real vector; dot products of these are Frobenius products Re Tr(X* Y)."""
-    return X.view(np.float64).ravel()
-
-
-def _anderson_point(U, f, dX, dF):
-    """Y = U - sum_i g_i (dX_i + dF_i) for the least-squares g, with its Cholesky
-    factor, or None if either fails."""
-    D = np.array(dF)
-    try:
-        g = np.linalg.solve(D @ D.T, D @ f)
-    except np.linalg.LinAlgError:
-        return None
-    Y = U - (g @ (np.array(dX) + D)).view(np.complex128).reshape(U.shape)
-    L = _cholesky(Y)
-    return None if L is None else (Y, L)
-
-
 def _half_power(S: np.ndarray, beta: float) -> np.ndarray:
     """S^(beta/2) of a positive definite S: by products when beta/2 is a whole
     number (beta = 2 at t = 1/2, beta = 4 at t = 3/4), else from one eigh."""
@@ -413,58 +393,72 @@ def _half_power(S: np.ndarray, beta: float) -> np.ndarray:
     return _spectral(V, e**k)
 
 
+def _map_jacobian(V: np.ndarray, table: np.ndarray):
+    """Z -> sum_j V_j (table_j o (V_j* Z V_j)) V_j*, the Daleckii-Krein operator."""
+    Vh = np.conj(np.swapaxes(V, -1, -2))
+    return lambda Z: (V @ (table * (Vh @ Z @ V)) @ Vh).sum(axis=0)
+
+
+def _newton_point(X: np.ndarray, L: np.ndarray, S: np.ndarray, jacobian):
+    """X + L E L* for the E in span{r, (I - D) r}, r = S - I, that minimizes
+    ||r - (I - D) E||_F, with its Cholesky factor (None if it fails the
+    test); None if that space is degenerate."""
+    D = jacobian()
+    r = S - np.eye(S.shape[0])
+    p1 = r - D(r)
+    p2 = p1 - D(p1)
+    (g11, g12, c1), (_, g22, c2) = [[np.vdot(p, q).real for q in (p1, p2, r)] for p in (p1, p2)]
+    det = g11 * g22 - g12 * g12
+    if det > 1e-12 * g11 * g22:
+        E = ((c1 * g22 - c2 * g12) * r + (c2 * g11 - c1 * g12) * p1) / det
+    elif g11 > 0:  # p2 parallel to p1, as for 1x1 members: the 1-D solve
+        E = (c1 / g11) * r
+    else:
+        return None
+    Y = _hermitian_part(X + L @ E @ np.conj(L.T))
+    return Y, _cholesky(Y)
+
+
 def _fixed_point(ens, opts, step_fn, beta) -> SolverReport:
-    """Anderson-accelerated iteration to the fixed point of T(X) = L S L*, where
-    L is the Cholesky factor of X = L L* and step_fn(L) returns S.
+    """Newton iteration to the fixed point of T(X) = L S L*, where L is the
+    Cholesky factor of X = L L* and step_fn(L) returns S with a function that
+    builds the map's Jacobian D in the frame of L, or None for D = 0.
 
     Iteration k evaluates T at X_k and the plain residual T(X_k) - X_k, and
     stops once ||T(X_k) - X_k||_F / ||X_k||_F <= residual_tol or the iteration
     cap is reached; that relative residual is what objective_trace records per
     iteration, and X_k, the point it was measured at, is returned either way.
-    Otherwise the next point comes from U(X_k) = X_k #_beta T(X_k) = G G* with
-    G = L S^(beta/2), which is T(X_k) itself at beta = 1, takes matrix
-    products when beta/2 is a whole number and one more eigh of S otherwise.
-    X_{k+1} is the type-II Anderson extrapolation (Walker & Ni 2011) of U
-    from the last _ANDERSON_DEPTH differences dX_i of iterates and dF_i of
-    residuals F = U - X: X_{k+1} = U(X_k) - sum_i g_i (dX_i + dF_i), with the
-    real coefficients g minimizing ||F_k - sum_i g_i dF_i||_F (normal
-    equations), so X_{k+1} stays Hermitian.  Its Cholesky factor is both the
-    cone test and the next L.  When those equations are singular or the
-    extrapolation fails the Cholesky test, X_{k+1} = U(X_k) and the history is
-    cleared; if U(X_k) fails the test too, the solve ends unconverged at X_k.
-    Anderson residuals need not decrease monotonically.  A starting point
-    that fails the Cholesky test raises DomainError.
+    Otherwise iteration 1 steps to X_1 #_beta T(X_1) = G G*, G = L S^(beta/2)
+    (products when beta/2 is a whole number, one more eigh of S otherwise).
+    Later iterations take a Newton step: with L fixed,
+    T(L (I + Z) L*) = L (S + D[Z]) L* + O(Z^2), and the next point is
+    X_k + L E L* for (I - D) E = S - I, solved to the least residual over
+    span{r, (I - D) r}, r = S - I: two products with D and a 2x2 solve.  When
+    D = 0, that space is degenerate or the Newton point fails the Cholesky
+    test, the step is the plain map T(X_k), which contracts (by t in the
+    Thompson metric for x^t) where the extrapolated step can overshoot; if
+    that point fails too, the solve ends unconverged at X_k.  A point's
+    Cholesky factor is the cone test and the next L.  Residuals need not
+    decrease monotonically.  A start that fails the test raises DomainError.
     """
     X = _initial_state(ens, opts)
     L = _cholesky(X)
     if L is None:
         raise DomainError("the starting point fails the Cholesky test")
-    dX: list = []
-    dF: list = []
-    x_prev = f_prev = None
     trace: list = []
     while True:
-        S = step_fn(L)
+        S, jacobian = step_fn(L)
         U = _hermitian_part(L @ S @ np.conj(L.T))
-        F = U - X
-        trace.append(float(np.linalg.norm(F) / max(np.linalg.norm(X), 1e-300)))
+        trace.append(float(np.linalg.norm(U - X) / max(np.linalg.norm(X), 1e-300)))
         if trace[-1] <= opts.residual_tol or len(trace) == opts.max_iterations:
             break
-        if beta != 1:
+        point = None
+        if len(trace) == 1 and beta != 1:
             G = L @ _half_power(S, beta)
             U = _hermitian_part(G @ np.conj(G.T))
-            F = U - X
-        x, f = _real_vector(X), _real_vector(F)
-        if f_prev is not None:
-            dX.append(x - x_prev)
-            dF.append(f - f_prev)
-            if len(dF) > _ANDERSON_DEPTH:
-                del dX[0], dF[0]
-        x_prev, f_prev = x, f
-        point = _anderson_point(U, f, dX, dF) if dF else None
-        if point is None:
-            dX.clear()
-            dF.clear()
+        elif len(trace) > 1 and jacobian:
+            point = _newton_point(X, L, S, jacobian)
+        if point is None or point[1] is None:
             point = U, _cholesky(U)
             if point[1] is None:
                 break
@@ -511,25 +505,36 @@ def solve_mean_equation(
     batched eigh diagonalizes every M_j.
 
     When f = x^t the map is T(X) = sum_j w_j X #_{1-t} A_j, S is the
-    power sum sum_j w_j M_j^{1-t}, and the solver steps along
+    power sum sum_j w_j M_j^{1-t}, and the first step goes to
     L S^{1/(1-t)} L*, the power mean of order 1-t of the M_j carried back
-    by L: exact in one step for commuting members, and so, by congruence
-    with A_1^{-1/2}, for any two members.
+    by L: exact for commuting members, and so, by congruence with
+    A_1^{-1/2}, for any two members.
+
+    Later steps are Newton steps (_fixed_point) on the map's Jacobian in the
+    frame of L, D[Z] = sum_j w_j V_j (Phi_j o (V_j* Z V_j)) V_j* with
+    M_j = V_j diag(e_j) V_j* from the same eigh and Phi_j the divided
+    differences h^[1](1/e_ji, 1/e_jk) of h(y) = y f'(y) / f'(1), which is f
+    for x^t.  A generator with no measure (log) has D = 0: the plain map.
     """
     opts = opts or SolverOptions()
     gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
     fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
     if fp1 <= 0:
         raise DomainError("generator must have positive derivative at 1")
-    t = power_exponent(gen.representing_measure())
+    mu = gen.representing_measure()
+    t = power_exponent(mu)
     mats = ens.stack
     weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
+    member_weights = ens.weights[:, None, None]  # _map_differences divides by f'(1)
 
     def step(L):
         Li = np.linalg.inv(L)
         e, V = np.linalg.eigh(Li @ mats @ np.conj(Li.T))
-        vals = weights * np.asarray(gen.f_prime(1.0 / e), dtype=np.float64)
-        return _spectral(V, vals).sum(axis=0)
+        y = 1.0 / e
+        S = _spectral(V, weights * np.asarray(gen.f_prime(y), dtype=np.float64)).sum(axis=0)
+        if mu is None:
+            return S, None
+        return S, lambda: _map_jacobian(V, member_weights * _map_differences(mu, y))
 
     return _fixed_point(ens, opts, step, 1.0 if t is None else 1.0 / (1.0 - t))
 

@@ -101,7 +101,7 @@ def phi(A: MatrixLike, B: MatrixLike, spec: DivergenceSpec) -> float:
 def g_of(spec: DivergenceSpec, x):
     """Scalar g(x) = (1-c) + c x - f(x); vanishes at 1, nonnegative on (0,inf)."""
     xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs <= 0):
+    if not (xs > 0).all():  # the positive form fails NaN
         raise DomainError("g is only defined on (0, infinity)")
     vals = (1 - spec.c) + spec.c * xs - spec.generator.f(xs)
     return float(vals) if xs.ndim == 0 else vals

@@ -4,8 +4,8 @@ A measure mu encodes an operator monotone generator through
 
     f_mu(x) = integral of x / ((1-l) x + l) dmu(l),    x > 0.
 
-f_mu, f_mu_prime, center_of_mass and the divided-difference tables f_mu^[1]
-and f_mu^[2] (_first_differences, _second_differences) evaluate it exactly:
+f_mu, f_mu_prime, center_of_mass and the divided-difference tables
+(_first_differences, _second_differences, _map_differences) evaluate it exactly:
 as the sum over the atoms of a DiscreteMeasure, and in closed form for the
 arcsine and Beta-type densities, which generate x^{1/2} and x^t
 (power_exponent).  They are the package's one evaluation of a generator.
@@ -116,8 +116,8 @@ def quadrature(mu: Measure, order: int) -> DiscreteMeasure:
     density; a discrete measure is returned unchanged.  A reference for
     tests: f_mu(quadrature(mu, n), x) approximates the closed form f_mu(mu, x).
     """
-    if order < 2:
-        raise DomainError(f"quadrature order {order} must be at least 2")
+    if not (isinstance(order, (int, np.integer)) and order >= 2):
+        raise DomainError(f"quadrature order {order!r} must be an integer >= 2")
     if isinstance(mu, DiscreteMeasure):
         return mu
     if isinstance(mu, ArcsineMeasure):
@@ -151,9 +151,9 @@ def center_of_mass(mu: Measure) -> float:
 
 
 def _check_positive(x: np.ndarray) -> None:
-    # The array method, not np.any: no dispatch cost.  NaN and an empty
-    # array pass.
-    if (x <= 0).any():
+    # The array method, not np.all: no dispatch cost.  The positive form
+    # fails NaN; an empty array passes.
+    if not (x > 0).all():
         raise DomainError("argument must be strictly positive")
 
 
@@ -220,6 +220,21 @@ def _first_differences(mu: Measure, e: np.ndarray) -> np.ndarray:
     l = mu.locations
     P = 1.0 / ((1 - l) * e[..., None] + l)
     return (P * (mu.masses * l)) @ np.swapaxes(P, -1, -2)
+
+
+def _map_differences(mu: Measure, y: np.ndarray) -> np.ndarray:
+    """h^[1](y_i, y_k) of h(y) = y f_mu'(y) / f_mu'(1) over the last axis of a
+    positive spectrum, shape (..., d, d): the mean-equation map's Jacobian
+    table.  h = f_mu for x^t; for atoms (l_k, m_k) and c = f_mu'(1),
+    h^[1](u, v) = (1/c) sum_k m_k l_k (l_k^2 - (1-l_k)^2 u v) / (P_k(u) P_k(v))^2,
+    P_k(y) = (1-l_k) y + l_k: no difference of close numbers at near-ties."""
+    if power_exponent(mu) is not None:
+        return _first_differences(mu, y)
+    l = mu.locations
+    q = mu.masses * l / center_of_mass(mu)
+    P = ((1 - l) * y[..., None] + l) ** -2.0
+    B = np.concatenate((P, y[..., None] * P), axis=-1)  # the l_k^2 and the u v terms
+    return (B * np.concatenate((q * l * l, -q * (1 - l) ** 2))) @ np.swapaxes(B, -1, -2)
 
 
 def _second_differences(mu: Measure, e: np.ndarray, first: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from qhmeans import (
     ArcsineMeasure,
     BetaTypeMeasure,
     DimensionMismatchError,
+    DiscreteMeasure,
     DivergenceSpec,
     DomainError,
     GeometricGenerator,
@@ -627,9 +628,42 @@ def fixed_point_solve(ens, solver, opts):
 
 
 def large_exponent_ensemble():
-    """Eight 2x2 members at spread 3, on which Anderson acceleration of the
-    plain map alone stalls near 1e-3 at t = 0.95."""
+    """Eight 2x2 members at spread 3, on which the plain map contracts by only
+    0.95 per step at t = 0.95."""
     return ensemble(*pinned_spectrum_ensemble_np(np.random.default_rng([0, 2, 8, 3]), 2, 8, 3))
+
+
+def captured_step(ens, gen, monkeypatch):
+    """The step function solve_mean_equation hands to _fixed_point."""
+    steps = []
+
+    def capture(ens, opts, step, beta):
+        steps.append(step)
+
+    monkeypatch.setattr(barycenter, "_fixed_point", capture)
+    solve_mean_equation(ens, gen)
+    return steps[0]
+
+
+def mean_map(ens, X, gen):
+    """T(X) = (1/c) sum_j w_j X^{1/2} f'((X^{-1/2} A_j X^{-1/2})^{-1}) X^{1/2},
+    through the square root of X and one eigh per member."""
+    x, U = np.linalg.eigh(X)
+    root, iroot = _spectral(U, np.sqrt(x)), _spectral(U, 1 / np.sqrt(x))
+    c = float(gen.f_prime(1.0))
+    image = 0
+    for w, A in zip(ens.weights, ens.matrices):
+        e, V = np.linalg.eigh(iroot @ A.mat @ iroot)
+        image = image + w * root @ _spectral(V, gen.f_prime(1 / e) / c) @ root
+    return image
+
+
+JACOBIAN_GENERATORS = {
+    "geometric:0.25": GeometricGenerator(0.25),
+    "arcsine": arcsine_generator(),
+    "harmonic:0.3": HarmonicGenerator(0.3),
+    "three-atom": MeasureGenerator(DiscreteMeasure(((0.1, 0.3), (0.45, 0.5), (0.8, 0.2)))),
+}
 
 
 def two_member_power_mean(A, B, w, t):
@@ -697,8 +731,9 @@ class TestFixedPointMap:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_extrapolation_outside_the_cone_falls_back(self, seed):
-        # members with spectrum {e^-6, e^6}: on these seeds some Anderson
-        # extrapolations are not positive definite and the plain step is taken
+        # two members with spectrum {e^-6, e^6}: the extrapolated first step
+        # is exact here and its point passes the Cholesky test, so no fallback
+        # is taken; test_newton_point_outside_the_cone_* cover the fallback
         rng = np.random.default_rng(seed)
         mats = []
         for _ in range(2):
@@ -712,13 +747,25 @@ class TestFixedPointMap:
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_scalar_ensemble_matches_closed_form(self, rng, t):
-        # 1x1 members: any two differences in the Anderson history are
-        # linearly dependent, so its least-squares system is singular
+        # 1x1 members commute, so the extrapolated first step is exact
         a = np.exp(rng.uniform(-3, 3, size=(5, 1)))
         ens = ensemble([np.diag(row) for row in a], rng.dirichlet(np.ones(5)))
         report = solve_power_mean(ens, t, SolverOptions(residual_tol=1e-12))
         assert report.converged
         oracle = scalar_power_barycenter(a, ens.weights, t)
+        assert report.solution.mat[0, 0].real == pytest.approx(oracle[0], rel=1e-10)
+
+    def test_scalar_ensemble_newton_steps(self, rng):
+        # 1x1 members: the Krylov vectors r and (I - D) r of a Newton step are
+        # collinear, so its 2x2 least-squares system is singular and the
+        # one-dimensional solve is taken.  The harmonic generator is not a
+        # power, so its first step is the plain map and Newton steps follow.
+        a = np.exp(rng.uniform(-3, 3, size=(5, 1)))
+        ens = ensemble([np.diag(row) for row in a], rng.dirichlet(np.ones(5)))
+        gen = HarmonicGenerator(0.3)
+        report = solve_mean_equation(ens, gen, SolverOptions(residual_tol=1e-12))
+        assert report.converged and report.iterations > 2
+        oracle = scalar_mean_equation(a, ens.weights, gen)
         assert report.solution.mat[0, 0].real == pytest.approx(oracle[0], rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -741,6 +788,87 @@ class TestFixedPointMap:
             ens, t, SolverOptions(max_iterations=1, initial_guess=report.solution)
         )
         assert again.final_residual <= floor
+
+    @pytest.mark.parametrize("name", JACOBIAN_GENERATORS)
+    def test_jacobian_matches_central_differences(self, rng, monkeypatch, name):
+        # with L fixed, L^{-1} T(L (I + Z) L*) L^{-*} = S + D[Z] + O(Z^2); the
+        # map is recomputed outside the solver, through the square root of X
+        gen = JACOBIAN_GENERATORS[name]
+        ens = random_ensemble(rng, 4, 5, 1.5)
+        step = captured_step(ens, gen, monkeypatch)
+        L = np.linalg.cholesky(random_pd_np(rng, 4, 1.0))
+        Li = np.linalg.inv(L)
+        Z = random_hermitian_np(rng, 4)
+        Z /= np.linalg.norm(Z)
+        S, jacobian = step(L)
+
+        def frame(h):
+            X = L @ (np.eye(4) + h * Z) @ L.conj().T
+            return Li @ mean_map(ens, X, gen) @ Li.conj().T
+
+        assert np.linalg.norm(S - frame(0.0)) <= 1e-12 * np.linalg.norm(S)
+        h = 1e-5  # rounding, amplified by L^{-1}, outweighs truncation below this
+        fd = (frame(h) - frame(-h)) / (2 * h)
+        assert np.linalg.norm(jacobian()(Z) - fd) <= 1e-7 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
+    def test_newton_iteration_bound_at_spread_3(self, t):
+        # eight members at spread 3, where the plain map contracts by only t
+        # per step: Newton steps take at most 8 iterations on these inputs
+        for seed in range(20):
+            report = solve_power_mean(spread_ensemble(seed, 4, 8, 3.0), t)
+            assert report.converged
+            assert report.iterations <= 9
+
+    def test_newton_point_outside_the_cone_falls_back(self, monkeypatch):
+        # every Newton point "fails" the Cholesky test, so every step after
+        # the first is the plain map's, and the solve still converges
+        newton, factor = barycenter._newton_point, barycenter._cholesky
+        inside, refused = [], []
+
+        def newton_outside(*args):
+            inside.append(1)
+            try:
+                return newton(*args)
+            finally:
+                inside.pop()
+
+        def cholesky(X):
+            if inside:
+                refused.append(X)
+                return None
+            return factor(X)
+
+        monkeypatch.setattr(barycenter, "_newton_point", newton_outside)
+        monkeypatch.setattr(barycenter, "_cholesky", cholesky)
+        ens = spread_ensemble(3, 4, 8, 1.0)
+        opts = SolverOptions()
+        report = solve_power_mean(ens, 0.5, opts)
+        assert report.converged
+        assert len(refused) == report.iterations - 2  # iterations 2 .. k-1
+        assert map_residual(ens, report.solution, 0.5) <= 10 * opts.residual_tol
+
+    @pytest.mark.parametrize("t", [0.75, 0.9])
+    def test_newton_point_outside_the_cone_at_spread_6(self, monkeypatch, t):
+        # three 4x4 members at spread 6: after the first step the L-frame
+        # residual S - I is still of order 1, the early Newton points leave the
+        # cone, and the plain map carries the solve (the extrapolated map,
+        # taken instead, overshoots further at every step and never converges)
+        newton = barycenter._newton_point
+        refused = []
+
+        def counting(*args):
+            point = newton(*args)
+            refused.append(point is None or point[1] is None)
+            return point
+
+        monkeypatch.setattr(barycenter, "_newton_point", counting)
+        ens = spread_ensemble(0, 4, 3, 6.0)
+        opts = SolverOptions()
+        report = solve_power_mean(ens, t, opts)
+        assert report.converged
+        assert any(refused)
+        assert map_residual(ens, report.solution, 1.0 - t) <= 10 * opts.residual_tol
 
     def test_reports_non_convergence(self):
         report = solve_power_mean(ref_ensemble(), 0.75, SolverOptions(max_iterations=1))
@@ -785,12 +913,12 @@ class TestFixedPointMap:
 
     @pytest.mark.parametrize(
         "solver, per_iteration",
-        [("power:0.25", 2), ("power:0.5", 1), ("power:0.75", 1), ("harmonic:0.3", 1)],
+        [("power:0.25", 1), ("power:0.5", 1), ("power:0.75", 1), ("harmonic:0.3", 1)],
     )
     def test_eigh_calls_per_iteration(self, monkeypatch, solver, per_iteration):
-        # the M_j stack takes one batched eigh; S^(beta/2) takes products at
-        # beta = 2 and 4, one more eigh at beta = 4/3 (t = 1/4), and nothing at
-        # beta = 1 (the harmonic generator is not a power)
+        # the M_j stack takes one batched eigh, and the Newton step only
+        # products; S^(beta/2), one more eigh at beta = 4/3 (t = 1/4), is taken
+        # only by the extrapolated first step
         ens = spread_ensemble(3, 4, 8, 1.0)
         eigh = np.linalg.eigh
         calls = []

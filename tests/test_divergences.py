@@ -142,6 +142,11 @@ class TestG:
     def test_domain(self):
         with pytest.raises(DomainError):
             g_of(ARCSINE_SPEC, 0.0)
+        with pytest.raises(DomainError):
+            g_of(ARCSINE_SPEC, np.nan)
+        with pytest.raises(DomainError):
+            g_of(ARCSINE_SPEC, [np.nan, 1.0])
+        assert g_of(ARCSINE_SPEC, np.empty(0)).shape == (0,)
 
 
 class TestPhiViaG:

@@ -26,6 +26,7 @@ from qhmeans.measures import (
     _check_positive,
     _convex_order_holds,
     _first_differences,
+    _map_differences,
     _second_differences,
 )
 
@@ -142,9 +143,14 @@ class TestQuadrature:
         assert isinstance(rule, DiscreteMeasure) and len(rule.atoms) == order
         assert abs(rule.masses.sum() - 1.0) <= 1e-15
 
-    def test_order_validation(self):
+    @pytest.mark.parametrize("order", [1, 2.7, float("nan"), "4"])
+    def test_order_validation(self, order):
+        # a non-integer order is refused, not truncated to a smaller rule
         with pytest.raises(DomainError):
-            quadrature(ArcsineMeasure(), 1)
+            quadrature(ArcsineMeasure(), order)
+
+    def test_numpy_integer_order(self):
+        assert len(quadrature(ArcsineMeasure(), np.int64(8)).atoms) == 8
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_beta_mass_and_mean_vs_adaptive_oracle(self, t):
@@ -184,12 +190,20 @@ class TestGeneratorFunction:
             f_mu(ArcsineMeasure(), -2.0)
 
     def test_positivity_check(self):
-        for bad in (0.0, -2.0, [1.0, 0.0], [[3.0], [-1e-300]]):
+        for bad in (0.0, -2.0, np.nan, [1.0, 0.0], [[3.0], [-1e-300]], [2.0, np.nan]):
             with pytest.raises(DomainError):
                 _check_positive(np.asarray(bad))
         # the empty batch of a campaign and a scalar pass
         _check_positive(np.empty((0, 4)))
         _check_positive(np.asarray(2.0))
+
+    def test_nan_argument_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            f_mu(ArcsineMeasure(), np.nan)
+        with pytest.raises(DomainError):
+            f_mu(dirac(0.3), [np.nan, 1.0])
+        with pytest.raises(DomainError):
+            f_mu_prime(dirac(0.3), [np.nan, 1.0])
 
     def test_monotone_and_concave_on_grid(self):
         for mu in SAMPLE_MEASURES:
@@ -286,6 +300,44 @@ class TestDividedDifferences:
             ref1, ref2 = _exact_atom_differences(mu, w[n, i], w[n, k], w[n, l])
             assert abs(first[n, i, k] - ref1) <= 1e-13 * abs(ref1)
             assert abs(second[n, i, k, l] - ref2) <= 1e-13 * abs(ref2)
+
+
+def _exact_map_difference(mu, u, v):
+    """h^[1](u, v) of h(y) = y f_mu'(y) / f_mu'(1) for a discrete measure in
+    50-digit decimal arithmetic, from the difference of h and, at a tie, h'."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pairs = zip(mu.locations.tolist(), mu.masses.tolist())
+        atoms = [(Decimal(l), Decimal(m)) for l, m in pairs]
+        c = sum(m * l for l, m in atoms)
+        h = lambda y: sum(m * l * y / ((1 - l) * y + l) ** 2 for l, m in atoms) / c
+        u, v = Decimal(float(u)), Decimal(float(v))
+        if u == v:
+            slope = sum(m * l * (l - (1 - l) * u) / ((1 - l) * u + l) ** 3 for l, m in atoms)
+            return float(slope / c)
+        return float((h(u) - h(v)) / (u - v))
+
+
+class TestMapDifferences:
+    @pytest.mark.parametrize("sep", [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+    def test_atom_sum_table_against_exact_arithmetic(self, sep):
+        # clustered points at three scales; differencing h directly would lose
+        # about eps / sep
+        mu = DiscreteMeasure(((0.2, 0.5), (0.5, 0.3), (0.9, 0.2)))
+        y = np.array([[1e-3], [1.0], [37.3]]) * np.array([1.0, 1.0 + sep, 1.0 + 2 * sep, 5.0])
+        table = _map_differences(mu, y)
+        assert table.shape == (3, 4, 4)
+        for n, i, k in np.ndindex(3, 4, 4):
+            ref = _exact_map_difference(mu, y[n, i], y[n, k])
+            assert abs(table[n, i, k] - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "mu", [ArcsineMeasure(), BetaTypeMeasure(0.25)], ids=["arcsine", "beta0.25"]
+    )
+    def test_power_table_is_the_generator_table(self, mu):
+        # for f = x^t, h(y) = y t y^(t-1) / t = f(y)
+        y = np.array([0.3, 0.3 + 1e-9, 2.0, 40.0])
+        assert np.array_equal(_map_differences(mu, y), _first_differences(mu, y))
 
 
 class TestConvexOrder:
