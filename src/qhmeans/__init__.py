@@ -61,14 +61,11 @@ from .hermitian import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     SpectralDecomposition,
-    apply_spectral,
     eig_hermitian,
     frechet_derivative,
     frobenius_dist,
     herm,
-    inv_pd,
     inv_sqrt_pd,
-    is_positive_definite,
     loewner_leq,
     pd,
     sqrt_pd,

@@ -44,6 +44,7 @@ from .hermitian import (
     PositiveDefiniteMatrix,
     _hermitian_part,
     _mat,
+    _require_count,
     _require_finite,
     _require_pd,
     _spectral,
@@ -81,7 +82,7 @@ class WeightedEnsemble:
         if not members:
             raise DomainError("an ensemble needs at least one matrix")
         arrays = [_mat(A) for A in members]
-        dim = arrays[0].shape[0]
+        dim = _require_count("ensemble matrix dimension", arrays[0].shape[0])
         if any(a.shape[0] != dim for a in arrays):
             raise DimensionMismatchError("all ensemble matrices must share a dimension")
         stack = np.stack(arrays)
@@ -144,8 +145,7 @@ class SolverOptions:
 
     def __post_init__(self):
         # Positive forms, so a NaN tolerance fails them.
-        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 1):
-            raise DomainError("max_iterations must be an integer >= 1")
+        _require_count("max_iterations", self.max_iterations)
         if not 0 < self.residual_tol < np.inf:
             raise DomainError("residual_tol must be finite and positive")
 

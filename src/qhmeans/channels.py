@@ -21,6 +21,7 @@ from .hermitian import (
     _check_same_dim,
     _hermitian_part,
     _mat,
+    _require_count,
     _require_finite,
     _require_pd,
     pd,
@@ -103,8 +104,7 @@ def apply_channel(T: QuantumChannel, A: MatrixLike) -> HermitianMatrix:
 
 def pinching_channel(d: int) -> QuantumChannel:
     """Projection onto the diagonal subalgebra: Kraus operators e_i e_i*."""
-    if d < 1:
-        raise DomainError("dimension must be at least 1")
+    d = _require_count("dimension", d)
     ks = []
     for i in range(d):
         K = np.zeros((d, d), dtype=np.complex128)
@@ -120,8 +120,7 @@ def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> QuantumChannel:
     environment index yields env_dim Kraus operators.  Deterministic for a
     fixed seed; the seed may be an integer or a sequence (campaign, trial).
     """
-    if min(d_in, d_out, env_dim) < 1:
-        raise DomainError("dimensions must be at least 1")
+    d_in, d_out, env_dim = (_require_count("dimension", d) for d in (d_in, d_out, env_dim))
     if d_out * env_dim < d_in:
         raise DomainError(
             f"no isometry exists: d_out*env_dim = {d_out * env_dim} < d_in = {d_in}"

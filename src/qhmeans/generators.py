@@ -2,12 +2,13 @@
 
 Every Kubo-Ando mean is given by a probability measure mu on [0,1] (Kubo &
 Ando, Math. Ann. 246 (1980)), and MeasureGenerator evaluates its f through
-f_mu and f_mu_prime: x^t in closed form for the arcsine and Beta-type
-densities, the atom sum otherwise.  The named generators (arithmetic,
-geometric, harmonic) are constructors of the MeasureGenerator of their
-measure; PowerGenerator, the x^t of the relaxed commutative family, is an
-alias of GeometricGenerator.  The log generator belongs to that family only:
-it is required to be strictly concave and C^1, not operator monotone.
+f_mu and f_mu_prime: x^t in closed form for the Beta-type density (the
+arcsine density is its t = 1/2), the atom sum otherwise.  The named
+generators (arithmetic, geometric, harmonic) are constructors of the
+MeasureGenerator of their measure; PowerGenerator, the x^t of the relaxed
+commutative family, is an alias of GeometricGenerator.  The log generator
+belongs to that family only: it is required to be strictly concave and C^1,
+not operator monotone.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ Generator = Union[MeasureGenerator, LogGenerator]
 
 
 def arcsine_generator() -> MeasureGenerator:
-    """The square-root generator, represented by the arcsine measure."""
+    """The square-root generator, represented by the arcsine measure: equal to
+    GeometricGenerator(0.5)."""
     return MeasureGenerator(ArcsineMeasure())
 
 

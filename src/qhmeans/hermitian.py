@@ -129,6 +129,13 @@ def _require_pd(w: np.ndarray, what: str = "matrix") -> None:
             )
 
 
+def _require_count(name: str, value, minimum: int = 1) -> int:
+    """value as an int if it is an int or numpy integer, not a bool, >= minimum."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def herm(entries: MatrixLike) -> HermitianMatrix:
     """Construct a HermitianMatrix from any square array-like."""
     if isinstance(entries, HermitianMatrix):
@@ -181,19 +188,6 @@ def _apply_spectral_raw(mat: np.ndarray, fn: Callable[[np.ndarray], np.ndarray])
     return _spectral(U, fw)
 
 
-def apply_spectral(A: MatrixLike, fn: Callable) -> HermitianMatrix:
-    """Apply a scalar function to a matrix through its eigendecomposition.
-
-    Args:
-        A: positive definite matrix (the spectrum must lie in fn's domain).
-        fn: real scalar function, vectorized over a 1-d eigenvalue array.
-
-    Returns:
-        HermitianMatrix U diag(fn(lambda)) U*; commutes with A.
-    """
-    return HermitianMatrix(_apply_spectral_raw(_mat(A), fn))
-
-
 def _warn_if_ill_conditioned(w: np.ndarray) -> None:
     """One ConditioningWarning per ill-conditioned spectrum in w, (d,) or (n, d)."""
     for k, (low, high) in enumerate(_extremes(w)):
@@ -233,11 +227,6 @@ def inv_sqrt_pd(A: MatrixLike) -> PositiveDefiniteMatrix:
     return _pd_spectral(A, lambda w: 1.0 / np.sqrt(w))
 
 
-def inv_pd(A: MatrixLike) -> PositiveDefiniteMatrix:
-    """Inverse of a positive definite matrix."""
-    return _pd_spectral(A, lambda w: 1.0 / w)
-
-
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(
@@ -246,10 +235,12 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def loewner_leq(A: MatrixLike, B: MatrixLike, tol: float = 1e-10) -> bool:
-    """True iff A <= B in the Loewner order, i.e. min eig(B - A) >= -tol."""
+    """True iff A <= B in the Loewner order to a tolerance relative to the
+    pair's scale: min eig(B - A) >= -tol max(||A||_2, ||B||_2)."""
     a, b = _mat(A), _mat(B)
     _check_same_dim(a, b)
-    return bool(np.linalg.eigvalsh(_hermitian_part(b - a))[0] >= -tol)
+    scale = max(np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    return bool(np.linalg.eigvalsh(_hermitian_part(b - a))[0] >= -tol * scale)
 
 
 def frobenius_dist(A: MatrixLike, B: MatrixLike) -> float:
@@ -268,11 +259,6 @@ def thompson_dist(A: MatrixLike, B: MatrixLike) -> float:
     if w[0] <= 0:
         raise DomainError("Thompson metric requires positive definite inputs")
     return float(np.max(np.abs(np.log(w))))
-
-
-def is_positive_definite(H: MatrixLike, tol: float = 1e-12) -> bool:
-    """True iff the smallest eigenvalue of a Hermitian matrix exceeds tol."""
-    return bool(np.linalg.eigvalsh(_mat(herm(H)))[0] > tol)
 
 
 # Relative eigenvalue separation below which divided differences take their

@@ -7,11 +7,11 @@ A measure mu encodes an operator monotone generator through
 f_mu, f_mu_prime, center_of_mass and the divided-difference tables
 (_first_differences, _second_differences, _map_differences) evaluate it exactly:
 as the sum over the atoms of a DiscreteMeasure, and in closed form for the
-arcsine and Beta-type densities, which generate x^{1/2} and x^t
-(power_exponent).  They are the package's one evaluation of a generator.
-quadrature, the Gauss rule of a density as a DiscreteMeasure, is a reference
-for tests that no evaluation path calls; its Beta-type rule is the package's
-only use of scipy.
+Beta-type density, which generates x^t (power_exponent); the arcsine density
+is its t = 1/2.  They are the package's one evaluation of a generator.
+quadrature, the Gauss-Jacobi rule of a density as a DiscreteMeasure, is a
+reference for tests that no evaluation path calls, and the package's only use
+of scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, UnsupportedVariantError
-from .hermitian import _second_divided_differences
+from .hermitian import _require_count, _second_divided_differences
 
 MASS_ATOL = 1e-10
 
@@ -63,11 +63,6 @@ def dirac(location: float) -> DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class ArcsineMeasure:
-    """Density 1 / (pi sqrt(l (1-l))) on (0,1); generates the square root."""
-
-
-@dataclass(frozen=True)
 class BetaTypeMeasure:
     """Density (sin(t pi)/pi) l^(t-1) (1-l)^(-t) on (0,1), t in (0,1).
 
@@ -83,15 +78,13 @@ class BetaTypeMeasure:
         object.__setattr__(self, "t", t)
 
 
-Measure = Union[DiscreteMeasure, ArcsineMeasure, BetaTypeMeasure]
+def ArcsineMeasure() -> BetaTypeMeasure:
+    """Density 1 / (pi sqrt(l (1-l))) on (0,1), the Beta-type t = 1/2;
+    generates the square root."""
+    return BetaTypeMeasure(0.5)
 
 
-def _chebyshev_rule(order: int) -> tuple:
-    # Gauss-Chebyshev (first kind) mapped from [-1,1] to [0,1]; all weights
-    # are equal once the 1/pi normalization of the arcsine density is folded in.
-    k = np.arange(1, order + 1)
-    u = np.cos((2 * k - 1) * np.pi / (2 * order))
-    return (1 + u) / 2, np.full(order, 1.0 / order)
+Measure = Union[DiscreteMeasure, BetaTypeMeasure]
 
 
 def _jacobi_rule(t: float, order: int) -> tuple:
@@ -110,29 +103,22 @@ def _atoms(locs: np.ndarray, masses: np.ndarray) -> tuple:
 
 
 def quadrature(mu: Measure, order: int) -> DiscreteMeasure:
-    """The order-node Gauss rule of a density, as a DiscreteMeasure.
-
-    Gauss-Chebyshev for the arcsine density, Gauss-Jacobi for the Beta-type
-    density; a discrete measure is returned unchanged.  A reference for
-    tests: f_mu(quadrature(mu, n), x) approximates the closed form f_mu(mu, x).
+    """The order-node Gauss-Jacobi rule of a Beta-type density, as a
+    DiscreteMeasure; a discrete measure is returned unchanged.  A reference
+    for tests: f_mu(quadrature(mu, n), x) approximates the closed form
+    f_mu(mu, x).
     """
-    if not (isinstance(order, (int, np.integer)) and order >= 2):
-        raise DomainError(f"quadrature order {order!r} must be an integer >= 2")
+    order = _require_count("quadrature order", order, 2)
     if isinstance(mu, DiscreteMeasure):
         return mu
-    if isinstance(mu, ArcsineMeasure):
-        return DiscreteMeasure(_atoms(*_chebyshev_rule(int(order))))
     if isinstance(mu, BetaTypeMeasure):
-        return DiscreteMeasure(_atoms(*_jacobi_rule(mu.t, int(order))))
+        return DiscreteMeasure(_atoms(*_jacobi_rule(mu.t, order)))
     raise UnsupportedVariantError(f"unknown measure variant {type(mu).__name__}")
 
 
 def power_exponent(mu: Optional[Measure]) -> Optional[float]:
-    """The t with f_mu(x) = x^t for the arcsine (t = 1/2) and Beta-type
-    densities; None for a discrete measure, whose generator is a finite sum,
-    and for no measure."""
-    if isinstance(mu, ArcsineMeasure):
-        return 0.5
+    """The t with f_mu(x) = x^t for a Beta-type density; None for a discrete
+    measure, whose generator is a finite sum, and for no measure."""
     if isinstance(mu, BetaTypeMeasure):
         return mu.t
     return None
@@ -141,8 +127,8 @@ def power_exponent(mu: Optional[Measure]) -> Optional[float]:
 def center_of_mass(mu: Measure) -> float:
     """First moment c(mu) = integral of l dmu(l), in [0,1].
 
-    It is f_mu'(1): 1/2 for the arcsine density and t for the Beta-type
-    density, exactly; the sum over the atoms otherwise.
+    It is f_mu'(1): t for the Beta-type density, exactly; the sum over the
+    atoms otherwise.
     """
     t = power_exponent(mu)
     if t is not None:
@@ -159,9 +145,9 @@ def _check_positive(x: np.ndarray) -> None:
 
 def f_mu(mu: Measure, x, order: Optional[int] = None):
     """Generator value f_mu(x) at a positive scalar or array: x^t for the
-    arcsine (t = 1/2) and Beta-type densities, the sum of m_k x / ((1-l_k) x + l_k)
-    over the atoms (l_k, m_k) of a discrete measure.  order is ignored; it is
-    accepted for callers that still pass a Gauss order positionally.
+    Beta-type density, the sum of m_k x / ((1-l_k) x + l_k) over the atoms
+    (l_k, m_k) of a discrete measure.  order is ignored; it is accepted for
+    callers that still pass a Gauss order positionally.
     """
     xs = np.asarray(x, dtype=np.float64)
     t = power_exponent(mu)
@@ -184,8 +170,8 @@ def _generator_values(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> 
 
 
 def f_mu_prime(mu: Measure, x, order: Optional[int] = None):
-    """Generator derivative: t x^(t-1) for the arcsine and Beta-type densities,
-    the sum of m_k l_k / ((1-l_k) x + l_k)^2 over the atoms of a discrete measure.
+    """Generator derivative: t x^(t-1) for the Beta-type density, the sum of
+    m_k l_k / ((1-l_k) x + l_k)^2 over the atoms of a discrete measure.
 
     At x = 1 this is the center of mass of mu.  order is ignored, as in f_mu.
     """

@@ -31,9 +31,11 @@ from .channels import (
     _kraus_stack,
 )
 from .divergences import _means, _phi_batch
-from .errors import DegenerateTrialError, DomainError
+from .errors import DegenerateTrialError
 from .generators import DivergenceSpec
-from .hermitian import PositiveDefiniteMatrix, _hermitian_part, _require_pd, _spectral, frobenius_dist
+from .hermitian import (
+    PositiveDefiniteMatrix, _hermitian_part, _require_count, _require_pd, _spectral, frobenius_dist
+)
 from .measures import DiscreteMeasure, _atoms, _convex_order_holds, _generator_values, _padded
 from .serialize import matrix_to_json as _matrix_json
 
@@ -292,8 +294,8 @@ def run_campaigns(
     corrupt_channel: bool = False,
 ) -> PropertyReport:
     """Run the four standard campaigns and collect worst slacks."""
-    if trials < 0:
-        raise DomainError(f"trials must be non-negative, got {trials}")
+    trials = _require_count("trials", trials, 0)
+    dim = _require_count("dim", dim)
     campaigns = (
         ("dpi", _dpi_draw, partial(_dpi_trials, spec, dim, corrupt_channel)),
         ("joint_convexity", _joint_convexity_draw, partial(_joint_convexity_trials, spec, dim)),

@@ -19,7 +19,7 @@ from .generators import (
     LogGenerator,
     MeasureGenerator,
 )
-from .hermitian import MatrixLike, _mat
+from .hermitian import MatrixLike, _mat, _require_count
 from .measures import (
     ArcsineMeasure,
     BetaTypeMeasure,
@@ -38,11 +38,11 @@ def matrix_to_json(M: MatrixLike) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
+        dim = _require_count("matrix dim", obj["dim"])
         re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed matrix object: {exc}") from exc
-    im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=np.float64)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DomainError(
             f"matrix parts must be {dim}x{dim}, got re{re.shape} im{im.shape}"
@@ -51,8 +51,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def measure_to_json(mu: Measure) -> dict:
-    if isinstance(mu, ArcsineMeasure):
-        return {"kind": "arcsine"}
     if isinstance(mu, BetaTypeMeasure):
         return {"kind": "beta", "t": mu.t}
     if isinstance(mu, DiscreteMeasure):
@@ -61,8 +59,9 @@ def measure_to_json(mu: Measure) -> dict:
 
 
 def measure_from_json(obj: dict) -> Measure:
-    """A measure from its JSON object.  The "tabulated" kind, nodes in (0,1)
-    with their weights, loads as the DiscreteMeasure of those atoms."""
+    """A measure from its JSON object.  The "arcsine" kind loads as the
+    Beta-type t = 1/2, and the "tabulated" kind, nodes in (0,1) with their
+    weights, as the DiscreteMeasure of those atoms."""
     try:
         kind = obj.get("kind")
         if kind == "arcsine":

@@ -143,6 +143,10 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             ensemble([], [])
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(DomainError, match="dimension must be an integer >= 1"):
+            ensemble([np.zeros((0, 0))], [1.0])
+
     def test_arithmetic_mean(self):
         ens = ensemble([np.diag([2.0, 2.0]), np.diag([4.0, 4.0])], [0.25, 0.75])
         assert np.allclose(ens.arithmetic_mean().mat, 3.5 * np.eye(2))
@@ -187,6 +191,8 @@ class TestSolverOptions:
             {"residual_tol": -1e-8},
             {"residual_tol": float("inf")},
             {"residual_tol": float("nan")},
+            {"max_iterations": True},
+            {"max_iterations": np.True_},
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):

@@ -91,6 +91,14 @@ class TestPinching:
         out = apply_channel(pinching_channel(3), herm(np.eye(3)))
         assert np.array_equal(out.mat, np.eye(3, dtype=complex))
 
+    @pytest.mark.parametrize("d", [0, 2.5, 3.0, True])
+    def test_rejects_non_positive_integer_dimension(self, d):
+        with pytest.raises(DomainError, match="dimension must be an integer >= 1"):
+            pinching_channel(d)
+
+    def test_accepts_numpy_integer_dimension(self):
+        assert len(pinching_channel(np.int64(3)).kraus) == 3
+
 
 class TestRandomCptp:
     def test_trace_preserving_invariant(self):
@@ -129,6 +137,11 @@ class TestRandomCptp:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2, 0, 2), (2, 2, True), (2, 2, 2.0)])
+    def test_rejects_non_positive_integer_dimensions(self, dims):
+        with pytest.raises(DomainError, match="dimension must be an integer >= 1"):
+            random_cptp(*dims, seed=0)
 
     def test_no_isometry_error(self):
         with pytest.raises(DomainError):

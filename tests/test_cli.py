@@ -221,6 +221,10 @@ class TestProperties:
         assert main(["properties", "--trials", "-3"]) == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_zero_dim_rejected(self, capsys):
+        assert main(["properties", "--trials", "2", "--dim", "0"]) == 2
+        assert "dim must be an integer >= 1" in capsys.readouterr().err
+
     def test_small_campaign_passes(self, capsys):
         code = main(["properties", "--trials", "10", "--dim", "2", "--seed", "42"])
         assert code == 0
@@ -322,6 +326,13 @@ class TestErrorHandling:
         a = write_matrix(tmp_path / "a.json", np.eye(2))
         b = write_matrix(tmp_path / "b.json", np.eye(3))
         assert main(["mean", "--input", a, "--input", b]) == 2
+
+    def test_fractional_matrix_dim(self, capsys):
+        # a dim of 2.7 is refused, not truncated to 2
+        a = '{"dim": 2.7, "re": [[2, 0], [0, 1]]}'
+        b = '{"dim": 2, "re": [[1, 0], [0, 1]]}'
+        assert main(["divergence", "--inline", a, "--inline", b]) == 2
+        assert "matrix dim must be an integer >= 1" in capsys.readouterr().err
 
     def test_wrong_input_count(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.json", np.eye(2))

@@ -16,6 +16,7 @@ from qhmeans import (
     MeasureGenerator,
     PowerGenerator,
     UnsupportedGeneratorError,
+    arcsine_generator,
     dirac,
     f_mu,
     quadrature,
@@ -91,6 +92,11 @@ class TestRepresentingMeasures:
         gen = GeometricGenerator(lam)
         quad_vals = f_mu(quadrature(gen.representing_measure(), 256), GRID)
         assert np.max(np.abs(quad_vals - GRID**lam)) <= 1e-8
+
+    def test_arcsine_is_the_beta_type_half(self):
+        assert ArcsineMeasure() == BetaTypeMeasure(0.5)
+        assert arcsine_generator() == GeometricGenerator(0.5)
+        assert DivergenceSpec(arcsine_generator()) == DivergenceSpec(GeometricGenerator(0.5))
 
     def test_arcsine_measure_matches_geometric_half(self):
         gen = MeasureGenerator(ArcsineMeasure())

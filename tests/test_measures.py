@@ -135,6 +135,16 @@ class TestQuadrature:
         rule = quadrature(ArcsineMeasure(), 64)
         assert abs(rule.masses.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("order", [2, 8, 64, 512])
+    def test_arcsine_rule_is_gauss_chebyshev(self, order):
+        # The Gauss rule of the arcsine density in closed form: nodes
+        # (1 + cos((2k-1) pi / 2n)) / 2, k = 1..n, each with weight 1/n.
+        k = np.arange(1, order + 1)
+        nodes = np.sort((1 + np.cos((2 * k - 1) * np.pi / (2 * order))) / 2)
+        rule = quadrature(ArcsineMeasure(), order)
+        np.testing.assert_allclose(np.sort(rule.locations), nodes, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rule.masses, 1.0 / order, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("order", [64, 256, 1024, 4096])
     @pytest.mark.parametrize("mu", [ArcsineMeasure(), BetaTypeMeasure(0.3)], ids=["arcsine", "beta0.3"])
     def test_gauss_rules_are_discrete_measures(self, mu, order):

@@ -12,7 +12,7 @@ import pytest
 import qhmeans.channels as channels
 import qhmeans.measures as measures
 import qhmeans.properties as properties
-from qhmeans import DegenerateTrialError, DivergenceSpec, MeasureGenerator, arcsine_generator
+from qhmeans import DegenerateTrialError, DivergenceSpec, DomainError, MeasureGenerator, arcsine_generator
 from qhmeans.channels import check_dpi, check_joint_convexity, kraus_defect, random_cptp
 from qhmeans.cli import parse_generator
 from qhmeans.divergences import kubo_ando_mean, phi
@@ -53,6 +53,16 @@ def test_degenerate_dpi_trials_are_discarded(monkeypatch):
     assert shown[0].strip() == (
         "trial 0: discarded  channel output too singular (rng key: [3, 0, 0])"
     )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"dim": 0}, {"dim": 2.5}, {"dim": True}, {"trials": 2.5}, {"trials": -1}],
+    ids=["dim-zero", "dim-fractional", "dim-bool", "trials-fractional", "trials-negative"],
+)
+def test_sizes_must_be_integers(kwargs):
+    with pytest.raises(DomainError, match="must be an integer"):
+        run_campaigns(ARCSINE_SPEC, **{"trials": 2, **kwargs})
 
 
 def test_corrupt_channel_failure_keeps_its_kraus_operators():

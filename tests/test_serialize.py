@@ -62,6 +62,23 @@ class TestMatrixJson:
         with pytest.raises(DomainError):
             matrix_from_json({"re": [[1.0]]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"dim": 2.7, "re": [[2.0, 0.0], [0.0, 1.0]]},
+            {"dim": 2.0, "re": [[2.0, 0.0], [0.0, 1.0]]},
+            {"dim": True, "re": [[1.0]]},
+            {"dim": "1", "re": [[1.0]]},
+            {"dim": 0, "re": []},
+            {"dim": -1, "re": []},
+        ],
+        ids=["fractional", "float", "bool", "string", "zero", "negative"],
+    )
+    def test_dim_must_be_a_positive_integer(self, obj):
+        # refused before any array is built: not truncated, and no numpy error
+        with pytest.raises(DomainError, match="matrix dim must be an integer >= 1"):
+            matrix_from_json(obj)
+
 
 class TestMeasureAndGeneratorJson:
     @pytest.mark.parametrize(
@@ -74,6 +91,14 @@ class TestMeasureAndGeneratorJson:
     )
     def test_measure_round_trip(self, mu):
         assert measure_from_json(measure_to_json(mu)) == mu
+
+    def test_arcsine_is_written_as_beta_half(self):
+        assert measure_to_json(ArcsineMeasure()) == {"kind": "beta", "t": 0.5}
+
+    def test_legacy_arcsine_kind_reads(self):
+        assert measure_from_json({"kind": "arcsine"}) == BetaTypeMeasure(0.5)
+        gen = generator_from_json({"kind": "measure", "mu": {"kind": "arcsine"}})
+        assert gen == GeometricGenerator(0.5)
 
     def test_documented_forms(self):
         assert measure_from_json({"kind": "arcsine"}) == ArcsineMeasure()
