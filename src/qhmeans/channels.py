@@ -131,7 +131,14 @@ def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> QuantumChannel:
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """Real part, then imaginary part, from one draw of the rng."""
-    re, im = rng.standard_normal((2, *shape))
+    return _complex(rng.standard_normal((2, *shape)), 0)
+
+
+def _complex(raw: np.ndarray, axis: int = -3) -> np.ndarray:
+    """re + 1j*im of raw standard normal draws whose axis of length 2 holds
+    the real parts, then the imaginary parts; by default that of a stack
+    (..., 2, rows, cols) of matrix draws."""
+    re, im = np.moveaxis(raw, axis, 0)
     return re + 1j * im
 
 

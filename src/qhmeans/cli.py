@@ -64,12 +64,12 @@ def parse_generator(text: str) -> Generator:
     text = text.strip()
     if text.startswith("{"):
         return generator_from_json(json.loads(text))
-    name, _, arg = text.partition(":")
+    name, sep, arg = text.partition(":")
     name = name.lower()
-    if name == "arcsine":
-        return arcsine_generator()
-    if name == "log":
-        return LogGenerator()
+    if name in ("arcsine", "log"):
+        if sep:
+            raise InputError(f"generator {name!r} takes no parameter")
+        return arcsine_generator() if name == "arcsine" else LogGenerator()
     if not arg:
         raise InputError(f"generator {name!r} needs a parameter, e.g. '{name}:0.5'")
     value = float(arg)

@@ -5,8 +5,10 @@ sigma with weight c.  Three algebraically equivalent evaluation paths are
 provided (direct, through g, through an operator Bregman divergence); tests
 hold them to pairwise agreement, so a regression in any one path is caught
 by the others.  The direct path evaluates stacks of pairs in one batched
-pass (_means, _phi_batch), and phi and kubo_ando_mean are its one-pair
-calls; the g and Bregman paths keep their own unbatched route.
+pass: _means forms the means, of which kubo_ando_mean is the one-pair call,
+and _phi_batch takes Tr(A sigma B) from the middles' eigenpairs without
+forming a mean, of which phi is the one-pair call.  The g and Bregman paths
+keep their own unbatched route.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .hermitian import (
     PositiveDefiniteMatrix,
     _apply_spectral_raw,
     _check_same_dim,
+    _finite_values,
     _hermitian_part,
     _mat,
     _require_pd,
@@ -78,13 +81,24 @@ def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefi
 
 
 def _phi_batch(a: np.ndarray, b: np.ndarray, spec: DivergenceSpec) -> np.ndarray:
-    """phi(A_k, B_k) over stacks a (n, d, d) and b (..., n, d, d), from one
-    _means call.
+    """phi(A_k, B_k) over stacks a (n, d, d) and b (..., n, d, d): leading axes
+    of b give several second arguments per A_k.
 
-    The caller holds every member to the positive definite predicate.
+    With the middle M = A^{-1/2} B A^{-1/2} = V diag(mu) V*, the trace of
+    A sigma B = A^{1/2} f(M) A^{1/2} is sum_i f(mu_i) (V* A V)_ii, so no mean
+    is formed.  One batched eigh of the A stack gives A^{-1/2} (warning on
+    each ill-conditioned member), and one of the middles gives mu and V.  The
+    mean is congruent to f(M), so it is positive definite exactly when every
+    f(mu_i) is: the sorted f(mu) are held to the predicate.  The caller holds
+    every member to the positive definite predicate.
     """
-    mean = _means(a, b, spec.generator.f)
-    return ((1 - spec.c) * _trace(a) + spec.c * _trace(b) - _trace(mean)).real
+    s = _roots(a, warn=True)[1]
+    mu, v = np.linalg.eigh(_hermitian_part(s @ b @ s))
+    fmu = _finite_values(spec.generator.f, mu)
+    _require_pd(np.sort(fmu, axis=-1).reshape(-1, mu.shape[-1]), "mean")
+    weights = (v.conj() * (a @ v)).real.sum(-2)
+    mean_trace = (fmu * weights).sum(-1)
+    return (1 - spec.c) * _trace(a).real + spec.c * _trace(b).real - mean_trace
 
 
 def _trace(stack: np.ndarray) -> np.ndarray:

@@ -178,6 +178,11 @@ def _apply_spectral_raw(mat: np.ndarray, fn: Callable[[np.ndarray], np.ndarray])
     be finite on every spectrum w.  fn may add leading axes to w's shape
     (several functions of each spectrum); the result keeps them."""
     w, U = np.linalg.eigh(mat)
+    return _spectral(U, _finite_values(fn, w))
+
+
+def _finite_values(fn: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
+    """fn(w) as float64; a DomainError names the eigenvalues where it is not finite."""
     with np.errstate(all="ignore"):
         fw = np.asarray(fn(w), dtype=np.float64)
     bad = ~np.isfinite(fw)
@@ -185,7 +190,7 @@ def _apply_spectral_raw(mat: np.ndarray, fn: Callable[[np.ndarray], np.ndarray])
         raise DomainError(
             f"function is not finite at eigenvalue(s) {np.broadcast_to(w, fw.shape)[bad].tolist()}"
         )
-    return _spectral(U, fw)
+    return fw
 
 
 def _warn_if_ill_conditioned(w: np.ndarray) -> None:

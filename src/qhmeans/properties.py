@@ -2,9 +2,11 @@
 
 Each campaign derives one rng per trial from (campaign seed, campaign id,
 trial index), so runs are reproducible and trials are independent.  A
-campaign draws all its trials first, then evaluates them in one stacked pass
-whose batched QR, eigh and eigvalsh calls do not grow in number with the
-trials; a trial's own special cases keep it out of that pass.  The
+campaign draws all its trials first, each draw holding only the numbers its
+rng gives, then evaluates them in one stacked pass: it forms the complex
+Gaussian matrices and the spectra's exp once, and its batched QR, eigh and
+eigvalsh calls do not grow in number with the trials; a trial's own special
+cases keep it out of that pass.  The
 convex-order campaign holds its measures as atom arrays, zero-padded to one
 (n, K) shape, from draw to verdict: one array test decides the convex order of
 every pair, and one array sum gives both generators of every ordered pair.
@@ -24,6 +26,7 @@ import numpy as np
 
 from .channels import (
     TP_ATOL,
+    _complex,
     _complex_gaussian,
     _dpi_slacks,
     _joint_convexity_slacks,
@@ -31,7 +34,7 @@ from .channels import (
     _kraus_stack,
 )
 from .divergences import _means, _phi_batch
-from .errors import DegenerateTrialError
+from .errors import DegenerateTrialError, DomainError
 from .generators import DivergenceSpec
 from .hermitian import (
     PositiveDefiniteMatrix, _hermitian_part, _require_count, _require_pd, _spectral, frobenius_dist
@@ -50,23 +53,28 @@ def trial_rng(seed: int, campaign: str, trial: int) -> np.random.Generator:
 
 
 def _pd_draw(rng: np.random.Generator, dim: int, spread: float = 1.2):
-    """The random numbers behind one random_pd: a complex Gaussian and a spectrum."""
-    return _complex_gaussian(rng, (dim, dim)), np.exp(rng.uniform(-spread, spread, size=dim))
+    """The random numbers behind one random_pd, as the rng gives them: the real
+    and imaginary parts of a complex Gaussian, then a log-spectrum."""
+    return rng.standard_normal((2, dim, dim)), rng.uniform(-spread, spread, size=dim)
 
 
 def _pd_stacks(draws, dim: int) -> np.ndarray:
-    """Q diag(eigs) Q* for every (g, eigs) _pd_draw, Q the unitary QR factor of
-    g, from one batched QR: draws holds n trials of k draws each, and the
-    result is k stacks, shape (k, n, dim, dim).  The drawn spectra are held to
-    the positive definite predicate."""
-    g = np.array([m[0] for d in draws for m in d]).reshape(len(draws), -1, dim, dim)
-    eigs = np.array([m[1] for d in draws for m in d]).reshape(len(draws), -1, dim)
+    """Q diag(exp(logs)) Q* for every (raw, logs) _pd_draw, Q the unitary QR
+    factor of the complex Gaussian g that raw holds, from one batched QR:
+    draws holds n trials of k draws each, and the result is k stacks, shape
+    (k, n, dim, dim).  g and the spectra are formed once for the stack, and
+    the spectra are held to the positive definite predicate."""
+    g = _complex(np.array([m[0] for d in draws for m in d]).reshape(len(draws), -1, 2, dim, dim))
+    eigs = np.exp(np.array([m[1] for d in draws for m in d]).reshape(len(draws), -1, dim))
     _require_pd(np.sort(eigs, axis=-1).reshape(-1, dim))
     return _hermitian_part(_spectral(np.linalg.qr(g)[0], eigs)).swapaxes(0, 1)
 
 
 def random_pd(rng: np.random.Generator, dim: int, spread: float = 1.2) -> PositiveDefiniteMatrix:
     """Random positive definite matrix with eigenvalues in [e^-spread, e^spread]."""
+    dim = _require_count("dim", dim)
+    if not 0 <= spread < np.inf:  # the positive form fails NaN
+        raise DomainError(f"spread must be finite and >= 0, got {spread!r}")
     return PositiveDefiniteMatrix(_pd_stacks([[_pd_draw(rng, dim, spread)]], dim)[0, 0])
 
 
@@ -77,6 +85,8 @@ def _hermitian_stack(g: np.ndarray) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random Hermitian matrix of unit Frobenius norm."""
+    dim = _require_count("dim", dim)
     return _hermitian_stack(_complex_gaussian(rng, (dim, dim)))
 
 
@@ -157,11 +167,11 @@ def _encoded(**inputs) -> dict:
 
 
 def _dpi_draw(dim, rng):
-    return _complex_gaussian(rng, (dim * dim, dim)), _pd_draw(rng, dim), _pd_draw(rng, dim)
+    return rng.standard_normal((2, dim * dim, dim)), _pd_draw(rng, dim), _pd_draw(rng, dim)
 
 
 def _dpi_trials(spec, dim, corrupt_channel, draws):
-    kraus = _kraus_stack(np.array([d[0] for d in draws]), dim, dim)
+    kraus = _kraus_stack(_complex(np.array([d[0] for d in draws])), dim, dim)
     if corrupt_channel:
         kraus[0] *= 1.05
     a, b = _pd_stacks([d[1:] for d in draws], dim)
@@ -205,13 +215,13 @@ def _joint_convexity_trials(spec, dim, draws):
 
 
 def _axiom_draw(dim, rng):
-    return _pd_draw(rng, dim), _pd_draw(rng, dim), _complex_gaussian(rng, (dim, dim))
+    return _pd_draw(rng, dim), _pd_draw(rng, dim), rng.standard_normal((2, dim, dim))
 
 
 def _axiom_trials(spec, dim, draws):
     t = 1e-5
     a, b = _pd_stacks([d[:2] for d in draws], dim)
-    y = _hermitian_stack(np.array([d[2] for d in draws]))
+    y = _hermitian_stack(_complex(np.array([d[2] for d in draws])))
     moved = np.stack((a + t * y, a - t * y))
     _require_pd(np.linalg.eigvalsh(moved).reshape(-1, dim))
     # Each A's roots are taken once and serve its four second arguments.

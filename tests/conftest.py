@@ -8,6 +8,7 @@ of its code.
 
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
@@ -56,6 +57,22 @@ def random_pd_np(rng, dim, spread=1.0):
     q, _ = np.linalg.qr(g)
     eigs = np.exp(rng.uniform(-spread, spread, size=dim))
     return (q * eigs) @ q.conj().T
+
+
+def mp_phi(A, B, f, c, dps=40):
+    """phi(A, B) = Tr((1-c) A + c B - A sigma B) carried at dps digits: the
+    mean formed as A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} from mpmath's
+    Hermitian eigensolver.  f maps an mpf to an mpf."""
+    with mp.workdps(dps):
+        A, B = mp.matrix(np.asarray(A).tolist()), mp.matrix(np.asarray(B).tolist())
+        w, U = mp.eighe(A)
+        root = U * mp.diag([mp.sqrt(x) for x in w]) * U.H
+        inv_root = U * mp.diag([1 / mp.sqrt(x) for x in w]) * U.H
+        middle = inv_root * B * inv_root
+        mu, V = mp.eighe((middle + middle.H) / 2)
+        mean = root * V * mp.diag([f(x) for x in mu]) * V.H * root
+        value = sum((1 - c) * A[i, i] + c * B[i, i] - mean[i, i] for i in range(A.rows))
+        return mp.re(value)
 
 
 def pinned_spectrum_ensemble_np(rng, dim, size, spread):

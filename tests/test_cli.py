@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhmeans.cli import main, parse_generator
+from qhmeans.cli import InputError, main, parse_generator
 from qhmeans import BetaTypeMeasure, GeometricGenerator, LogGenerator, MeasureGenerator
 from qhmeans.serialize import matrix_from_json, matrix_to_json
 
@@ -49,6 +49,21 @@ class TestParseGenerator:
     def test_missing_parameter(self):
         with pytest.raises(Exception):
             parse_generator("geometric")
+
+    @pytest.mark.parametrize("text", ["arcsine:0.3", "arcsine:", "log:2", "LOG:"])
+    def test_shorthands_without_a_parameter_refuse_one(self, text):
+        name = text.partition(":")[0].lower()
+        with pytest.raises(InputError, match=f"generator '{name}' takes no parameter"):
+            parse_generator(text)
+
+    def test_divergence_refuses_a_parameterized_arcsine(self, capsys):
+        a = '{"dim": 2, "re": [[2, 0], [0, 1]]}'
+        b = '{"dim": 2, "re": [[1, 0], [0, 1]]}'
+        code = main(["divergence", "--generator", "arcsine:0.3", "--inline", a, "--inline", b])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "generator 'arcsine' takes no parameter" in err
 
 
 class TestMean:

@@ -16,6 +16,7 @@ from qhmeans import DegenerateTrialError, DivergenceSpec, DomainError, MeasureGe
 from qhmeans.channels import check_dpi, check_joint_convexity, kraus_defect, random_cptp
 from qhmeans.cli import parse_generator
 from qhmeans.divergences import kubo_ando_mean, phi
+from qhmeans.hermitian import _hermitian_part, _spectral
 from qhmeans.properties import (
     format_report,
     random_convex_order_pair,
@@ -94,6 +95,60 @@ def test_every_campaign_times_each_trial():
     # Each trial's entry holds its share of the batched pass, so the entries
     # account for the campaigns' wall time and no more.
     assert sum(sum(c.seconds) for c in report.campaigns) <= elapsed
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_batched_assembly_equals_the_one_draw_construction(seed, dim):
+    # A trial's draws hold only the rng's raw numbers; the stacks form the
+    # complex matrices and the spectra's exp once, with equal bits.
+    n, k = 5, 2
+    rng = np.random.default_rng(seed)
+    draws = [[properties._pd_draw(rng, dim) for _ in range(k)] for _ in range(n)]
+    raw = np.array([rng.standard_normal((2, dim * dim, dim)) for _ in range(n)])
+    replay = np.random.default_rng(seed)
+    expected = np.empty((k, n, dim, dim), dtype=np.complex128)
+    for i in range(n):
+        for j in range(k):
+            re, im = replay.standard_normal((2, dim, dim))
+            q = np.linalg.qr(re + 1j * im)[0]
+            eigs = np.exp(replay.uniform(-1.2, 1.2, size=dim))
+            expected[j, i] = _hermitian_part(_spectral(q, eigs))
+    assert np.array_equal(properties._pd_stacks(draws, dim), expected)
+    gaussians = [replay.standard_normal((2, dim * dim, dim)) for _ in range(n)]
+    assert np.array_equal(channels._complex(raw), np.array([re + 1j * im for re, im in gaussians]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partial(random_pd, dim=0),
+        partial(random_pd, dim=2.5),
+        partial(random_pd, dim=True),
+        partial(random_pd, dim=3, spread=-1.0),
+        partial(random_pd, dim=3, spread=float("nan")),
+        partial(random_pd, dim=3, spread=float("inf")),
+        partial(random_hermitian, dim=0),
+        partial(random_hermitian, dim=2.5),
+        partial(random_hermitian, dim=-1),
+    ],
+    ids=[
+        "pd-dim-zero", "pd-dim-fractional", "pd-dim-bool", "pd-spread-negative",
+        "pd-spread-nan", "pd-spread-inf", "hermitian-dim-zero", "hermitian-dim-fractional",
+        "hermitian-dim-negative",
+    ],
+)
+def test_random_matrices_refuse_bad_arguments_before_drawing(call):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="dim must be an integer|spread must be finite"):
+        call(rng)
+    assert rng.bit_generator.state == state
+
+
+def test_random_pd_accepts_a_zero_spread():
+    A = random_pd(np.random.default_rng(5), 3, spread=0.0)
+    assert np.allclose(A.mat, np.eye(3), atol=1e-14)
 
 
 def _batched_slacks(name, draw, evaluate, trials=5, seed=11):

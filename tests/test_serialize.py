@@ -1,5 +1,6 @@
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -36,7 +37,7 @@ from qhmeans.serialize import (
     report_to_json,
 )
 
-from conftest import random_pd_np
+from conftest import mp_phi, random_pd_np
 
 
 class TestMatrixJson:
@@ -161,7 +162,18 @@ class TestMeasureAndGeneratorJson:
         assert measure_to_json(mu)["kind"] == "discrete"
         spec = DivergenceSpec(MeasureGenerator(mu))
         B = np.array([[2.5, 1.5], [1.5, 2.5]])
-        assert phi(np.diag([4.0, 1.0]), B, spec) == 0.9301364200082682
+        value = phi(np.diag([4.0, 1.0]), B, spec)
+        assert value == 0.9301364200082691
+        # The 50-digit value is 0.93013642000826789...; the pinned bits sit
+        # 1.3e-15 from it in relative terms.
+        reference = mp_phi(
+            np.diag([4.0, 1.0]),
+            B,
+            lambda x: sum(m * x / ((1 - mp.mpf(l)) * x + l) for l, m in mu.atoms),
+            spec.c,
+            dps=50,
+        )
+        assert abs(value - reference) <= 2e-15 * reference
 
 
 class TestEnsembleAndChannelJson:
