@@ -6,10 +6,10 @@ campaign draws all its trials first, each draw holding only the numbers its
 rng gives, then evaluates them in one stacked pass: it forms the complex
 Gaussian matrices and the spectra's exp once, and its batched QR, eigh and
 eigvalsh calls do not grow in number with the trials; a trial's own special
-cases keep it out of that pass.  The
-convex-order campaign holds its measures as atom arrays, zero-padded to one
-(n, K) shape, from draw to verdict: one array test decides the convex order of
-every pair, and one array sum gives both generators of every ordered pair.
+cases keep it out of that pass.  The convex-order campaign holds its measures
+as atom arrays, zero-padded to one (n, K) shape, from draw to verdict: one
+array test decides the convex order of every pair, and one array sum gives
+both generators of every ordered pair.
 Measure objects are built only for a failing trial's inputs.  Slacks are
 signed margins: a campaign passes while its worst slack stays above
 -1e-9.  The corrupt-channel switch injects a deliberately non-trace-preserving
