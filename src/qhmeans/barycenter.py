@@ -5,11 +5,12 @@ is the unique minimizer of X -> sum_j w_j phi(A_j, X).  Its gradient and
 Hessian are the exact first and second Daleckii-Krein (divided-difference)
 derivatives of f in the eigenbasis of each M_j = C_j^{-1} X C_j^{-*}, with
 A_j = C_j C_j* the member's Cholesky factorization (congruent to
-A_j^{-1/2} X A_j^{-1/2}), so the damped Newton solver shares one
-eigendecomposition per member and point among objective, gradient and
+A_j^{-1/2} X A_j^{-1/2}).  So the damped Newton solver takes one spectral
+pass per point, one batched eigh of the M_j, for the cone test (X is
+positive definite exactly when every M_j is), objective, gradient and
 Hessian, and the stationarity residual differentiates exactly the objective
-it minimizes.  The power-mean equation
-and the noncommutative mean equation share one batched fixed-point map,
+it minimizes.  The power-mean equation and the noncommutative mean equation
+share one batched fixed-point map,
 T(X) = L S L* with S = sum_j w_j f'(M_j^{-1}) / f'(1) and
 M_j = L^{-1} A_j L^{-*}, where X = L L* is the Cholesky factorization of the
 iterate.  Kubo-Ando means are congruence-invariant (the transformer
@@ -27,7 +28,7 @@ barycenter and the mean-equation solution quantifies noncommutativity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -166,13 +167,26 @@ class SolverReport:
     converged: bool
 
 
+class _Point(NamedTuple):
+    """A point X and its spectral pass (_Workspace.evaluate)."""
+
+    X: np.ndarray
+    e: np.ndarray  # (m, d) spectra of the M_j = C_j^{-1} X C_j^{-*} = V_j diag(e_j) V_j*
+    Wh: np.ndarray  # W_j* = V_j* C_j^{-1}
+    Wc: np.ndarray  # conj(W_j*) = W_j^T
+    K: np.ndarray  # K_j = (C_j V_j)* (C_j V_j)
+    table: np.ndarray  # f^[1](e_ji, e_jk)
+    G: np.ndarray  # the gradient
+    res: float  # ||G||_F
+
+
 class _Workspace:
     """Per-solve precomputation shared by objective, gradient and Hessian.
 
-    The members are factored once, A_j = C_j C_j*.  All three evaluate through
-    the eigendecompositions V_j diag(e_j) V_j* of M_j = C_j^{-1} X C_j^{-*}; those
-    of the last point evaluated are kept, so the objective and Hessian at an
-    accepted trial reuse the gradient's.
+    The members are factored once, A_j = C_j C_j*.  One spectral pass per
+    point (evaluate) takes the batched eigh of the M_j and from it the cone
+    test, the gradient and its norm; the objective and Hessian read it.  The
+    last point's pass is kept, so an accepted trial's is reused.
     """
 
     def __init__(self, ens: WeightedEnsemble, spec: DivergenceSpec):
@@ -187,55 +201,74 @@ class _Workspace:
         self.power = power_exponent(mu)
         self.weights = np.ascontiguousarray(ens.weights)
         C = np.linalg.cholesky(ens.stack)
-        self.inv_factors = np.linalg.inv(C)
-        self.inv_factors_h = np.conj(np.swapaxes(self.inv_factors, -1, -2))
-        self.grams = np.conj(np.swapaxes(C, -1, -2)) @ C
+        inv = np.linalg.inv(C)
+        self.inv_rows = inv.reshape(-1, ens.dim)  # the C_j^{-1} X as one product
+        self.inv_factors_h = np.conj(np.swapaxes(inv, -1, -2))
+        # [C_j^{-1} | C_j*]: V_j* times it is [W_j* | (C_j V_j)*], one product
+        self.frames = np.concatenate((inv, np.conj(np.swapaxes(C, -1, -2))), axis=-1)
         self.const = (1 - spec.c) * float(self.weights @ ens.stack.trace(0, 1, 2).real)
         self.c = spec.c
-        self._first = None
+        self.c_eye = spec.c * np.eye(ens.dim, dtype=np.complex128)
+        self._last = None
 
-    def _first_order(self, X: np.ndarray):
-        """e_j, W_j = C_j^{-*} V_j, K_j = V_j* C_j* C_j V_j and the f^[1] table at X;
-        eigh reads one triangle of M_j, so no Hermitian part is taken."""
-        if self._first is None or self._first[0] is not X:
-            e, V = np.linalg.eigh(self.inv_factors @ X @ self.inv_factors_h)
-            K = np.conj(np.swapaxes(V, -1, -2)) @ self.grams @ V
-            self._first = (X, e, self.inv_factors_h @ V, K, _first_differences(self.mu, e))
-        return self._first[1:]
+    def evaluate(self, X: np.ndarray) -> Optional[_Point]:
+        """The spectral pass at a Hermitian X, or None if X fails the cone test,
+        e_j0 > 0: by congruence X is positive definite exactly when every M_j
+        is.  eigh reads one triangle of M_j, so no Hermitian part is taken."""
+        if self._last is not None and self._last.X is X:
+            return self._last
+        m, d, _ = self.inv_factors_h.shape
+        e, V = np.linalg.eigh((self.inv_rows @ X).reshape(m, d, d) @ self.inv_factors_h)
+        if not (e[:, 0] > 0).all():  # the positive form fails NaN
+            return None
+        R = np.conj(V.swapaxes(-1, -2)) @ self.frames
+        Wh, CVh = R[..., :d], R[..., d:]
+        K = CVh @ np.conj(CVh.swapaxes(-1, -2))
+        self._last = self._with_gradient(X, e, Wh, K, _first_differences(self.mu, e))
+        return self._last
 
-    def _mean_traces(self, X: np.ndarray) -> float:
+    def _with_gradient(self, X, e, Wh, K, table) -> _Point:
+        """The point with G = c I - sum_j w_j W_j (table_j o K_j) W_j* and ||G||_F."""
+        Wc = np.conj(Wh)
+        acc = _member_sum(Wc, ((self.weights[:, None, None] * table) * K) @ Wh)
+        G = _hermitian_part(self.c_eye - acc)
+        return _Point(X, e, Wh, Wc, K, table, G, float(np.sqrt(np.vdot(G, G).real)))
+
+    def point(self, X: np.ndarray) -> _Point:
+        """evaluate(X), raising DomainError if X fails the cone test."""
+        p = self.evaluate(X)
+        if p is None:
+            raise DomainError("the point fails the cone test: some M_j has an eigenvalue <= 0")
+        return p
+
+    def _mean_traces(self, p: _Point) -> float:
         """sum_j w_j Tr(A_j sigma X), with A_j sigma X = C_j f(M_j) C_j*, so
         Tr(A_j sigma X) = Tr f(M_j) C_j* C_j = sum_i f(e_ji) (K_j)_ii."""
-        e, _, K, _ = self._first_order(X)
-        means = (f_mu(self.mu, e) * np.diagonal(K, axis1=1, axis2=2).real).sum(axis=1)
+        means = (f_mu(self.mu, p.e) * p.K.diagonal(0, 1, 2).real).sum(axis=1)
         return float(self.weights @ means)
 
     def objective(self, X: np.ndarray) -> float:
-        return self.const + self.c * float(np.trace(X).real) - self._mean_traces(X)
+        return self.const + self.c * float(np.trace(X).real) - self._mean_traces(self.point(X))
 
-    def ray_start(self, X: np.ndarray) -> np.ndarray:
+    def gradient(self, X: np.ndarray) -> np.ndarray:
+        return self.point(X).G
+
+    def ray_start(self, X: np.ndarray) -> _Point:
         """The minimizer a* X of the objective on the ray {a X, a > 0}, for f = x^t.
 
         x^t makes sigma homogeneous, A sigma (a X) = a^t (A sigma X), so along
         the ray F(a X) = const + t a Tr X - a^t S with S = sum_j w_j Tr(A_j sigma X)
         (c = t for x^t), smallest at a* = (S / Tr X)^(1/(1-t)).  For proportional
         members A_j = l_j A and X their arithmetic mean, a* X is the barycenter
-        (sum_j w_j l_j^(1-t))^(1/(1-t)) A.  M_j(a X) = a M_j(X), so the first-order
-        data at X carry over: e scales by a, the f^[1] table by a^(t-1), and
-        W_j and K_j are unchanged.  They are cached for a* X, which is returned.
+        (sum_j w_j l_j^(1-t))^(1/(1-t)) A.  M_j(a X) = a M_j(X), so the pass at X
+        carries over: e scales by a, the f^[1] table by a^(t-1), and W_j and
+        K_j are unchanged.  The point a* X is kept and returned.
         """
         t = self.power
-        alpha = (self._mean_traces(X) / float(np.trace(X).real)) ** (1 / (1 - t))
-        e, W, K, table = self._first_order(X)
-        start = alpha * X
-        self._first = (start, alpha * e, W, K, alpha ** (t - 1) * table)
-        return start
-
-    def gradient(self, X: np.ndarray) -> np.ndarray:
-        _, W, K, table = self._first_order(X)
-        weighted = (self.weights[:, None, None] * table) * K
-        acc = (W @ weighted @ np.conj(np.swapaxes(W, -1, -2))).sum(axis=0)
-        return _hermitian_part(self.c * np.eye(X.shape[0], dtype=np.complex128) - acc)
+        p = self.point(X)
+        a = (self._mean_traces(p) / float(np.trace(X).real)) ** (1 / (1 - t))
+        self._last = self._with_gradient(a * X, a * p.e, p.Wh, p.K, a ** (t - 1) * p.table)
+        return self._last
 
     def hessian(self, X: np.ndarray) -> np.ndarray:
         """The d^2 x d^2 matrix of H -> DG(X)[H] on row-major vec(H).
@@ -246,24 +279,26 @@ class _Workspace:
         sum_{j,l} w_j (Y_jl)_pa (Z_jl)_qb, with Y_jl = W_j (f^[2](., ., e_l) o K_j) W_j*
         and (Z_jl)_qb = conj(W_ql) W_bl: one product over the stacked (j, l).
         The second term's entry is the conjugate of the first's at ((q, p), (b, a)).
+        Y_jl for every l takes two (d x d)(d x d^2) products per member.
         """
-        e, W, K, table = self._first_order(X)
-        m, d = e.shape
-        # Every (m, d, d, d) product is written into one of two buffers, and H
-        # is summed in place: fewer short-lived blocks per call, which an
-        # allocator that trims its heap eagerly would hand back to the OS and
-        # fault in again on the next call.
-        Y = np.empty((m, d, d, d), dtype=np.complex128)
-        np.multiply(np.moveaxis(_second_differences(self.mu, e, table), -1, 1), K[:, None], out=Y)
-        Wt = np.swapaxes(W, -1, -2)
-        Wh = np.conj(Wt)
-        Z = W[:, None] @ Y
-        np.matmul(Z, Wh[:, None], out=Y)
-        Y *= -self.weights[:, None, None, None]  # -w_j Y_jl: T is the first term's negative
-        np.multiply(Wh[..., :, None], Wt[..., None, :], out=Z)
+        pt = self.point(X)
+        m, d = pt.e.shape
+        # Two (m, d, d, d) buffers, A and B, take the products in turn: with a
+        # fresh block per product a d = 16, m = 4 solve took 2210 minor page
+        # faults, against 2018.
+        # A: F[j, i, l, k] = f^[2](e_i, e_k, e_l) (K_j)_ik, so W_j F_j is one
+        # product over i, and its result read as (d^2, d) one product over k.
+        f2 = _second_differences(self.mu, pt.e, pt.table)
+        A = np.multiply(f2.swapaxes(-1, -2), pt.K[:, :, None, :], order="C")
+        B = pt.Wc.swapaxes(-1, -2) @ A.reshape(m, d, d * d)
+        np.matmul(B.reshape(m, d * d, d), pt.Wh, out=A.reshape(m, d * d, d))
+        # B: -w_j Y_jl as [j, l, p, a], so T's product reads a view (T is the
+        # first term's negative); then A: Z
+        Y, Z = B.reshape(m, d, d, d), A.reshape(m, d, d, d)
+        np.multiply(Z.swapaxes(1, 2), -self.weights[:, None, None, None], out=Y)
+        np.multiply(pt.Wh[..., :, None], pt.Wc[..., None, :], out=Z)
         T = (Y.reshape(m * d, d * d).T @ Z.reshape(m * d, d * d)).reshape(d, d, d, d)
-        H = np.empty_like(T)
-        np.conjugate(T.transpose(2, 0, 3, 1), out=H)
+        H = np.conjugate(T.transpose(2, 0, 3, 1), order="C")
         H += T.transpose(0, 2, 1, 3)
         return H.reshape(d * d, d * d)
 
@@ -305,7 +340,7 @@ def euclidean_gradient(
 
 def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
     """Frobenius norm of the stationarity defect at X (zero at the barycenter)."""
-    return float(np.linalg.norm(euclidean_gradient(ens, X, spec).mat))
+    return _Workspace(ens, spec).point(_as_state(ens, X)).res
 
 
 def _cholesky(X: np.ndarray) -> Optional[np.ndarray]:
@@ -335,51 +370,47 @@ def solve_barycenter(
     (_Workspace.ray_start), which is the barycenter when the members are
     proportional and costs no eigendecomposition beyond the one at A.
     Each iteration solves H P = -G for the exact Hessian H and gradient G at
-    X, then halves the step s from 1 until X + sP passes a Cholesky test and
+    X, then halves the step s from 1 until X + sP passes the cone test of its
+    spectral pass (_Workspace.evaluate) and
     ||G(X + sP)|| <= (1 - 1e-4 s) ||G(X)||; along P the squared gradient norm
     falls at rate 2 ||G||^2, so that search ends short of rounding level.
     Steps are judged on the gradient, not on the objective, whose rounding
     floor lies far above the gradient's.  Convergence is declared on the
-    stationarity residual; a singular Hessian or an exhausted step search
-    ends the solve unconverged.  Non-convergence is reported, not raised.
+    stationarity residual; a singular Hessian, a step that is not finite or
+    an exhausted step search ends the solve unconverged.  Non-convergence is
+    reported, not raised.
     """
     opts = opts or SolverOptions()
     ws = _Workspace(ens, spec)
     X = _initial_state(ens, opts)
-    if opts.initial_guess is None and ws.power is not None:
-        X = ws.ray_start(X)
-    G = ws.gradient(X)
-    trace = [ws.objective(X)]
-    res = float(np.linalg.norm(G))
-    iterations = 0
+    point = ws.ray_start(X) if opts.initial_guess is None and ws.power is not None else ws.point(X)
+    trace = [ws.objective(point.X)]
     for _ in range(opts.max_iterations):
-        if res <= opts.residual_tol:
+        if point.res <= opts.residual_tol:
             break
         try:
-            P = np.linalg.solve(ws.hessian(X), -G.reshape(-1))
+            P = np.linalg.solve(ws.hessian(point.X), -point.G.reshape(-1))
         except np.linalg.LinAlgError:
             break
-        P = _hermitian_part(P.reshape(G.shape))
+        if not np.isfinite(P).all():
+            break
+        P = _hermitian_part(P.reshape(point.G.shape))
         s = 1.0
         while s >= _MIN_STEP:
-            Xt = X + s * P
-            if _cholesky(Xt) is not None:
-                Gt = ws.gradient(Xt)
-                rt = float(np.linalg.norm(Gt))
-                if rt <= (1 - 1e-4 * s) * res:
-                    break
+            trial = ws.evaluate(point.X + s * P)
+            if trial is not None and trial.res <= (1 - 1e-4 * s) * point.res:
+                break
             s *= _SHRINK
         else:
             break
-        X, G, res = Xt, Gt, rt
-        trace.append(ws.objective(X))
-        iterations += 1
+        point = trial
+        trace.append(ws.objective(point.X))
     return SolverReport(
-        solution=PositiveDefiniteMatrix(X),
-        iterations=iterations,
-        final_residual=res,
+        solution=PositiveDefiniteMatrix(point.X),
+        iterations=len(trace) - 1,
+        final_residual=point.res,
         objective_trace=trace,
-        converged=res <= opts.residual_tol,
+        converged=point.res <= opts.residual_tol,
     )
 
 
@@ -393,10 +424,20 @@ def _half_power(S: np.ndarray, beta: float) -> np.ndarray:
     return _spectral(V, e**k)
 
 
-def _map_jacobian(V: np.ndarray, table: np.ndarray):
-    """Z -> sum_j V_j (table_j o (V_j* Z V_j)) V_j*, the Daleckii-Krein operator."""
-    Vh = np.conj(np.swapaxes(V, -1, -2))
-    return lambda Z: (V @ (table * (Vh @ Z @ V)) @ Vh).sum(axis=0)
+def _member_sum(Vc: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """sum_j V_j R_j as one (d, m d) @ (m d, d) product, from C-contiguous
+    (m, d, d) stacks of the V_j^T (Vc) and of the R_j."""
+    m, d, _ = Vc.shape
+    return Vc.reshape(m * d, d).T @ R.reshape(m * d, d)
+
+
+def _map_jacobian(Vc: np.ndarray, Vh: np.ndarray, table: np.ndarray):
+    """Z -> sum_j V_j (table_j o (V_j* Z V_j)) V_j*, the Daleckii-Krein operator;
+    Z is shared, so the V_j* Z are one (m d, d) @ (d, d) product."""
+    m, d, _ = Vh.shape
+    V = np.swapaxes(Vc, -1, -2)
+    rows = Vh.reshape(m * d, d)
+    return lambda Z: _member_sum(Vc, (table * ((rows @ Z).reshape(m, d, d) @ V)) @ Vh)
 
 
 def _newton_point(X: np.ndarray, L: np.ndarray, S: np.ndarray, jacobian):
@@ -531,10 +572,13 @@ def solve_mean_equation(
         Li = np.linalg.inv(L)
         e, V = np.linalg.eigh(Li @ mats @ np.conj(Li.T))
         y = 1.0 / e
-        S = _spectral(V, weights * np.asarray(gen.f_prime(y), dtype=np.float64)).sum(axis=0)
+        Vc = np.ascontiguousarray(np.swapaxes(V, -1, -2))
+        Vh = np.conj(Vc)
+        b = weights * np.asarray(gen.f_prime(y), dtype=np.float64)
+        S = _member_sum(Vc, b[..., None] * Vh)
         if mu is None:
             return S, None
-        return S, lambda: _map_jacobian(V, member_weights * _map_differences(mu, y))
+        return S, lambda: _map_jacobian(Vc, Vh, member_weights * _map_differences(mu, y))
 
     return _fixed_point(ens, opts, step, 1.0 if t is None else 1.0 / (1.0 - t))
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ComputationError, DimensionMismatchError, DomainError
 
-HERMITIAN_ATOL = 1e-12
 # Scale-aware positivity floor: min eigenvalue must exceed this fraction of
 # the largest one, so well-conditioned matrices are never spuriously rejected
 # whatever their overall scale.  The floor sits below the conditioning-warning
@@ -274,8 +273,14 @@ def thompson_dist(A: MatrixLike, B: MatrixLike) -> float:
 _TIE_RTOL = 1e-5
 
 
-def _tied(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b) <= _TIE_RTOL * np.maximum(np.abs(a), np.abs(b))
+def _pair_denominators(w: np.ndarray):
+    """The differences w_a - w_b over the last axis, shape (..., d, d), with the
+    pairs tied to relative separation _TIE_RTOL marked and their denominators
+    set to 1: (tie, den)."""
+    diff = w[..., :, None] - w[..., None, :]
+    size = np.abs(w)
+    tie = np.abs(diff) <= _TIE_RTOL * np.maximum(size[..., :, None], size[..., None, :])
+    return tie, np.where(tie, 1.0, diff)
 
 
 def _divided_differences(w: np.ndarray, fw: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -285,9 +290,8 @@ def _divided_differences(w: np.ndarray, fw: np.ndarray, dw: np.ndarray) -> np.nd
     at the two points.  Leading axes broadcast, so a stack of spectra gives a
     stack of tables.
     """
-    den = w[..., :, None] - w[..., None, :]
-    tie = _tied(w[..., :, None], w[..., None, :])
-    ratio = (fw[..., :, None] - fw[..., None, :]) / np.where(tie, 1.0, den)
+    tie, den = _pair_denominators(w)
+    ratio = (fw[..., :, None] - fw[..., None, :]) / den
     return np.where(tie, (dw[..., :, None] + dw[..., None, :]) / 2, ratio)
 
 
@@ -300,14 +304,13 @@ def _second_divided_differences(
     (f^[1](w_i, w_k) - f^[1](w_k, w_l)) / (w_i - w_l).  Where w_i and w_l are
     tied it is (f'(w_i) - f^[1](w_i, w_k)) / (w_i - w_k), and where w_k is
     tied with them too, f''(w_i) / 2; dw and d2w hold f' and f'' on w.
-    Leading axes broadcast.
+    Ties and denominators are decided once per pair, on (..., d, d), and
+    broadcast to the triples.  Leading axes broadcast.
     """
-    wi, wk, wl = w[..., :, None, None], w[..., None, :, None], w[..., None, None, :]
-    t_ik = table[..., :, :, None]
-    tie_il, tie_ik = _tied(wi, wl), _tied(wi, wk)
-    general = (t_ik - table[..., None, :, :]) / np.where(tie_il, 1.0, wi - wl)
-    near = (dw[..., :, None, None] - t_ik) / np.where(tie_ik, 1.0, wi - wk)
-    return np.where(tie_il, np.where(tie_ik, d2w[..., :, None, None] / 2, near), general)
+    tie, den = _pair_denominators(w)
+    general = (table[..., :, :, None] - table[..., None, :, :]) / den[..., :, None, :]
+    near = np.where(tie, d2w[..., :, None] / 2, (dw[..., :, None] - table) / den)
+    return np.where(tie[..., :, None, :], near[..., :, :, None], general)
 
 
 def frechet_derivative(

@@ -192,15 +192,14 @@ def _first_differences(mu: Measure, e: np.ndarray) -> np.ndarray:
     positive spectrum, one (d,) or a stack (..., d): shape (..., d, d)."""
     t = power_exponent(mu)
     if t is not None:
-        # For a <= b, (b^t - a^t) / (b - a) = a^(t-1) expm1(t L) / expm1(L) with
-        # L = log1p((b - a) / a) >= 0, and t a^(t-1) where L == 0: no difference of
-        # close numbers is formed, so near-ties keep full relative accuracy.
-        a = np.minimum(e[..., :, None], e[..., None, :])
-        b = np.maximum(e[..., :, None], e[..., None, :])
-        L = np.log1p((b - a) / a)
-        tie = L == 0
-        ratio = np.where(tie, t, np.expm1(t * L) / np.where(tie, 1.0, np.expm1(L)))
-        return a ** (t - 1) * ratio
+        # (e_k^t - e_i^t) / (e_k - e_i) = e_i^(t-1) expm1(t u) / expm1(u) with
+        # u = log e_k - log e_i, and t e_i^(t-1) where u == 0.  The ratio's slope
+        # in u is at most t (1 - t) / 2, so the rounding of u, eps |log e|, costs
+        # as much and no more: no difference of close numbers is formed.
+        log_e = np.log(e)
+        u = log_e[..., None, :] - log_e[..., :, None]
+        ratio = np.divide(np.expm1(t * u), np.expm1(u), out=np.full_like(u, t), where=u != 0)
+        return ratio * (e ** (t - 1))[..., :, None]
     # (f(a) - f(b)) / (a - b) = sum_k q_k l_k / (((1-l_k) a + l_k)((1-l_k) b + l_k))
     # for f = f_mu: a sum of positive terms, with no cancellation at near-ties.
     l = mu.locations
@@ -228,7 +227,9 @@ def _second_differences(mu: Measure, e: np.ndarray, first: np.ndarray) -> np.nda
     given first = _first_differences(mu, e)."""
     t = power_exponent(mu)
     if t is not None:
-        return _second_divided_differences(e, first, t * e ** (t - 1), t * (t - 1) * e ** (t - 2))
+        # f' = t e^(t-1) is the table's diagonal, where u = 0
+        dw = np.diagonal(first, axis1=-2, axis2=-1)
+        return _second_divided_differences(e, first, dw, t * (t - 1) * e ** (t - 2))
     # -sum_k q_k l_k (1-l_k) / (P_a P_b P_c): same-sign terms again.
     l = mu.locations
     P = 1.0 / ((1 - l) * e[..., None] + l)

@@ -37,7 +37,8 @@ from .divergences import _means, _phi_batch
 from .errors import DegenerateTrialError, DomainError
 from .generators import DivergenceSpec
 from .hermitian import (
-    PositiveDefiniteMatrix, _hermitian_part, _require_count, _require_pd, _spectral, frobenius_dist
+    PD_REL_FLOOR, PositiveDefiniteMatrix, _hermitian_part, _require_count, _require_pd, _spectral,
+    frobenius_dist,
 )
 from .measures import DiscreteMeasure, _atoms, _convex_order_holds, _generator_values, _padded
 from .serialize import matrix_to_json as _matrix_json
@@ -70,11 +71,18 @@ def _pd_stacks(draws, dim: int) -> np.ndarray:
     return _hermitian_part(_spectral(np.linalg.qr(g)[0], eigs)).swapaxes(0, 1)
 
 
+# A drawn spectrum spans up to e^(2 spread); the limit keeps that a decade
+# inside the positive definite floor, which eigvalsh's rounding of the built
+# matrix then cannot cross.
+MAX_SPREAD = 0.5 * float(np.log(0.1 / PD_REL_FLOOR))
+
+
 def random_pd(rng: np.random.Generator, dim: int, spread: float = 1.2) -> PositiveDefiniteMatrix:
-    """Random positive definite matrix with eigenvalues in [e^-spread, e^spread]."""
+    """Random positive definite matrix with eigenvalues in [e^-spread, e^spread],
+    for 0 <= spread <= MAX_SPREAD (about 16.1)."""
     dim = _require_count("dim", dim)
-    if not 0 <= spread < np.inf:  # the positive form fails NaN
-        raise DomainError(f"spread must be finite and >= 0, got {spread!r}")
+    if not 0 <= spread <= MAX_SPREAD:  # the positive form fails NaN
+        raise DomainError(f"spread must be finite and in [0, {MAX_SPREAD:.4f}], got {spread!r}")
     return PositiveDefiniteMatrix(_pd_stacks([[_pd_draw(rng, dim, spread)]], dim)[0, 0])
 
 

@@ -520,6 +520,94 @@ class TestSolveBarycenter:
         assert rel <= 1e-2
 
 
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns the record."""
+    inner, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestNewtonSpectralPass:
+    @pytest.mark.parametrize("gen", POWER_GENERATORS + [HarmonicGenerator(0.3)])
+    def test_one_eigh_per_point_and_no_cholesky_after_setup(self, rng, monkeypatch, gen):
+        # the start takes one eigh and each trial one more; on these inputs
+        # every Newton step is taken whole, so no trial is rejected
+        cases = [ref_ensemble()] + [random_ensemble(rng, d, m, 1.0) for d, m in ((2, 2), (4, 8))]
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        cholesky = _counting(monkeypatch, np.linalg, "cholesky")
+        for ens in cases:
+            eigh.clear()
+            cholesky.clear()
+            report = solve_barycenter(ens, DivergenceSpec(gen))
+            assert report.converged and report.iterations >= 2
+            assert len(eigh) == 1 + report.iterations
+            assert len(cholesky) == 1 and cholesky[0][0] is ens.stack
+
+    def test_step_leaving_the_cone_is_halved(self, monkeypatch):
+        # the first Newton step is stretched 1024-fold: its trial at s = 1
+        # leaves the cone, the spectral test rejects it without an exception,
+        # and the halved steps reach the same barycenter
+        exact = solve_barycenter(ref_ensemble(), ARCSINE_SPEC)
+        solve, steps = np.linalg.solve, []
+
+        def stretched(H, b):
+            steps.append(solve(H, b) * (1024.0 if not steps else 1.0))
+            return steps[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", stretched)
+        evaluate, passes = barycenter._Workspace.evaluate, []
+
+        def recorded(ws, X):
+            # the points that take a pass: the workspace keeps only the last
+            fresh = ws._last is None or ws._last.X is not X
+            point = evaluate(ws, X)
+            if fresh:
+                passes.append((X, point))
+            return point
+
+        monkeypatch.setattr(barycenter._Workspace, "evaluate", recorded)
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_barycenter(ref_ensemble(), ARCSINE_SPEC)
+        assert report.converged
+        assert np.linalg.norm(report.solution.mat - exact.solution.mat) <= 1e-9
+        # the arithmetic mean, then the stretched trial, outside the cone
+        Xt, point = passes[1]
+        assert point is None
+        assert np.linalg.eigvalsh(Xt)[0] < 0  # an independent test agrees
+        assert len(eigh) == len(passes)
+        assert len(passes) - 1 - report.iterations >= 2  # rejected trials
+
+    def test_non_finite_step_ends_the_solve_unconverged(self, monkeypatch):
+        # a LAPACK solve that returns NaN without raising: the solve stops at
+        # its start before any trial, reports it, and warns of nothing
+        ens = ref_ensemble()
+        start = barycenter._Workspace(ens, ARCSINE_SPEC).ray_start(ens._mean_array()).X
+        monkeypatch.setattr(np.linalg, "solve", lambda H, b: np.full_like(b, np.nan))
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_barycenter(ens, ARCSINE_SPEC)
+        assert not report.converged
+        assert report.iterations == 0
+        assert len(eigh) == 1  # the start's pass only
+        assert np.array_equal(report.solution.mat, start)
+
+    def test_point_outside_the_cone(self, rng):
+        ws = barycenter._Workspace(random_ensemble(rng, 3, 2), ARCSINE_SPEC)
+        X = -np.eye(3, dtype=np.complex128)
+        assert ws.evaluate(X) is None
+        for method in (ws.gradient, ws.objective, ws.hessian):
+            with pytest.raises(DomainError, match="cone test"):
+                method(X)
+
+
 class TestSolvePowerMean:
     def test_all_equal(self, rng):
         A = random_pd_np(rng, 3)

@@ -21,7 +21,9 @@ from qhmeans import (
     thompson_dist,
 )
 
-from qhmeans.hermitian import _apply_spectral_raw, _divided_differences, _second_divided_differences
+from qhmeans.hermitian import (
+    _TIE_RTOL, _apply_spectral_raw, _divided_differences, _second_divided_differences
+)
 
 from conftest import random_pd_np
 
@@ -301,3 +303,50 @@ class TestSecondDividedDifferences:
         for i, k, l in np.ndindex(4, 4, 4):
             ref = _exact_second_difference(t, w[i], w[k], w[l])
             assert abs(out[i, k, l] - ref) <= 1e-4 * abs(ref)
+
+
+def _second_divided_differences_per_triple(w, table, dw, d2w):
+    """The earlier formulation of _second_divided_differences, which decides
+    ties on the (..., d, d, d) triples: the reference it must match bitwise."""
+    wi, wk, wl = w[..., :, None, None], w[..., None, :, None], w[..., None, None, :]
+    tied = lambda a, b: np.abs(a - b) <= _TIE_RTOL * np.maximum(np.abs(a), np.abs(b))
+    t_ik = table[..., :, :, None]
+    tie_il, tie_ik = tied(wi, wl), tied(wi, wk)
+    general = (t_ik - table[..., None, :, :]) / np.where(tie_il, 1.0, wi - wl)
+    near = (dw[..., :, None, None] - t_ik) / np.where(tie_ik, 1.0, wi - wk)
+    return np.where(tie_il, np.where(tie_ik, d2w[..., :, None, None] / 2, near), general)
+
+
+def _power_tables(w, t=0.3):
+    dw, d2w = t * w ** (t - 1), t * (t - 1) * w ** (t - 2)
+    return _divided_differences(w, w**t, dw), dw, d2w
+
+
+class TestSecondDifferencesMatchTheTripleFormulation:
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            [1.0, 1.0, 3.0, 7.0],  # an exact tie
+            [1.0, 1.0 + 1e-7, 3.0, 3.0 * (1 + 1e-7)],  # near ties at 1e-7 relative
+            [2.0, 2.0, 2.0, 5.0],  # a triple tie
+            [2.0, 2.0 * (1 + 1e-7), 2.0 * (1 + 2e-7), 5.0],  # a triple near tie
+            [1.0, 1.0 + 9.9e-6, 1.0 + 1.01e-5, 4.0],  # either side of the threshold
+            [0.5, 1.5, 2.5, 3.5],  # no tie
+        ],
+    )
+    def test_one_spectrum(self, spectrum):
+        w = np.array(spectrum)
+        table, dw, d2w = _power_tables(w)
+        out = _second_divided_differences(w, table, dw, d2w)
+        assert np.array_equal(out, _second_divided_differences_per_triple(w, table, dw, d2w))
+
+    def test_stacks(self, rng):
+        # (m, d) stacks with random spectra, some members clustered
+        w = np.exp(rng.uniform(-3, 3, size=(5, 6)))
+        w[1, 1] = w[1, 0]
+        w[2, 2:5] = w[2, 1] * (1 + 1e-7 * np.arange(1, 4))
+        w = np.sort(w, axis=-1)
+        table, dw, d2w = _power_tables(w)
+        out = _second_divided_differences(w, table, dw, d2w)
+        assert out.shape == (5, 6, 6, 6)
+        assert np.array_equal(out, _second_divided_differences_per_triple(w, table, dw, d2w))

@@ -18,6 +18,7 @@ from qhmeans.cli import parse_generator
 from qhmeans.divergences import kubo_ando_mean, phi
 from qhmeans.hermitian import _hermitian_part, _spectral
 from qhmeans.properties import (
+    MAX_SPREAD,
     format_report,
     random_convex_order_pair,
     random_hermitian,
@@ -128,13 +129,16 @@ def test_batched_assembly_equals_the_one_draw_construction(seed, dim):
         partial(random_pd, dim=3, spread=-1.0),
         partial(random_pd, dim=3, spread=float("nan")),
         partial(random_pd, dim=3, spread=float("inf")),
+        partial(random_pd, dim=3, spread=400.0),
+        partial(random_pd, dim=3, spread=np.nextafter(MAX_SPREAD, np.inf)),
         partial(random_hermitian, dim=0),
         partial(random_hermitian, dim=2.5),
         partial(random_hermitian, dim=-1),
     ],
     ids=[
         "pd-dim-zero", "pd-dim-fractional", "pd-dim-bool", "pd-spread-negative",
-        "pd-spread-nan", "pd-spread-inf", "hermitian-dim-zero", "hermitian-dim-fractional",
+        "pd-spread-nan", "pd-spread-inf", "pd-spread-huge", "pd-spread-above-limit",
+        "hermitian-dim-zero", "hermitian-dim-fractional",
         "hermitian-dim-negative",
     ],
 )
@@ -144,6 +148,21 @@ def test_random_matrices_refuse_bad_arguments_before_drawing(call):
     with pytest.raises(DomainError, match="dim must be an integer|spread must be finite"):
         call(rng)
     assert rng.bit_generator.state == state
+
+
+def test_random_pd_refusal_names_the_spread_and_the_limit():
+    with pytest.raises(DomainError, match=r"\[0, 16\.1181\], got 400\.0"):
+        random_pd(np.random.default_rng(0), 3, 400.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_random_pd_passes_its_own_check_up_to_the_limit(dim):
+    # at the limit a drawn spectrum spans up to 1e14, a decade inside the
+    # positive definite floor; above about 17.27 draws fail that floor
+    for seed in range(100):
+        A = random_pd(np.random.default_rng(seed), dim, MAX_SPREAD)
+        w = np.linalg.eigvalsh(A.mat)
+        assert w[-1] / w[0] <= 1.01e14
 
 
 def test_random_pd_accepts_a_zero_spread():
