@@ -16,13 +16,14 @@ M_j = L^{-1} A_j L^{-*}, where X = L L* is the Cholesky factorization of the
 iterate.  Kubo-Ando means are congruence-invariant (the transformer
 equality), so this is the map X^{1/2} S' X^{1/2} on M'_j = X^{-1/2} A_j X^{-1/2}
 without a square root.  The solver tests the plain map's residual
-||T(X) - X|| / ||X||.  Its first step goes along X #_beta T(X) = L S^beta L*:
+||T(X) - X|| / ||X||.  Each step proposes at most one point and falls back
+to the plain map T(X): first X #_beta T(X) = L S^beta L* with
 beta = 1/(1-t) when f = x^t, which solves commuting and two-member
-ensembles in one step, and beta = 1 (the plain map) otherwise.  Later steps
-are Newton steps in the frame of L, on the map's Jacobian, a first
-Daleckii-Krein derivative built from the same eigendecompositions of the
-M_j.  For commuting inputs all of these agree, and the gap between the
-barycenter and the mean-equation solution quantifies noncommutativity.
+ensembles in one step, and later Newton points in the frame of L, on the
+map's Jacobian, a first Daleckii-Krein derivative built from the same
+eigendecompositions of the M_j.  For commuting inputs all of these agree,
+and the gap between the barycenter and the mean-equation solution
+quantifies noncommutativity.
 """
 
 from __future__ import annotations
@@ -351,6 +352,16 @@ def _cholesky(X: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
+def _report(X: np.ndarray, iterations: int, res: float, trace: list, tol: float) -> SolverReport:
+    """The report on a solver's last point X, exactly Hermitian and past its
+    cone test: X is held to the PositiveDefiniteMatrix predicate on one
+    eigvalsh and wrapped read-only, without the constructor's copy and
+    Hermitian part."""
+    _require_pd(np.linalg.eigvalsh(X))
+    X.setflags(write=False)
+    return SolverReport(_validated_pd(X), iterations, res, trace, res <= tol)
+
+
 def _initial_state(ens: WeightedEnsemble, opts: SolverOptions) -> np.ndarray:
     if opts.initial_guess is not None:
         return _as_state(ens, opts.initial_guess)
@@ -405,13 +416,7 @@ def solve_barycenter(
             break
         point = trial
         trace.append(ws.objective(point.X))
-    return SolverReport(
-        solution=PositiveDefiniteMatrix(point.X),
-        iterations=len(trace) - 1,
-        final_residual=point.res,
-        objective_trace=trace,
-        converged=point.res <= opts.residual_tol,
-    )
+    return _report(point.X, len(trace) - 1, point.res, trace, opts.residual_tol)
 
 
 def _half_power(S: np.ndarray, beta: float) -> np.ndarray:
@@ -431,6 +436,20 @@ def _member_sum(Vc: np.ndarray, R: np.ndarray) -> np.ndarray:
     return Vc.reshape(m * d, d).T @ R.reshape(m * d, d)
 
 
+def _mean_map(L: np.ndarray, stack: np.ndarray, weights: np.ndarray, f_prime):
+    """The map in the frame of X = L L*: S = sum_j weights_j f'(M_j^{-1}) for
+    M_j = L^{-1} A_j L^{-*} = V_j diag(e_j) V_j*, from one batched eigh, with
+    y = 1/e and the C-contiguous stacks of the V_j^T (Vc) and V_j* (Vh).
+    weights is (m, 1) and carries the 1/f'(1) factor."""
+    Li = np.linalg.inv(L)
+    e, V = np.linalg.eigh(Li @ stack @ np.conj(Li.T))
+    y = 1.0 / e
+    Vc = np.ascontiguousarray(np.swapaxes(V, -1, -2))
+    Vh = np.conj(Vc)
+    b = weights * np.asarray(f_prime(y), dtype=np.float64)
+    return _member_sum(Vc, b[..., None] * Vh), y, Vc, Vh
+
+
 def _map_jacobian(Vc: np.ndarray, Vh: np.ndarray, table: np.ndarray):
     """Z -> sum_j V_j (table_j o (V_j* Z V_j)) V_j*, the Daleckii-Krein operator;
     Z is shared, so the V_j* Z are one (m d, d) @ (d, d) product."""
@@ -440,11 +459,9 @@ def _map_jacobian(Vc: np.ndarray, Vh: np.ndarray, table: np.ndarray):
     return lambda Z: _member_sum(Vc, (table * ((rows @ Z).reshape(m, d, d) @ V)) @ Vh)
 
 
-def _newton_point(X: np.ndarray, L: np.ndarray, S: np.ndarray, jacobian):
+def _newton_point(X: np.ndarray, L: np.ndarray, S: np.ndarray, D) -> Optional[np.ndarray]:
     """X + L E L* for the E in span{r, (I - D) r}, r = S - I, that minimizes
-    ||r - (I - D) E||_F, with its Cholesky factor (None if it fails the
-    test); None if that space is degenerate."""
-    D = jacobian()
+    ||r - (I - D) E||_F; None if that space is degenerate."""
     r = S - np.eye(S.shape[0])
     p1 = r - D(r)
     p2 = p1 - D(p1)
@@ -456,61 +473,7 @@ def _newton_point(X: np.ndarray, L: np.ndarray, S: np.ndarray, jacobian):
         E = (c1 / g11) * r
     else:
         return None
-    Y = _hermitian_part(X + L @ E @ np.conj(L.T))
-    return Y, _cholesky(Y)
-
-
-def _fixed_point(ens, opts, step_fn, beta) -> SolverReport:
-    """Newton iteration to the fixed point of T(X) = L S L*, where L is the
-    Cholesky factor of X = L L* and step_fn(L) returns S with a function that
-    builds the map's Jacobian D in the frame of L, or None for D = 0.
-
-    Iteration k evaluates T at X_k and the plain residual T(X_k) - X_k, and
-    stops once ||T(X_k) - X_k||_F / ||X_k||_F <= residual_tol or the iteration
-    cap is reached; that relative residual is what objective_trace records per
-    iteration, and X_k, the point it was measured at, is returned either way.
-    Otherwise iteration 1 steps to X_1 #_beta T(X_1) = G G*, G = L S^(beta/2)
-    (products when beta/2 is a whole number, one more eigh of S otherwise).
-    Later iterations take a Newton step: with L fixed,
-    T(L (I + Z) L*) = L (S + D[Z]) L* + O(Z^2), and the next point is
-    X_k + L E L* for (I - D) E = S - I, solved to the least residual over
-    span{r, (I - D) r}, r = S - I: two products with D and a 2x2 solve.  When
-    D = 0, that space is degenerate or the Newton point fails the Cholesky
-    test, the step is the plain map T(X_k), which contracts (by t in the
-    Thompson metric for x^t) where the extrapolated step can overshoot; if
-    that point fails too, the solve ends unconverged at X_k.  A point's
-    Cholesky factor is the cone test and the next L.  Residuals need not
-    decrease monotonically.  A start that fails the test raises DomainError.
-    """
-    X = _initial_state(ens, opts)
-    L = _cholesky(X)
-    if L is None:
-        raise DomainError("the starting point fails the Cholesky test")
-    trace: list = []
-    while True:
-        S, jacobian = step_fn(L)
-        U = _hermitian_part(L @ S @ np.conj(L.T))
-        trace.append(float(np.linalg.norm(U - X) / max(np.linalg.norm(X), 1e-300)))
-        if trace[-1] <= opts.residual_tol or len(trace) == opts.max_iterations:
-            break
-        point = None
-        if len(trace) == 1 and beta != 1:
-            G = L @ _half_power(S, beta)
-            U = _hermitian_part(G @ np.conj(G.T))
-        elif len(trace) > 1 and jacobian:
-            point = _newton_point(X, L, S, jacobian)
-        if point is None or point[1] is None:
-            point = U, _cholesky(U)
-            if point[1] is None:
-                break
-        X, L = point
-    return SolverReport(
-        solution=PositiveDefiniteMatrix(X),
-        iterations=len(trace),
-        final_residual=trace[-1],
-        objective_trace=trace,
-        converged=trace[-1] <= opts.residual_tol,
-    )
+    return _hermitian_part(X + L @ E @ np.conj(L.T))
 
 
 def solve_power_mean(
@@ -539,23 +502,27 @@ def solve_mean_equation(
     This is the commutative stationarity equation read noncommutatively; for
     the square-root generator it reduces to the order-1/2 power mean equation.
     Accepts a DivergenceSpec or a bare generator (e.g. the log generator,
-    whose equation collapses to the weighted arithmetic mean).  Each step
-    takes the Cholesky factor L of X (X = L L*) in place of X^{1/2}: the
-    right side is unchanged under that congruence, L S L* with
-    S = (1/c) sum_j w_j f'(M_j^{-1}) and M_j = L^{-1} A_j L^{-*}, and one
-    batched eigh diagonalizes every M_j.
+    whose equation collapses to the weighted arithmetic mean).  The Cholesky
+    factor L of X = L L* stands in for X^{1/2}, which leaves the right side
+    unchanged: T(X) = L S L* (_mean_map).
 
-    When f = x^t the map is T(X) = sum_j w_j X #_{1-t} A_j, S is the
-    power sum sum_j w_j M_j^{1-t}, and the first step goes to
-    L S^{1/(1-t)} L*, the power mean of order 1-t of the M_j carried back
-    by L: exact for commuting members, and so, by congruence with
-    A_1^{-1/2}, for any two members.
-
-    Later steps are Newton steps (_fixed_point) on the map's Jacobian in the
-    frame of L, D[Z] = sum_j w_j V_j (Phi_j o (V_j* Z V_j)) V_j* with
-    M_j = V_j diag(e_j) V_j* from the same eigh and Phi_j the divided
-    differences h^[1](1/e_ji, 1/e_jk) of h(y) = y f'(y) / f'(1), which is f
-    for x^t.  A generator with no measure (log) has D = 0: the plain map.
+    Iteration k stops once ||T(X_k) - X_k||_F / ||X_k||_F <= residual_tol or
+    at the iteration cap, and returns X_k either way; objective_trace holds
+    that residual per iteration.  Otherwise it proposes at most one point:
+    at k = 1 when f = x^t, X_1 #_beta T(X_1) = G G* with G = L S^(beta/2),
+    beta = 1/(1-t), the power mean of order 1-t of the M_j carried back by L,
+    exact for commuting members and so, by congruence with A_1^{-1/2}, for
+    any two; later, when f has a measure, the Newton point X_k + L E L* for
+    (I - D) E = S - I (_newton_point), with D the map's Jacobian in the frame
+    of L: T(L (I + Z) L*) = L (S + D[Z]) L* + O(Z^2), where
+    D[Z] = sum_j w_j V_j (Phi_j o (V_j* Z V_j)) V_j* (_map_jacobian) takes
+    the V_j of the same eigh and Phi_j the divided differences
+    h^[1](1/e_ji, 1/e_jk) of h(y) = y f'(y) / f'(1), which is f for x^t.
+    The next point is the first of (the proposal, the plain T(X_k)) that
+    passes the Cholesky test, whose factor is the next L; the plain map
+    contracts (by t in the Thompson metric for x^t) where a proposal can
+    overshoot.  If neither passes, the solve ends unconverged at X_k.  A
+    start that fails the test raises DomainError.
     """
     opts = opts or SolverOptions()
     gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
@@ -564,23 +531,34 @@ def solve_mean_equation(
         raise DomainError("generator must have positive derivative at 1")
     mu = gen.representing_measure()
     t = power_exponent(mu)
-    mats = ens.stack
     weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
     member_weights = ens.weights[:, None, None]  # _map_differences divides by f'(1)
-
-    def step(L):
-        Li = np.linalg.inv(L)
-        e, V = np.linalg.eigh(Li @ mats @ np.conj(Li.T))
-        y = 1.0 / e
-        Vc = np.ascontiguousarray(np.swapaxes(V, -1, -2))
-        Vh = np.conj(Vc)
-        b = weights * np.asarray(gen.f_prime(y), dtype=np.float64)
-        S = _member_sum(Vc, b[..., None] * Vh)
-        if mu is None:
-            return S, None
-        return S, lambda: _map_jacobian(Vc, Vh, member_weights * _map_differences(mu, y))
-
-    return _fixed_point(ens, opts, step, 1.0 if t is None else 1.0 / (1.0 - t))
+    X = _initial_state(ens, opts)
+    L = _cholesky(X)
+    if L is None:
+        raise DomainError("the starting point fails the Cholesky test")
+    trace: list = []
+    while True:
+        S, y, Vc, Vh = _mean_map(L, ens.stack, weights, gen.f_prime)
+        U = _hermitian_part(L @ S @ np.conj(L.T))
+        trace.append(float(np.linalg.norm(U - X) / max(np.linalg.norm(X), 1e-300)))
+        if trace[-1] <= opts.residual_tol or len(trace) == opts.max_iterations:
+            break
+        proposal = None
+        if len(trace) == 1 and t is not None:
+            G = L @ _half_power(S, 1.0 / (1.0 - t))
+            proposal = _hermitian_part(G @ np.conj(G.T))
+        elif len(trace) > 1 and mu is not None:
+            D = _map_jacobian(Vc, Vh, member_weights * _map_differences(mu, y))
+            proposal = _newton_point(X, L, S, D)
+        for Y in (proposal, U):
+            factor = None if Y is None else _cholesky(Y)
+            if factor is not None:
+                break
+        else:  # neither point passes the test
+            break
+        X, L = Y, factor
+    return _report(X, len(trace), trace[-1], trace, opts.residual_tol)
 
 
 def noncommutativity_measure(

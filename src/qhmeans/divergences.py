@@ -27,9 +27,10 @@ from .hermitian import (
     _check_same_dim,
     _finite_values,
     _hermitian_part,
+    _inv_root,
     _mat,
     _require_pd,
-    _roots,
+    _spectral,
     frechet_derivative,
     pd,
 )
@@ -37,13 +38,13 @@ from .hermitian import (
 COMMUTE_RTOL = 1e-8
 
 
-def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike):
-    """A^{1/2} and A^{-1/2} B A^{-1/2}, the congruence that normalizes the
-    first slot, from one eigendecomposition of A."""
-    root, s = _roots(A.mat, warn=True)
+def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike) -> np.ndarray:
+    """A^{-1/2} B A^{-1/2}, the congruence that normalizes the first slot,
+    from one eigendecomposition of A."""
+    s = _inv_root(A.mat)[0]
     b = _mat(B)
     _check_same_dim(s, b)
-    return root, _hermitian_part(s @ b @ s)
+    return _hermitian_part(s @ b @ s)
 
 
 def _means(a: np.ndarray, b: np.ndarray, f: Callable, check_pd: bool = True) -> np.ndarray:
@@ -59,7 +60,8 @@ def _means(a: np.ndarray, b: np.ndarray, f: Callable, check_pd: bool = True) -> 
     the PositiveDefiniteMatrix predicate; check_pd=False leaves that test to
     the caller.  f is not checked for f(1) = 1.
     """
-    root, s = _roots(a, warn=True)
+    s, U, r = _inv_root(a)
+    root = _spectral(U, r)
     means = _hermitian_part(root @ _apply_spectral_raw(_hermitian_part(s @ b @ s), f) @ root)
     if check_pd:
         _require_pd(np.linalg.eigvalsh(means).reshape(-1, means.shape[-1]), "mean")
@@ -92,7 +94,7 @@ def _phi_batch(a: np.ndarray, b: np.ndarray, spec: DivergenceSpec) -> np.ndarray
     f(mu_i) is: the sorted f(mu) are held to the predicate.  The caller holds
     every member to the positive definite predicate.
     """
-    s = _roots(a, warn=True)[1]
+    s = _inv_root(a)[0]
     mu, v = np.linalg.eigh(_hermitian_part(s @ b @ s))
     fmu = _finite_values(spec.generator.f, mu)
     _require_pd(np.sort(fmu, axis=-1).reshape(-1, mu.shape[-1]), "mean")
@@ -134,7 +136,7 @@ def maximal_f_divergence(A: MatrixLike, B: MatrixLike, f: Callable) -> float:
     genuine divergence for f of the g form above.
     """
     A = pd(A)
-    fmat = _apply_spectral_raw(_middle_term(A, pd(B))[1], f)
+    fmat = _apply_spectral_raw(_middle_term(A, pd(B)), f)
     return float(np.trace(A.mat @ fmat).real)
 
 
@@ -161,7 +163,7 @@ def phi_via_bregman(A: MatrixLike, B: MatrixLike, spec: DivergenceSpec) -> float
     """Evaluate phi as Tr[A H_h(A^{-1/2} B A^{-1/2}, I)] with h = -f."""
     A = pd(A)
     gen = spec.generator
-    middle = PositiveDefiniteMatrix(_middle_term(A, pd(B))[1])
+    middle = PositiveDefiniteMatrix(_middle_term(A, pd(B)))
     eye = PositiveDefiniteMatrix(np.eye(A.dim))
     breg = operator_bregman(
         lambda w: -np.asarray(gen.f(w), dtype=np.float64),

@@ -123,14 +123,14 @@ def _require_mean_normalized(gen: Generator) -> None:
 _CONCAVITY_GRID = np.logspace(-3, 3, 512)
 
 
-def _second_divided_differences(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _grid_second_differences(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     first = np.diff(values) / np.diff(grid)
     return np.diff(first) / (grid[2:] - grid[:-2])
 
 
 def _check_strictly_concave(gen: Generator) -> None:
     vals = np.asarray(gen.f(_CONCAVITY_GRID), dtype=np.float64)
-    dd2 = _second_divided_differences(vals, _CONCAVITY_GRID)
+    dd2 = _grid_second_differences(vals, _CONCAVITY_GRID)
     if not np.all(dd2 < 0):
         raise DomainError(
             f"generator {gen!r} is not strictly concave "

@@ -3,8 +3,9 @@
 All matrix functions go through a single primitive, the eigendecomposition:
 dimensions here are small enough that correctness and auditability beat
 Pade or scaling-and-squaring schemes.  The private helpers _hermitian_part,
-_spectral and _roots are the package's one route for (M + M*)/2,
-U diag(f(w)) U* and A^{1/2} with A^{-1/2}, on one matrix or a stack of them.
+_spectral and _inv_root are the package's one route for (M + M*)/2,
+U diag(f(w)) U* and A^{-1/2}, on one matrix or a stack of them; A^{1/2} is
+_spectral of the eigenpairs _inv_root returns with it.
 """
 
 from __future__ import annotations
@@ -211,14 +212,15 @@ def _pd_spectral(A: MatrixLike, fn: Callable) -> PositiveDefiniteMatrix:
     return PositiveDefiniteMatrix(_spectral(U, fn(w)))
 
 
-def _roots(mat: np.ndarray, warn: bool = False):
-    """A^{1/2} and A^{-1/2} of a positive definite matrix or stack, from one eigh;
-    warn=True warns on each ill-conditioned member, as sqrt_pd does."""
+def _inv_root(mat: np.ndarray):
+    """A^{-1/2} of a positive definite matrix or stack, from one eigh, with
+    that eigh's vectors U and root spectrum r = w^{1/2}, from which
+    _spectral(U, r) forms A^{1/2}; warns on each ill-conditioned member, as
+    sqrt_pd does."""
     w, U = np.linalg.eigh(mat)
-    if warn:
-        _warn_if_ill_conditioned(w)
+    _warn_if_ill_conditioned(w)
     r = np.sqrt(w)
-    return _spectral(U, r), _spectral(U, 1.0 / r)
+    return _spectral(U, 1.0 / r), U, r
 
 
 def sqrt_pd(A: MatrixLike) -> PositiveDefiniteMatrix:
@@ -258,7 +260,7 @@ def thompson_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Thompson metric max_i |log lambda_i(A^{-1/2} B A^{-1/2})|."""
     a, b = pd(A), pd(B)
     _check_same_dim(a.mat, b.mat)
-    s = _roots(a.mat, warn=True)[1]
+    s = _inv_root(a.mat)[0]
     w = np.linalg.eigvalsh(_hermitian_part(s @ b.mat @ s))
     if w[0] <= 0:
         raise DomainError("Thompson metric requires positive definite inputs")

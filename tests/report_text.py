@@ -4,17 +4,11 @@ A report's `inputs:` lines print the drawn inputs of a violating trial to 17
 significant digits.  Those digits come from the BLAS kernel (its QR), so on
 those lines the float tokens compare at REL_TOL relative.  Every other
 character, on every line, compares exactly.
-
-    python tests/report_text.py PINNED_FILE < REPORT
-
-prints each mismatching line and exits 1 when the report on stdin does not
-match PINNED_FILE.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 
 REL_TOL = 1e-12
 # A decimal number; re.split with the capturing group keeps it between the
@@ -52,15 +46,3 @@ def mismatches(pinned: str, actual: str) -> list:
         if x is None or y is None or not _lines_match(x, y)
     ]
 
-
-def main(argv) -> int:
-    with open(argv[1], encoding="utf-8") as fh:
-        pinned = fh.read()
-    found = mismatches(pinned, sys.stdin.read())
-    for k, x, y in found:
-        print(f"line {k}:\n  pinned: {x!r}\n  actual: {y!r}")
-    return 1 if found else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv))

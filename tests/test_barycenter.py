@@ -36,6 +36,7 @@ from qhmeans import (
 )
 from qhmeans import barycenter
 from qhmeans.hermitian import _spectral
+from qhmeans.measures import _map_differences
 
 from conftest import (
     REF_A1,
@@ -727,18 +728,6 @@ def large_exponent_ensemble():
     return ensemble(*pinned_spectrum_ensemble_np(np.random.default_rng([0, 2, 8, 3]), 2, 8, 3))
 
 
-def captured_step(ens, gen, monkeypatch):
-    """The step function solve_mean_equation hands to _fixed_point."""
-    steps = []
-
-    def capture(ens, opts, step, beta):
-        steps.append(step)
-
-    monkeypatch.setattr(barycenter, "_fixed_point", capture)
-    solve_mean_equation(ens, gen)
-    return steps[0]
-
-
 def mean_map(ens, X, gen):
     """T(X) = (1/c) sum_j w_j X^{1/2} f'((X^{-1/2} A_j X^{-1/2})^{-1}) X^{1/2},
     through the square root of X and one eigh per member."""
@@ -827,7 +816,8 @@ class TestFixedPointMap:
     def test_extrapolation_outside_the_cone_falls_back(self, seed):
         # two members with spectrum {e^-6, e^6}: the extrapolated first step
         # is exact here and its point passes the Cholesky test, so no fallback
-        # is taken; test_newton_point_outside_the_cone_* cover the fallback
+        # is taken; test_newton_point_outside_the_cone_* and
+        # test_extrapolated_point_that_fails_cholesky_* cover the fallback
         rng = np.random.default_rng(seed)
         mats = []
         for _ in range(2):
@@ -884,17 +874,19 @@ class TestFixedPointMap:
         assert again.final_residual <= floor
 
     @pytest.mark.parametrize("name", JACOBIAN_GENERATORS)
-    def test_jacobian_matches_central_differences(self, rng, monkeypatch, name):
+    def test_jacobian_matches_central_differences(self, rng, name):
         # with L fixed, L^{-1} T(L (I + Z) L*) L^{-*} = S + D[Z] + O(Z^2); the
         # map is recomputed outside the solver, through the square root of X
         gen = JACOBIAN_GENERATORS[name]
         ens = random_ensemble(rng, 4, 5, 1.5)
-        step = captured_step(ens, gen, monkeypatch)
         L = np.linalg.cholesky(random_pd_np(rng, 4, 1.0))
         Li = np.linalg.inv(L)
         Z = random_hermitian_np(rng, 4)
         Z /= np.linalg.norm(Z)
-        S, jacobian = step(L)
+        fp1 = float(gen.f_prime(1.0))
+        S, y, Vc, Vh = barycenter._mean_map(L, ens.stack, ens.weights[:, None] / fp1, gen.f_prime)
+        table = ens.weights[:, None, None] * _map_differences(gen.representing_measure(), y)
+        jacobian = barycenter._map_jacobian(Vc, Vh, table)
 
         def frame(h):
             X = L @ (np.eye(4) + h * Z) @ L.conj().T
@@ -903,7 +895,7 @@ class TestFixedPointMap:
         assert np.linalg.norm(S - frame(0.0)) <= 1e-12 * np.linalg.norm(S)
         h = 1e-5  # rounding, amplified by L^{-1}, outweighs truncation below this
         fd = (frame(h) - frame(-h)) / (2 * h)
-        assert np.linalg.norm(jacobian()(Z) - fd) <= 1e-7 * np.linalg.norm(fd)
+        assert np.linalg.norm(jacobian(Z) - fd) <= 1e-7 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_newton_iteration_bound_at_spread_3(self, t):
@@ -915,26 +907,20 @@ class TestFixedPointMap:
             assert report.iterations <= 9
 
     def test_newton_point_outside_the_cone_falls_back(self, monkeypatch):
-        # every Newton point "fails" the Cholesky test, so every step after
-        # the first is the plain map's, and the solve still converges
-        newton, factor = barycenter._newton_point, barycenter._cholesky
-        inside, refused = [], []
+        # every Newton point is moved outside the cone, so it fails the
+        # Cholesky test and every step after the first is the plain map's,
+        # and the solve still converges
+        newton = barycenter._newton_point
+        refused = []
 
         def newton_outside(*args):
-            inside.append(1)
-            try:
-                return newton(*args)
-            finally:
-                inside.pop()
-
-        def cholesky(X):
-            if inside:
-                refused.append(X)
+            Y = newton(*args)
+            if Y is None:
                 return None
-            return factor(X)
+            refused.append(Y)
+            return -Y
 
         monkeypatch.setattr(barycenter, "_newton_point", newton_outside)
-        monkeypatch.setattr(barycenter, "_cholesky", cholesky)
         ens = spread_ensemble(3, 4, 8, 1.0)
         opts = SolverOptions()
         report = solve_power_mean(ens, 0.5, opts)
@@ -952,9 +938,9 @@ class TestFixedPointMap:
         refused = []
 
         def counting(*args):
-            point = newton(*args)
-            refused.append(point is None or point[1] is None)
-            return point
+            Y = newton(*args)
+            refused.append(Y is None or barycenter._cholesky(Y) is None)
+            return Y
 
         monkeypatch.setattr(barycenter, "_newton_point", counting)
         ens = spread_ensemble(0, 4, 3, 6.0)
@@ -988,8 +974,9 @@ class TestFixedPointMap:
         )
 
     def test_fallback_that_fails_cholesky_ends_the_solve_unconverged(self, monkeypatch):
-        # only the start factors: the first fallback point U(X_0) "fails", so
-        # the solve stops at X_0 and reports it, with no exception
+        # only the start factors: the extrapolated point and then the plain
+        # map's T(X_0) "fail", so the solve stops at X_0 and reports it, with
+        # no exception
         factor = barycenter._cholesky
         calls = []
 
@@ -1000,10 +987,30 @@ class TestFixedPointMap:
         monkeypatch.setattr(barycenter, "_cholesky", start_only)
         ens = ref_ensemble()
         report = solve_power_mean(ens, 0.75)
-        assert len(calls) == 2
+        assert len(calls) == 3  # the start, the proposal and the plain map
         assert not report.converged
         assert report.iterations == 1
         assert np.array_equal(report.solution.mat, ens.arithmetic_mean().mat)
+
+    def test_extrapolated_point_that_fails_cholesky_falls_back_to_the_plain_map(
+        self, monkeypatch
+    ):
+        # only the extrapolated point (the second factorization) "fails": the
+        # first step is the plain map's, and the solve goes on to converge
+        factor = barycenter._cholesky
+        calls = []
+
+        def refuse_second(X):
+            calls.append(X)
+            return None if len(calls) == 2 else factor(X)
+
+        monkeypatch.setattr(barycenter, "_cholesky", refuse_second)
+        ens = ref_ensemble()
+        opts = SolverOptions()
+        report = solve_power_mean(ens, 0.75, opts)
+        assert report.converged
+        assert map_residual(ens, report.solution, 0.25) <= 10 * opts.residual_tol
+        assert len(calls) > 2  # the refused proposal was taken
 
     @pytest.mark.parametrize(
         "solver, per_iteration",

@@ -270,10 +270,10 @@ REPORTS = Path(__file__).parent / "data" / "properties_report"
 @pytest.mark.parametrize("generator", ["arcsine", "geometric:0.5", "harmonic:0.3"])
 def test_properties_report_matches_the_pinned_text(generator, corrupt, capsys):
     # The files hold the console script's stdout for these arguments, written
-    # before the convex-order campaign moved to atom arrays; CI compares the
-    # installed script's output with them through the same report_text.  Only
-    # the digits of the inputs a violating trial prints may differ, by BLAS
-    # kernel.
+    # before the convex-order campaign moved to atom arrays.  This test is the
+    # one comparison with them; CI runs it under the default, Haswell and Zen
+    # OpenBLAS kernels.  Only the digits of the inputs a violating trial
+    # prints may differ, by BLAS kernel.
     argv = ["properties", "--generator", generator, "--seed", "7", "--trials", "20", "--dim", "3"]
     code = main(argv + ["--corrupt-channel"] * corrupt)
     assert code == (4 if corrupt else 0)
