@@ -184,10 +184,10 @@ class _Point(NamedTuple):
 class _Workspace:
     """Per-solve precomputation shared by objective, gradient and Hessian.
 
-    The members are factored once, A_j = C_j C_j*.  One spectral pass per
-    point (evaluate) takes the batched eigh of the M_j and from it the cone
-    test, the gradient and its norm; the objective and Hessian read it.  The
-    last point's pass is kept, so an accepted trial's is reused.
+    The members are factored once, A_j = C_j C_j*.  Each evaluate call is one
+    spectral pass: the batched eigh of the M_j and from it the cone test, the
+    gradient and its norm.  The workspace keeps no point: the solver holds its
+    _Point and hands it to objective, ray_start and hessian, which read its pass.
     """
 
     def __init__(self, ens: WeightedEnsemble, spec: DivergenceSpec):
@@ -210,14 +210,11 @@ class _Workspace:
         self.const = (1 - spec.c) * float(self.weights @ ens.stack.trace(0, 1, 2).real)
         self.c = spec.c
         self.c_eye = spec.c * np.eye(ens.dim, dtype=np.complex128)
-        self._last = None
 
     def evaluate(self, X: np.ndarray) -> Optional[_Point]:
         """The spectral pass at a Hermitian X, or None if X fails the cone test,
         e_j0 > 0: by congruence X is positive definite exactly when every M_j
         is.  eigh reads one triangle of M_j, so no Hermitian part is taken."""
-        if self._last is not None and self._last.X is X:
-            return self._last
         m, d, _ = self.inv_factors_h.shape
         e, V = np.linalg.eigh((self.inv_rows @ X).reshape(m, d, d) @ self.inv_factors_h)
         if not (e[:, 0] > 0).all():  # the positive form fails NaN
@@ -225,8 +222,7 @@ class _Workspace:
         R = np.conj(V.swapaxes(-1, -2)) @ self.frames
         Wh, CVh = R[..., :d], R[..., d:]
         K = CVh @ np.conj(CVh.swapaxes(-1, -2))
-        self._last = self._with_gradient(X, e, Wh, K, _first_differences(self.mu, e))
-        return self._last
+        return self._with_gradient(X, e, Wh, K, _first_differences(self.mu, e))
 
     def _with_gradient(self, X, e, Wh, K, table) -> _Point:
         """The point with G = c I - sum_j w_j W_j (table_j o K_j) W_j* and ||G||_F."""
@@ -248,14 +244,12 @@ class _Workspace:
         means = (f_mu(self.mu, p.e) * p.K.diagonal(0, 1, 2).real).sum(axis=1)
         return float(self.weights @ means)
 
-    def objective(self, X: np.ndarray) -> float:
-        return self.const + self.c * float(np.trace(X).real) - self._mean_traces(self.point(X))
+    def objective(self, p: _Point) -> float:
+        return self.const + self.c * float(np.trace(p.X).real) - self._mean_traces(p)
 
-    def gradient(self, X: np.ndarray) -> np.ndarray:
-        return self.point(X).G
-
-    def ray_start(self, X: np.ndarray) -> _Point:
-        """The minimizer a* X of the objective on the ray {a X, a > 0}, for f = x^t.
+    def ray_start(self, p: _Point) -> _Point:
+        """The minimizer a* X of the objective on the ray {a X, a > 0} through
+        X = p.X, for f = x^t.
 
         x^t makes sigma homogeneous, A sigma (a X) = a^t (A sigma X), so along
         the ray F(a X) = const + t a Tr X - a^t S with S = sum_j w_j Tr(A_j sigma X)
@@ -263,15 +257,13 @@ class _Workspace:
         members A_j = l_j A and X their arithmetic mean, a* X is the barycenter
         (sum_j w_j l_j^(1-t))^(1/(1-t)) A.  M_j(a X) = a M_j(X), so the pass at X
         carries over: e scales by a, the f^[1] table by a^(t-1), and W_j and
-        K_j are unchanged.  The point a* X is kept and returned.
+        K_j are unchanged.
         """
         t = self.power
-        p = self.point(X)
-        a = (self._mean_traces(p) / float(np.trace(X).real)) ** (1 / (1 - t))
-        self._last = self._with_gradient(a * X, a * p.e, p.Wh, p.K, a ** (t - 1) * p.table)
-        return self._last
+        a = (self._mean_traces(p) / float(np.trace(p.X).real)) ** (1 / (1 - t))
+        return self._with_gradient(a * p.X, a * p.e, p.Wh, p.K, a ** (t - 1) * p.table)
 
-    def hessian(self, X: np.ndarray) -> np.ndarray:
+    def hessian(self, pt: _Point) -> np.ndarray:
         """The d^2 x d^2 matrix of H -> DG(X)[H] on row-major vec(H).
 
         DG(X)[H] = -sum_j w_j W_j D^2f[K_j, W_j* H W_j] W_j* with
@@ -282,7 +274,6 @@ class _Workspace:
         The second term's entry is the conjugate of the first's at ((q, p), (b, a)).
         Y_jl for every l takes two (d x d)(d x d^2) products per member.
         """
-        pt = self.point(X)
         m, d = pt.e.shape
         # Two (m, d, d, d) buffers, A and B, take the products in turn: with a
         # fresh block per product a d = 16, m = 4 solve took 2210 minor page
@@ -307,7 +298,7 @@ class _Workspace:
 def objective(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
     """Weighted divergence sum F(X) = sum_j w_j phi(A_j, X)."""
     ws = _Workspace(ens, spec)
-    return ws.objective(_as_state(ens, X))
+    return ws.objective(ws.point(_as_state(ens, X)))
 
 
 def _as_state(ens: WeightedEnsemble, X: MatrixLike) -> np.ndarray:
@@ -335,8 +326,7 @@ def euclidean_gradient(
     accepted only for callers that still pass it positionally.
     The directional derivative in any Hermitian direction Y is Tr(G Y).
     """
-    ws = _Workspace(ens, spec)
-    return HermitianMatrix(ws.gradient(_as_state(ens, X)))
+    return HermitianMatrix(_Workspace(ens, spec).point(_as_state(ens, X)).G)
 
 
 def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
@@ -393,14 +383,15 @@ def solve_barycenter(
     """
     opts = opts or SolverOptions()
     ws = _Workspace(ens, spec)
-    X = _initial_state(ens, opts)
-    point = ws.ray_start(X) if opts.initial_guess is None and ws.power is not None else ws.point(X)
-    trace = [ws.objective(point.X)]
+    point = ws.point(_initial_state(ens, opts))
+    if opts.initial_guess is None and ws.power is not None:
+        point = ws.ray_start(point)
+    trace = [ws.objective(point)]
     for _ in range(opts.max_iterations):
         if point.res <= opts.residual_tol:
             break
         try:
-            P = np.linalg.solve(ws.hessian(point.X), -point.G.reshape(-1))
+            P = np.linalg.solve(ws.hessian(point), -point.G.reshape(-1))
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(P).all():
@@ -415,7 +406,7 @@ def solve_barycenter(
         else:
             break
         point = trial
-        trace.append(ws.objective(point.X))
+        trace.append(ws.objective(point))
     return _report(point.X, len(trace) - 1, point.res, trace, opts.residual_tol)
 
 

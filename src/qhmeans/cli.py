@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--inline", action="append", help="inline JSON input (repeatable)")
             p.add_argument("--format", choices=("json", "table"), default="json")
         if solver:
-            p.add_argument("--tol", type=float, default=1e-8)
-            p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+            p.add_argument("--tol", type=float, default=SolverOptions.residual_tol)
+            p.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations, dest="max_iter")
 
     p = sub.add_parser("mean", help="Kubo-Ando mean of two matrices")
     add_shared(p, solver=False)

@@ -31,6 +31,7 @@ from .hermitian import (
     _mat,
     _require_pd,
     _spectral,
+    _validated_pd,
     frechet_derivative,
     pd,
 )
@@ -47,7 +48,7 @@ def _middle_term(A: PositiveDefiniteMatrix, B: MatrixLike) -> np.ndarray:
     return _hermitian_part(s @ b @ s)
 
 
-def _means(a: np.ndarray, b: np.ndarray, f: Callable, check_pd: bool = True) -> np.ndarray:
+def _means(a: np.ndarray, b: np.ndarray, f: Callable) -> np.ndarray:
     """Hermitian parts of A_k sigma B_k over a stack a of shape (n, d, d) and a
     stack b of shape (..., n, d, d): leading axes of b give several second
     arguments per A_k.
@@ -57,14 +58,13 @@ def _means(a: np.ndarray, b: np.ndarray, f: Callable, check_pd: bool = True) -> 
     per pair, and the stack of means keeps them.  One batched eigh of the A
     stack gives A^{+-1/2} (warning on each ill-conditioned member), one of the
     middles gives their spectra, and one batched eigvalsh holds every mean to
-    the PositiveDefiniteMatrix predicate; check_pd=False leaves that test to
-    the caller.  f is not checked for f(1) = 1.
+    the PositiveDefiniteMatrix predicate, so a caller may wrap a mean with
+    _validated_pd.  f is not checked for f(1) = 1.
     """
     s, U, r = _inv_root(a)
     root = _spectral(U, r)
     means = _hermitian_part(root @ _apply_spectral_raw(_hermitian_part(s @ b @ s), f) @ root)
-    if check_pd:
-        _require_pd(np.linalg.eigvalsh(means).reshape(-1, means.shape[-1]), "mean")
+    _require_pd(np.linalg.eigvalsh(means).reshape(-1, means.shape[-1]), "mean")
     return means
 
 
@@ -78,8 +78,9 @@ def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefi
     a, b = pd(A).mat, pd(B).mat
     _check_same_dim(a, b)
     _require_mean_normalized(gen)
-    # The PositiveDefiniteMatrix constructor applies the predicate _means skips.
-    return PositiveDefiniteMatrix(_means(a[None], b[None], gen.f, check_pd=False)[0])
+    mean = _means(a[None], b[None], gen.f)[0]
+    mean.setflags(write=False)
+    return _validated_pd(mean)
 
 
 def _phi_batch(a: np.ndarray, b: np.ndarray, spec: DivergenceSpec) -> np.ndarray:

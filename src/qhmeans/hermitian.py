@@ -329,10 +329,6 @@ def frechet_derivative(
     x, y = _mat(X), _mat(Y)
     _check_same_dim(x, y)
     w, U = np.linalg.eigh(_hermitian_part(x))
-    fw = np.asarray(fn(w), dtype=np.float64)
-    dw = np.asarray(fn_prime(w), dtype=np.float64)
-    if not (np.isfinite(fw).all() and np.isfinite(dw).all()):
-        raise DomainError("function or derivative not finite on the spectrum")
-    table = _divided_differences(w, fw, dw)
+    table = _divided_differences(w, _finite_values(fn, w), _finite_values(fn_prime, w))
     inner = U.conj().T @ y @ U
     return HermitianMatrix(U @ (table * inner) @ U.conj().T)

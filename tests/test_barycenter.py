@@ -564,12 +564,9 @@ class TestNewtonSpectralPass:
         evaluate, passes = barycenter._Workspace.evaluate, []
 
         def recorded(ws, X):
-            # the points that take a pass: the workspace keeps only the last
-            fresh = ws._last is None or ws._last.X is not X
-            point = evaluate(ws, X)
-            if fresh:
-                passes.append((X, point))
-            return point
+            # each call is one pass: the workspace keeps no point
+            passes.append((X, evaluate(ws, X)))
+            return passes[-1][1]
 
         monkeypatch.setattr(barycenter._Workspace, "evaluate", recorded)
         eigh = _counting(monkeypatch, np.linalg, "eigh")
@@ -589,7 +586,8 @@ class TestNewtonSpectralPass:
         # a LAPACK solve that returns NaN without raising: the solve stops at
         # its start before any trial, reports it, and warns of nothing
         ens = ref_ensemble()
-        start = barycenter._Workspace(ens, ARCSINE_SPEC).ray_start(ens._mean_array()).X
+        ws = barycenter._Workspace(ens, ARCSINE_SPEC)
+        start = ws.ray_start(ws.point(ens._mean_array())).X
         monkeypatch.setattr(np.linalg, "solve", lambda H, b: np.full_like(b, np.nan))
         eigh = _counting(monkeypatch, np.linalg, "eigh")
         with warnings.catch_warnings():
@@ -604,9 +602,41 @@ class TestNewtonSpectralPass:
         ws = barycenter._Workspace(random_ensemble(rng, 3, 2), ARCSINE_SPEC)
         X = -np.eye(3, dtype=np.complex128)
         assert ws.evaluate(X) is None
-        for method in (ws.gradient, ws.objective, ws.hessian):
-            with pytest.raises(DomainError, match="cone test"):
-                method(X)
+        with pytest.raises(DomainError, match="cone test"):
+            ws.point(X)
+
+    def test_each_evaluate_call_is_one_pass(self, monkeypatch):
+        # the workspace keeps no point, so the same X evaluated twice takes
+        # two batched eigh calls, with the same bits
+        ens = ref_ensemble()
+        ws = barycenter._Workspace(ens, ARCSINE_SPEC)
+        X = ens._mean_array()
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        first, second = ws.evaluate(X), ws.evaluate(X)
+        assert len(eigh) == 2
+        assert first is not second
+        assert np.array_equal(first.G, second.G) and first.res == second.res
+
+    @pytest.mark.parametrize("gen", POWER_GENERATORS + [HarmonicGenerator(0.3)])
+    def test_report_traces_one_objective_per_point(self, rng, gen):
+        # the start's objective, then one per accepted step, the last at the
+        # returned point: a fresh evaluation there has the same bits, except
+        # at an unmoved ray start, whose pass is the rescaled one at the mean
+        spec = DivergenceSpec(gen)
+        A = random_pd_np(rng, 3)
+        proportional = ensemble([A, 4.0 * A, 0.5 * A], [0.2, 0.5, 0.3])
+        cases = [ref_ensemble(), proportional] + [
+            random_ensemble(rng, d, m, 1.0) for d, m in ((1, 3), (2, 2), (4, 8))
+        ]
+        for ens in cases:
+            report = solve_barycenter(ens, spec)
+            assert report.converged
+            assert len(report.objective_trace) == report.iterations + 1
+            fresh = objective(ens, report.solution, spec)
+            if report.iterations >= 1:
+                assert report.objective_trace[-1] == fresh
+            else:
+                assert abs(report.objective_trace[-1] - fresh) <= 1e-14 * report.solution.trace()
 
 
 class TestSolvePowerMean:
@@ -793,6 +823,18 @@ class TestFixedPointMap:
         assert report.converged
         assert report.iterations <= 30
         assert map_residual(ens, report.solution, 0.05) <= 10 * opts.residual_tol
+
+    @pytest.mark.parametrize("solver", ["power:0.25", "power:0.75", "harmonic:0.3"])
+    def test_report_traces_one_residual_per_iteration(self, rng, solver):
+        # one map residual per iteration, the last the reported one
+        cases = [ref_ensemble(), large_exponent_ensemble()] + [
+            random_ensemble(rng, d, m, 1.0) for d, m in ((1, 3), (2, 2), (4, 8))
+        ]
+        for ens in cases:
+            report = fixed_point_solve(ens, solver, SolverOptions())
+            assert report.converged
+            assert len(report.objective_trace) == report.iterations
+            assert report.objective_trace[-1] == report.final_residual
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("solver", ["power:0.25", "power:0.5", "power:0.75", "mean:arcsine"])

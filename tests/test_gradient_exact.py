@@ -184,9 +184,9 @@ def test_workspace_setup_takes_no_eigh(rng, monkeypatch):
     for spec in specs:
         ws = _Workspace(ens, spec)
         assert calls == []
-        ws.gradient(X)
-        ws.objective(X)
-        ws.hessian(X)
+        point = ws.point(X)  # its gradient is point.G
+        ws.objective(point)
+        ws.hessian(point)
         assert len(calls) == 1
         calls.clear()
 
@@ -194,9 +194,7 @@ def test_workspace_setup_takes_no_eigh(rng, monkeypatch):
 def _hessian_problem(rng, gen, dim=4):
     ens, X = _random_problem(rng, dim, 3, 1.0)
     ws = _Workspace(ens, DivergenceSpec(gen))
-    X = _as_state(ens, X)
-    ws.gradient(X)
-    return ws, X
+    return ws, _as_state(ens, X)
 
 
 # d = 1 has one index pair, so only larger d can tell the index transposes of
@@ -208,8 +206,8 @@ def test_hessian_matches_gradient_differences(rng, gen, dim):
     for _ in range(3):
         ws, X = _hessian_problem(rng, gen, dim)
         H = random_hermitian_np(rng, dim)
-        applied = (ws.hessian(X) @ H.reshape(-1)).reshape(dim, dim)
-        central = (ws.gradient(X + h * H) - ws.gradient(X - h * H)) / (2 * h)
+        applied = (ws.hessian(ws.point(X)) @ H.reshape(-1)).reshape(dim, dim)
+        central = (ws.point(X + h * H).G - ws.point(X - h * H).G) / (2 * h)
         assert np.linalg.norm(applied - central) <= 1e-8 * np.linalg.norm(central)
 
 
@@ -217,7 +215,7 @@ def test_hessian_matches_gradient_differences(rng, gen, dim):
 def test_hessian_is_positive_on_hermitian_directions(rng, gen):
     # the objective is strictly convex, so Re Tr(H DG[H]) > 0 for H != 0
     ws, X = _hessian_problem(rng, gen)
-    hess = ws.hessian(X)
+    hess = ws.hessian(ws.point(X))
     for _ in range(20):
         H = random_hermitian_np(rng, 4)
         assert np.vdot(H.reshape(-1), hess @ H.reshape(-1)).real > 0

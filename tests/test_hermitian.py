@@ -1,3 +1,4 @@
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -262,6 +263,14 @@ class TestFrechetDerivative:
         Y = herm(np.array([[0.0, 1.0], [1.0, 0.0]]))
         out = frechet_derivative(np.sqrt, lambda w: 0.5 / np.sqrt(w), pd(np.eye(2)), Y)
         assert np.linalg.norm(out.mat - 0.5 * Y.mat) <= 1e-12
+
+    def test_function_not_finite_on_the_spectrum_raises_without_warning(self):
+        # log and 1/x at the eigenvalue 0: a DomainError naming it, not the
+        # RuntimeWarning of evaluating them there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="eigenvalue"):
+                frechet_derivative(np.log, lambda x: 1 / x, np.diag([0.0, 1.0]), np.eye(2))
 
     @pytest.mark.parametrize("t", [0.3, 0.5])
     @pytest.mark.parametrize("base", [1e-3, 1.0, 37.3])
