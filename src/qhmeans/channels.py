@@ -65,52 +65,50 @@ def _check_input_dim(T: QuantumChannel, a: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """A completely positive trace preserving map given by Kraus operators."""
+    """A completely positive trace preserving map, its Kraus operators held as
+    one read-only complex128 array (r, d_out, d_in): the stack the batched DPI
+    pass takes.  It takes any sequence of (d_out, d_in) matrices."""
 
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ks = tuple(np.asarray(K, dtype=np.complex128) for K in self.kraus)
-        if not ks:
+        try:
+            ks = np.array(self.kraus, dtype=np.complex128)
+        except ValueError as exc:
+            raise DomainError("all Kraus operators must share one (d_out, d_in) shape") from exc
+        if ks.shape[:1] == (0,):
             raise DomainError("a channel needs at least one Kraus operator")
-        shape = ks[0].shape
-        if len(shape) != 2 or any(K.shape != shape for K in ks):
+        if ks.ndim != 3:
             raise DomainError("all Kraus operators must share one (d_out, d_in) shape")
-        _require_finite(np.array(ks), "a Kraus operator")
+        _require_finite(ks, "a Kraus operator")
         defect = kraus_defect(ks)
         if not defect <= TP_ATOL:
             raise DomainError(
                 f"Kraus operators are not trace preserving: defect {defect:.3e}"
             )
-        for K in ks:
-            K.setflags(write=False)
+        ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
 
 def apply_channel(T: QuantumChannel, A: MatrixLike) -> HermitianMatrix:
     """Channel action sum_i K_i A K_i*; preserves the trace."""
     a = _mat(A)
     _check_input_dim(T, a)
-    return HermitianMatrix(_apply_kraus(np.array(T.kraus), a))
+    return HermitianMatrix(_apply_kraus(T.kraus, a))
 
 
 def pinching_channel(d: int) -> QuantumChannel:
     """Projection onto the diagonal subalgebra: Kraus operators e_i e_i*."""
-    d = _require_count("dimension", d)
-    ks = []
-    for i in range(d):
-        K = np.zeros((d, d), dtype=np.complex128)
-        K[i, i] = 1.0
-        ks.append(K)
-    return QuantumChannel(tuple(ks))
+    eye = np.eye(_require_count("dimension", d))
+    return QuantumChannel(eye[:, :, None] * eye[:, None, :])
 
 
 def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> QuantumChannel:
@@ -126,7 +124,7 @@ def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> QuantumChannel:
             f"no isometry exists: d_out*env_dim = {d_out * env_dim} < d_in = {d_in}"
         )
     g = _complex_gaussian(np.random.default_rng(seed), (d_out * env_dim, d_in))
-    return QuantumChannel(tuple(_kraus_stack(g[None], d_out, env_dim)[0]))
+    return QuantumChannel(_kraus_stack(g[None], d_out, env_dim)[0])
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -151,15 +149,10 @@ def _kraus_stack(g: np.ndarray, d_out: int, env_dim: int) -> np.ndarray:
 
 
 def choi_matrix(T: QuantumChannel) -> HermitianMatrix:
-    """Choi matrix sum_ij e_i e_j* (x) T(e_i e_j*); PSD iff T is completely positive."""
-    d = T.dim_in
-    out = np.zeros((d * T.dim_out, d * T.dim_out), dtype=np.complex128)
-    for K in T.kraus:
-        vec = K.reshape(-1, order="F")  # stacking consistent with e_i (x) K e_i
-        out += np.outer(vec, vec.conj())
-    # Equivalent closed form: Choi = sum_K vec(K) vec(K)*, with the basis
-    # ordering fixed by the reshape above.
-    return HermitianMatrix(out)
+    """Choi matrix sum_ij e_i e_j* (x) T(e_i e_j*); PSD iff T is completely
+    positive.  Row k of V is K_k column-stacked, so Choi = V^T conj(V)."""
+    V = T.kraus.swapaxes(1, 2).reshape(len(T.kraus), -1)
+    return HermitianMatrix(V.T @ V.conj())
 
 
 def _regularization_shift(w: np.ndarray, trace: float) -> float:
@@ -225,7 +218,7 @@ def check_dpi(
     a, b = pd(A).mat, pd(B).mat
     _check_input_dim(T, a)
     _check_same_dim(a, b)
-    (slack,) = _dpi_slacks(spec, np.array(T.kraus)[None], a[None], b[None])
+    (slack,) = _dpi_slacks(spec, T.kraus[None], a[None], b[None])
     if isinstance(slack, DegenerateTrialError):
         raise slack
     return slack

@@ -59,6 +59,11 @@ class InputError(QHMeansError):
     """CLI-level input problem (bad file, bad JSON, bad flag combination)."""
 
 
+# The shorthands that take one numeric parameter, and the family each builds.
+_SHORTHANDS = {"arithmetic": ArithmeticGenerator, "harmonic": HarmonicGenerator}
+_SHORTHANDS.update(dict.fromkeys(("geometric", "power", "beta"), GeometricGenerator))
+
+
 def parse_generator(text: str) -> Generator:
     """Parse a generator from JSON or shorthand like 'geometric:0.5'."""
     text = text.strip()
@@ -70,16 +75,16 @@ def parse_generator(text: str) -> Generator:
         if sep:
             raise InputError(f"generator {name!r} takes no parameter")
         return arcsine_generator() if name == "arcsine" else LogGenerator()
+    family = _SHORTHANDS.get(name)
+    if family is None:
+        raise InputError(f"unknown generator shorthand {text!r}")
     if not arg:
         raise InputError(f"generator {name!r} needs a parameter, e.g. '{name}:0.5'")
-    value = float(arg)
-    if name in ("geometric", "power", "beta"):
-        return GeometricGenerator(value)
-    if name == "arithmetic":
-        return ArithmeticGenerator(value)
-    if name == "harmonic":
-        return HarmonicGenerator(value)
-    raise InputError(f"unknown generator shorthand {text!r}")
+    try:
+        value = float(arg)
+    except ValueError:
+        raise InputError(f"generator {name!r} needs a numeric parameter, got {arg!r}") from None
+    return family(value)
 
 
 def _load_json_payloads(args, expected: int) -> list:

@@ -193,8 +193,11 @@ def _finite_values(fn: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.
     return fw
 
 
-def _warn_if_ill_conditioned(w: np.ndarray) -> None:
-    """One ConditioningWarning per ill-conditioned spectrum in w, (d,) or (n, d)."""
+def _inv_root(mat: np.ndarray):
+    """A^{-1/2} of a positive definite matrix or stack from one eigh, with its
+    vectors U and root spectrum r = w^{1/2} (_spectral(U, r) is A^{1/2});
+    warns at the caller once per ill-conditioned member."""
+    w, U = np.linalg.eigh(mat)
     for k, (low, high) in enumerate(_extremes(w)):
         if low > 0 and high / low > COND_WARN_THRESHOLD:
             where = f"member {k} of a stack: " if w.ndim > 1 else ""
@@ -202,35 +205,21 @@ def _warn_if_ill_conditioned(w: np.ndarray) -> None:
                 f"{where}condition number {high / low:.3e} exceeds "
                 f"{COND_WARN_THRESHOLD:.0e}; spectral results may lose precision",
                 ConditioningWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-
-
-def _pd_spectral(A: MatrixLike, fn: Callable) -> PositiveDefiniteMatrix:
-    w, U = np.linalg.eigh(_mat(pd(A)))
-    _warn_if_ill_conditioned(w)
-    return PositiveDefiniteMatrix(_spectral(U, fn(w)))
-
-
-def _inv_root(mat: np.ndarray):
-    """A^{-1/2} of a positive definite matrix or stack, from one eigh, with
-    that eigh's vectors U and root spectrum r = w^{1/2}, from which
-    _spectral(U, r) forms A^{1/2}; warns on each ill-conditioned member, as
-    sqrt_pd does."""
-    w, U = np.linalg.eigh(mat)
-    _warn_if_ill_conditioned(w)
     r = np.sqrt(w)
     return _spectral(U, 1.0 / r), U, r
 
 
 def sqrt_pd(A: MatrixLike) -> PositiveDefiniteMatrix:
     """Principal matrix square root of a positive definite matrix."""
-    return _pd_spectral(A, np.sqrt)
+    _, U, r = _inv_root(pd(A).mat)
+    return PositiveDefiniteMatrix(_spectral(U, r))
 
 
 def inv_sqrt_pd(A: MatrixLike) -> PositiveDefiniteMatrix:
     """Inverse matrix square root of a positive definite matrix."""
-    return _pd_spectral(A, lambda w: 1.0 / np.sqrt(w))
+    return PositiveDefiniteMatrix(_inv_root(pd(A).mat)[0])
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -324,7 +313,8 @@ def frechet_derivative(
     """Derivative of the matrix function fn at X in direction Y.
 
     Uses the divided-difference (Daleckii-Krein) formula in the eigenbasis
-    of X, with fn'(lambda) on near-degenerate eigenvalue pairs.
+    of X, with fn'(lambda) on near-degenerate eigenvalue pairs.  X and Y are
+    read through their Hermitian parts: the derivative is along (Y + Y*)/2.
     """
     x, y = _mat(X), _mat(Y)
     _check_same_dim(x, y)

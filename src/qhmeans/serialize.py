@@ -6,6 +6,8 @@ and imaginary parts; an omitted "im" means an all-zero imaginary part.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .barycenter import SolverReport, WeightedEnsemble
@@ -137,17 +139,15 @@ def channel_to_json(T: QuantumChannel) -> dict:
 
 def channel_from_json(obj: dict) -> QuantumChannel:
     try:
-        kraus = tuple(matrix_from_json(K) for K in obj["kraus"])
+        kraus = [matrix_from_json(K) for K in obj["kraus"]]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed channel object: {exc}") from exc
     return QuantumChannel(kraus)
 
 
 def report_to_json(report: SolverReport) -> dict:
-    return {
-        "solution": matrix_to_json(report.solution),
-        "iterations": report.iterations,
-        "final_residual": report.final_residual,
-        "objective_trace": list(report.objective_trace),
-        "converged": report.converged,
-    }
+    """The report's fields in their order, the solution as a matrix object."""
+    obj = {f.name: getattr(report, f.name) for f in fields(report)}
+    obj["solution"] = matrix_to_json(report.solution)
+    obj["objective_trace"] = list(report.objective_trace)
+    return obj

@@ -287,6 +287,17 @@ class TestSolveBarycenter:
         assert np.max(np.abs(report.solution.mat.real - REF_BARYCENTER)) <= 1e-3
         assert np.max(np.abs(report.solution.mat.imag)) <= 1e-8
 
+    def test_reference_problem_to_full_precision(self):
+        # the paper's example; the gradient norm at this point, in 50-digit
+        # arithmetic, is 5e-18
+        expected = np.array(
+            [[2.9903525506641248, 0.63441938448559737], [0.63441938448559737, 1.7215137816929301]]
+        )
+        report = solve_barycenter(ref_ensemble(), ARCSINE_SPEC, SolverOptions(residual_tol=1e-12))
+        assert report.converged
+        X = report.solution.mat
+        assert np.linalg.norm(X - expected) <= 1e-12 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_commuting_ensemble_scalar_oracle(self, rng, t):
         ens = diagonal_ensemble(rng, 4, 3)

@@ -18,7 +18,12 @@ from qhmeans import (
     pinching_channel,
     random_cptp,
 )
-from qhmeans.channels import _complex_gaussian, _regularization_shift, kraus_defect
+from qhmeans.channels import (
+    _complex_gaussian,
+    _kraus_stack,
+    _regularization_shift,
+    kraus_defect,
+)
 
 from conftest import REF_A1, REF_A2, random_pd_np
 
@@ -48,6 +53,27 @@ class TestConstruction:
     def test_defect_of_valid_channel(self):
         T = pinching_channel(3)
         assert kraus_defect(T.kraus) <= 1e-14
+
+    def test_kraus_is_one_read_only_complex_stack(self):
+        T = random_cptp(2, 3, 4, seed=9)
+        assert isinstance(T.kraus, np.ndarray)
+        assert T.kraus.dtype == np.complex128
+        assert T.kraus.shape == (4, 3, 2)  # (r, d_out, d_in)
+        assert (T.dim_in, T.dim_out) == (2, 3)
+        with pytest.raises(ValueError):
+            T.kraus[0, 0, 0] = 0.0
+
+    def test_copies_its_input(self):
+        K = np.eye(2, dtype=np.complex128)
+        T = QuantumChannel((K,))
+        K[0, 0] = 5.0  # the caller's array stays writable
+        assert np.array_equal(T.kraus[0], np.eye(2))
+
+    def test_round_trip_through_its_kraus_array(self):
+        T = random_cptp(3, 2, 3, seed=4)
+        back = QuantumChannel(T.kraus)
+        assert np.array_equal(back.kraus, T.kraus)
+        assert len(back.kraus) == 3
 
 
 class TestApplyChannel:
@@ -99,6 +125,14 @@ class TestPinching:
     def test_accepts_numpy_integer_dimension(self):
         assert len(pinching_channel(np.int64(3)).kraus) == 3
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_kraus_operators_are_diagonal_projectors(self, d):
+        kraus = pinching_channel(d).kraus
+        assert kraus.shape == (d, d, d)
+        for i in range(d):
+            e = np.eye(d)[:, i]
+            assert np.array_equal(kraus[i], np.outer(e, e))
+
 
 class TestRandomCptp:
     def test_trace_preserving_invariant(self):
@@ -119,6 +153,16 @@ class TestRandomCptp:
         T2 = random_cptp(2, 2, 2, seed=42)
         for K1, K2 in zip(T1.kraus, T2.kraus):
             assert np.array_equal(K1, K2)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (2, 3, 3), (4, 4, 4), (2, 3, 2)])
+    def test_kraus_array_is_the_campaigns_stack_of_the_same_draw(self, shape):
+        r, d_out, d_in = shape
+        for seed in range(5):
+            g = _complex_gaussian(np.random.default_rng(seed), (d_out * r, d_in))
+            stack = _kraus_stack(g[None], d_out, r)[0]
+            kraus = random_cptp(d_in, d_out, r, seed).kraus
+            assert kraus.shape == stack.shape
+            assert kraus.tobytes() == np.ascontiguousarray(stack).tobytes()
 
     def test_deterministic_across_processes(self):
         import subprocess
@@ -154,6 +198,20 @@ class TestRandomCptp:
             assert w[0] >= -1e-9
         w = np.linalg.eigvalsh(choi_matrix(pinching_channel(3)).mat)
         assert w[0] >= -1e-9
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
+    def test_choi_is_the_sum_of_units_times_their_images(self, shape):
+        r, d_out, d_in = shape
+        for seed in range(5):
+            T = random_cptp(d_in, d_out, r, seed)
+            expected = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+            for i in range(d_in):
+                for j in range(d_in):
+                    E = np.zeros((d_in, d_in))
+                    E[i, j] = 1.0
+                    image = sum(K @ E @ K.conj().T for K in T.kraus)
+                    expected += np.kron(E, image)
+            assert np.max(np.abs(choi_matrix(T).mat - expected)) <= 1e-14
 
 
 class TestDpi:

@@ -50,6 +50,21 @@ class TestParseGenerator:
         with pytest.raises(Exception):
             parse_generator("geometric")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("foo", "unknown generator shorthand 'foo'"),
+            ("foo:abc", "unknown generator shorthand 'foo:abc'"),
+            ("geometric:abc", "generator 'geometric' needs a numeric parameter, got 'abc'"),
+        ],
+    )
+    def test_unknown_name_and_non_numeric_parameter_are_input_errors(self, text, message, capsys):
+        with pytest.raises(InputError, match=message):
+            parse_generator(text)
+        a = '{"dim": 1, "re": [[2.0]]}'
+        assert main(["divergence", "--inline", a, "--inline", a, "--generator", text]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["arcsine:0.3", "arcsine:", "log:2", "LOG:"])
     def test_shorthands_without_a_parameter_refuse_one(self, text):
         name = text.partition(":")[0].lower()
