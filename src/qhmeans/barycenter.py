@@ -84,7 +84,7 @@ class WeightedEnsemble:
         if not members:
             raise DomainError("an ensemble needs at least one matrix")
         arrays = [_mat(A) for A in members]
-        dim = _require_count("ensemble matrix dimension", arrays[0].shape[0])
+        dim = arrays[0].shape[0]
         if any(a.shape[0] != dim for a in arrays):
             raise DimensionMismatchError("all ensemble matrices must share a dimension")
         stack = np.stack(arrays)

@@ -2,7 +2,10 @@
 
 Channels are held as Kraus operators with the trace-preserving constraint
 checked at construction.  The harness functions return signed slacks rather
-than booleans so property campaigns can report the worst margin seen.
+than booleans so property campaigns can report the worst margin seen.  The
+data processing check evaluates phi on the channel outputs as they are; a
+trial whose output has a condition number above MAX_OUTPUT_CONDITION, a
+rank-deficient one included, is degenerate at every scale and is discarded.
 """
 
 from __future__ import annotations
@@ -11,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _phi_batch, _trace
+from .divergences import _phi_batch
 from .errors import DegenerateTrialError, DimensionMismatchError, DomainError
 from .generators import DivergenceSpec
 from .hermitian import (
-    PD_REL_FLOOR,
     HermitianMatrix,
     MatrixLike,
     _check_same_dim,
@@ -28,10 +30,10 @@ from .hermitian import (
 )
 
 TP_ATOL = 1e-10
-# Outputs of PD inputs can brush the cone boundary; they are nudged back by
-# this relative amount before divergence evaluation.
-REGULARIZATION_SCALE = 1e-12
-MAX_REGULARIZATION = 1e-6
+# The largest condition number of a channel output that check_dpi evaluates:
+# phi's rounding error grows with it, to about 2e-12 at 2.6e8 and 7e-10 at
+# 2.6e12, where it would reach the campaigns' slack floor of -1e-9.
+MAX_OUTPUT_CONDITION = 1e8
 
 
 def _adjoint(M: np.ndarray) -> np.ndarray:
@@ -45,9 +47,24 @@ def _kraus_defects(kraus: np.ndarray) -> np.ndarray:
     return np.linalg.norm(acc - np.eye(kraus.shape[-1]), axis=(-2, -1))
 
 
+def _kraus_array(kraus) -> np.ndarray:
+    """A new complex128 array of a Kraus family: an (r, d_out, d_in) stack
+    with every size at least 1."""
+    try:
+        ks = np.array(kraus, dtype=np.complex128)
+    except ValueError as exc:
+        raise DomainError("all Kraus operators must share one (d_out, d_in) shape") from exc
+    if ks.ndim != 3 or 0 in ks.shape:
+        raise DomainError(
+            f"Kraus operators must form an (r, d_out, d_in) stack with every size >= 1, "
+            f"got shape {ks.shape}"
+        )
+    return ks
+
+
 def kraus_defect(kraus) -> float:
     """Frobenius distance of sum K_i* K_i from the identity."""
-    return float(_kraus_defects(np.asarray(kraus, dtype=np.complex128)))
+    return float(_kraus_defects(_kraus_array(kraus)))
 
 
 def _apply_kraus(kraus: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -72,16 +89,9 @@ class QuantumChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        try:
-            ks = np.array(self.kraus, dtype=np.complex128)
-        except ValueError as exc:
-            raise DomainError("all Kraus operators must share one (d_out, d_in) shape") from exc
-        if ks.shape[:1] == (0,):
-            raise DomainError("a channel needs at least one Kraus operator")
-        if ks.ndim != 3:
-            raise DomainError("all Kraus operators must share one (d_out, d_in) shape")
+        ks = _kraus_array(self.kraus)
         _require_finite(ks, "a Kraus operator")
-        defect = kraus_defect(ks)
+        defect = float(_kraus_defects(ks))
         if not defect <= TP_ATOL:
             raise DomainError(
                 f"Kraus operators are not trace preserving: defect {defect:.3e}"
@@ -155,53 +165,34 @@ def choi_matrix(T: QuantumChannel) -> HermitianMatrix:
     return HermitianMatrix(V.T @ V.conj())
 
 
-def _regularization_shift(w: np.ndarray, trace: float) -> float:
-    """The eigenvalue shift that nudges one channel output, of ascending
-    spectrum w, into the cone: REGULARIZATION_SCALE of its mean eigenvalue, or
-    more where the output sits on the cone boundary.  Raises
-    DegenerateTrialError when the shift would exceed MAX_REGULARIZATION."""
-    eps = REGULARIZATION_SCALE * max(trace, 0.0) / len(w)
-    # The shift must also clear the PD constructor's relative floor, with
-    # margin, when the output sits exactly on the cone boundary.
-    floor = 4.0 * PD_REL_FLOOR * max(abs(w[-1]), 0.0)
-    shift = max(eps, floor - w[0])
-    if shift > MAX_REGULARIZATION:
-        raise DegenerateTrialError(
-            f"channel output needs eigenvalue shift {shift:.3e} > {MAX_REGULARIZATION:.0e}"
-        )
-    return shift
-
-
 def _dpi_slacks(spec: DivergenceSpec, kraus: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
     """check_dpi over stacks: Kraus families kraus (n, r, d_out, d_in) and
     positive definite a, b (n, d_in, d_in).
 
-    Returns, per member, its slack, or the DegenerateTrialError that
-    regularizing one of its two outputs raised.  One batched eigvalsh gives
-    every output's spectrum; the regularized spectra w + shift are held to the
-    positive definite predicate, and one phi pass over the inputs and one
-    over the outputs give the slacks.
+    Returns, per member, its slack, or the DegenerateTrialError that one of
+    its two outputs raises when its condition number exceeds
+    MAX_OUTPUT_CONDITION.  One batched eigvalsh gives every output's spectrum
+    for that test, and one phi pass over the inputs and one over the kept
+    outputs, as they are, give the slacks.
     """
     n = len(a)
     outputs = _apply_kraus(np.concatenate((kraus, kraus)), np.concatenate((a, b)))
     w = np.linalg.eigvalsh(outputs)
-    traces = _trace(outputs).real.tolist()
-    shifts = np.zeros(2 * n)
-    errors = [None] * n
-    for k in range(n):
-        try:
-            for j in (k, n + k):
-                shifts[j] = _regularization_shift(w[j], traces[j])
-        except DegenerateTrialError as exc:
-            errors[k] = exc
-    kept = [k for k in range(n) if errors[k] is None]
-    both = kept + [n + k for k in kept]
-    _require_pd(w[both] + shifts[both, None], "channel output")
-    regularized = outputs[both] + shifts[both, None, None] * np.eye(w.shape[-1])
+    # The positive form fails w_0 <= 0 and NaN; a kept output clears the
+    # positive definite floor, PD_REL_FLOOR, by seven decades.
+    sound = MAX_OUTPUT_CONDITION * w[:, 0] >= w[:, -1]
+    kept = sound[:n] & sound[n:]
     before = _phi_batch(a[kept], b[kept], spec)
-    after = _phi_batch(regularized[: len(kept)], regularized[len(kept):], spec)
+    after = _phi_batch(outputs[:n][kept], outputs[n:][kept], spec)
     slacks = iter((before - after).tolist())
-    return [next(slacks) if exc is None else exc for exc in errors]
+    failing = np.where(sound[:n], np.arange(n, 2 * n), np.arange(n))
+    return [
+        next(slacks) if kept[k] else DegenerateTrialError(
+            f"channel output is too ill-conditioned: eigenvalues {w[j, 0]:.3e} to "
+            f"{w[j, -1]:.3e}, condition bound {MAX_OUTPUT_CONDITION:.0e}"
+        )
+        for k, j in enumerate(failing.tolist())
+    ]
 
 
 def check_dpi(
@@ -212,8 +203,10 @@ def check_dpi(
 ) -> float:
     """Data processing slack phi(A,B) - phi(T(A),T(B)); nonnegative for CPTP T.
 
-    Raises DegenerateTrialError when a channel output is too singular to
-    regularize honestly; such trials are discarded, not failed.
+    phi is evaluated on T(A) and T(B) as they are.  Raises
+    DegenerateTrialError when either has a condition number above
+    MAX_OUTPUT_CONDITION (a rank-deficient output, at any scale); such
+    trials are discarded, not failed.
     """
     a, b = pd(A).mat, pd(B).mat
     _check_input_dim(T, a)

@@ -38,6 +38,7 @@ def _as_square_complex(entries) -> np.ndarray:
     mat = np.asarray(entries, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {mat.shape}")
+    _require_count("matrix dimension", mat.shape[0])
     return mat
 
 

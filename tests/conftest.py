@@ -75,6 +75,25 @@ def mp_phi(A, B, f, c, dps=40):
         return mp.re(value)
 
 
+def mp_power_mean2(A1, A2, w1, t, dps=50):
+    """The weighted power mean of order s = 1 - t of two positive definite
+    matrices, the solution of X = w1 X #_s A1 + w2 X #_s A2, carried at dps
+    digits.  Congruence by A1^{-1/2} makes that solution commute with
+    M = A1^{-1/2} A2 A1^{-1/2}, so it is A1^{1/2} (w1 I + w2 M^s)^{1/s} A1^{1/2},
+    formed from mpmath's Hermitian eigensolver; returned as a complex ndarray."""
+    with mp.workdps(dps):
+        s, w1 = 1 - mp.mpf(t), mp.mpf(w1)
+        A1, A2 = mp.matrix(np.asarray(A1).tolist()), mp.matrix(np.asarray(A2).tolist())
+        w, U = mp.eighe(A1)
+        root = U * mp.diag([mp.sqrt(x) for x in w]) * U.H
+        inv_root = U * mp.diag([1 / mp.sqrt(x) for x in w]) * U.H
+        middle = inv_root * A2 * inv_root
+        mu, V = mp.eighe((middle + middle.H) / 2)
+        inner = V * mp.diag([(w1 + (1 - w1) * x**s) ** (1 / s) for x in mu]) * V.H
+        mean = root * inner * root
+        return np.array([[complex(mean[i, j]) for j in range(mean.cols)] for i in range(mean.rows)])
+
+
 def pinned_spectrum_ensemble_np(rng, dim, size, spread):
     """`size` matrices U diag(e) U* with Haar U and Dirichlet(1) weights.
 

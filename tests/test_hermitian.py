@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from qhmeans import (
     ConditioningWarning,
     DimensionMismatchError,
+    DivergenceSpec,
     DomainError,
     HermitianMatrix,
+    arcsine_generator,
     eig_hermitian,
     frechet_derivative,
     frobenius_dist,
@@ -18,6 +20,7 @@ from qhmeans import (
     inv_sqrt_pd,
     loewner_leq,
     pd,
+    phi,
     sqrt_pd,
     thompson_dist,
 )
@@ -64,6 +67,24 @@ class TestConstruction:
     def test_rejects_nonsquare(self):
         with pytest.raises(DomainError):
             herm(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pd,
+            sqrt_pd,
+            lambda Z: phi(Z, Z, DivergenceSpec(arcsine_generator())),
+            lambda Z: loewner_leq(Z, Z),
+            herm,
+            lambda Z: frobenius_dist(Z, Z),
+        ],
+        ids=["pd", "sqrt_pd", "phi", "loewner_leq", "herm", "frobenius_dist"],
+    )
+    def test_rejects_dimension_zero(self, call):
+        # one rule for every square matrix the package reads, before any
+        # spectral or norm arithmetic on it
+        with pytest.raises(DomainError, match="matrix dimension must be an integer >= 1, got 0"):
+            call(np.zeros((0, 0)))
 
     def test_immutable(self):
         H = herm(np.eye(2))

@@ -36,25 +36,32 @@ def _campaign(report, name):
     return next(c for c in report.campaigns if c.name == name)
 
 
-def test_degenerate_dpi_trials_are_discarded(monkeypatch):
-    def degenerate(*args):
-        raise DegenerateTrialError("channel output too singular")
+def _dpi_discard_reason(seed, trial, dim):
+    """The message check_dpi raises on one dpi trial's channel and inputs,
+    drawn from its rng in the campaign's order."""
+    rng = trial_rng(seed, "dpi", trial)
+    T = random_cptp(dim, dim, dim, rng)
+    with pytest.raises(DegenerateTrialError) as exc:
+        check_dpi(ARCSINE_SPEC, T, random_pd(rng, dim), random_pd(rng, dim))
+    return str(exc.value)
 
-    monkeypatch.setattr(channels, "_regularization_shift", degenerate)
+
+def test_degenerate_dpi_trials_are_discarded(monkeypatch):
+    # A bound of 1 leaves only multiples of the identity, so every trial's
+    # outputs are degenerate.
+    monkeypatch.setattr(channels, "MAX_OUTPUT_CONDITION", 1.0)
     report = run_campaigns(ARCSINE_SPEC, seed=3, trials=12, dim=2)
     dpi = _campaign(report, "dpi")
     assert dpi.discarded == 12
     assert dpi.violations == 0
     assert dpi.passed
-    assert dpi.discards == [
-        {"trial": i, "reason": "channel output too singular"} for i in range(12)
-    ]
+    reasons = [_dpi_discard_reason(3, i, 2) for i in range(12)]
+    assert all("condition bound 1e+00" in reason for reason in reasons)
+    assert dpi.discards == [{"trial": i, "reason": reasons[i]} for i in range(12)]
     assert len(dpi.seconds) == 12 and all(t >= 0 for t in dpi.seconds)
     shown = [line for line in format_report(report) if "discarded  " in line]
     assert len(shown) == 5
-    assert shown[0].strip() == (
-        "trial 0: discarded  channel output too singular (rng key: [3, 0, 0])"
-    )
+    assert shown[0].strip() == f"trial 0: discarded  {reasons[0]} (rng key: [3, 0, 0])"
 
 
 @pytest.mark.parametrize(
