@@ -33,12 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    NonConvergenceError,
-    UnsupportedGeneratorError,
-)
+from .errors import DimensionMismatchError, DomainError, NonConvergenceError
 from .generators import DivergenceSpec, GeometricGenerator, Generator
 from .hermitian import (
     HermitianMatrix,
@@ -191,15 +186,8 @@ class _Workspace:
     """
 
     def __init__(self, ens: WeightedEnsemble, spec: DivergenceSpec):
-        gen = spec.generator
-        mu = gen.representing_measure()
-        if mu is None:
-            raise UnsupportedGeneratorError(
-                f"{type(gen).__name__} carries no representing measure; "
-                "the barycenter gradient needs one"
-            )
-        self.mu = mu
-        self.power = power_exponent(mu)
+        self.mu = spec.generator.mu
+        self.power = power_exponent(self.mu)
         self.weights = np.ascontiguousarray(ens.weights)
         C = np.linalg.cholesky(ens.stack)
         inv = np.linalg.inv(C)

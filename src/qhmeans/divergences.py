@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CommutativityError, DimensionMismatchError, DomainError
-from .generators import DivergenceSpec, Generator, _require_mean_normalized
+from .generators import DivergenceSpec, Generator, MeasureGenerator, _require_measure
 from .hermitian import (
     HermitianMatrix,
     MatrixLike,
@@ -68,16 +68,16 @@ def _means(a: np.ndarray, b: np.ndarray, f: Callable) -> np.ndarray:
     return means
 
 
-def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: Generator) -> PositiveDefiniteMatrix:
+def kubo_ando_mean(A: MatrixLike, B: MatrixLike, gen: MeasureGenerator) -> PositiveDefiniteMatrix:
     """Operator mean A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.
 
     Args:
         A, B: positive definite matrices of equal dimension.
-        gen: a mean-normalized generator (f(1) = 1, weight in (0,1)).
+        gen: a MeasureGenerator; dirac(0.0) gives the mean A, dirac(1.0) B.
     """
     a, b = pd(A).mat, pd(B).mat
     _check_same_dim(a, b)
-    _require_mean_normalized(gen)
+    _require_measure(gen)
     mean = _means(a[None], b[None], gen.f)[0]
     mean.setflags(write=False)
     return _validated_pd(mean)

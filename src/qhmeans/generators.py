@@ -6,9 +6,10 @@ f_mu and f_mu_prime: x^t in closed form for the Beta-type density (the
 arcsine density is its t = 1/2), the atom sum otherwise.  The named
 generators (arithmetic, geometric, harmonic) are constructors of the
 MeasureGenerator of their measure; PowerGenerator, the x^t of the relaxed
-commutative family, is an alias of GeometricGenerator.  The log generator
-belongs to that family only: it is required to be strictly concave and C^1,
-not operator monotone.
+commutative family, is an alias of GeometricGenerator.  DivergenceSpec and
+kubo_ando_mean take a MeasureGenerator and are validated by its measure
+alone.  The log generator belongs to the commutative family only: it is
+strictly concave and C^1, not operator monotone, and has no measure.
 """
 
 from __future__ import annotations
@@ -107,65 +108,37 @@ def arcsine_generator() -> MeasureGenerator:
     return MeasureGenerator(ArcsineMeasure())
 
 
-def is_mean_normalized(gen: Generator) -> bool:
-    """True iff f(1) = 1 and the weight lies in (0,1); log has f(1) = 0."""
-    return abs(float(gen.f(1.0)) - 1.0) <= 1e-12 and 0.0 < gen.weight < 1.0
-
-
-def _require_mean_normalized(gen: Generator) -> None:
-    if not is_mean_normalized(gen):
+def _require_measure(gen) -> Measure:
+    """The representing measure of a MeasureGenerator: operator means and their
+    divergences take no other generator (UnsupportedGeneratorError)."""
+    if not isinstance(gen, MeasureGenerator):
+        hint = "; use commutative_phi for its divergence" if isinstance(gen, LogGenerator) else ""
         raise UnsupportedGeneratorError(
-            f"{type(gen).__name__} is not mean-normalized; "
-            "operator means need f(1) = 1 and weight in (0,1)"
+            f"{type(gen).__name__} is not a MeasureGenerator: an operator mean "
+            f"needs a representing measure{hint}"
         )
-
-
-_CONCAVITY_GRID = np.logspace(-3, 3, 512)
-
-
-def _grid_second_differences(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    first = np.diff(values) / np.diff(grid)
-    return np.diff(first) / (grid[2:] - grid[:-2])
-
-
-def _check_strictly_concave(gen: Generator) -> None:
-    vals = np.asarray(gen.f(_CONCAVITY_GRID), dtype=np.float64)
-    dd2 = _grid_second_differences(vals, _CONCAVITY_GRID)
-    if not np.all(dd2 < 0):
-        raise DomainError(
-            f"generator {gen!r} is not strictly concave "
-            f"(max second divided difference {dd2.max():.3e})"
-        )
+    return gen.mu
 
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """A strictly concave mean generator (f(1) = 1) with its weight c in (0,1).
+    """A mean's generator f_mu with its weight c = center_of_mass(mu).
 
-    The induced divergence is phi(A, B) = Tr((1-c) A + c B - A sigma B).
+    The induced divergence is phi(A, B) = Tr((1-c) A + c B - A sigma B).  It
+    needs f_mu strictly concave: f_mu''(x) = -2 integral of
+    l (1-l) / ((1-l) x + l)^3 dmu(l) < 0 exactly when mu puts mass inside
+    (0,1), which also puts c in (0,1), so a measure on {0,1} alone (affine f)
+    raises DomainError.  f_mu(1) = 1 holds by construction.
     """
 
-    generator: Generator
+    generator: MeasureGenerator
     c: float = field(init=False)
 
     def __post_init__(self):
-        gen = self.generator
-        if isinstance(gen, LogGenerator):
-            raise UnsupportedGeneratorError(
-                "the log generator is not mean-normalized; "
-                "use the commutative divergence directly"
-            )
-        w = float(gen.weight)
-        if not 0.0 < w < 1.0:
-            raise DomainError(f"generator weight {w} must lie in (0,1)")
-        _require_mean_normalized(gen)
-        mu = gen.representing_measure()
-        if isinstance(mu, DiscreteMeasure) and all(
-            loc in (0.0, 1.0) for loc, _ in mu.atoms
-        ):
+        mu = _require_measure(self.generator)
+        if isinstance(mu, DiscreteMeasure) and all(loc in (0.0, 1.0) for loc, _ in mu.atoms):
             raise DomainError(
                 "measure supported only on {0,1} generates an affine f; "
                 "the divergence would be identically zero"
             )
-        _check_strictly_concave(gen)
-        object.__setattr__(self, "c", w)
+        object.__setattr__(self, "c", center_of_mass(mu))

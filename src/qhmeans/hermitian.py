@@ -81,7 +81,7 @@ class HermitianMatrix:
         return self.mat.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
+        return np.array(self.mat, dtype=dtype, copy=copy)
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)

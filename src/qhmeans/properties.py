@@ -113,9 +113,10 @@ class CampaignResult:
     discards: list = field(default_factory=list)
 
     def record(self, slack: float, trial: int, detail: str, inputs=None) -> None:
-        """inputs, a zero-argument callable, is called only for a violation."""
-        self.worst_slack = min(self.worst_slack, slack)
-        if slack < SLACK_FLOOR:
+        """inputs, a zero-argument callable, is called only for a violation.
+        A NaN slack is a violation, and the worst slack from then on."""
+        self.worst_slack = float(np.minimum(self.worst_slack, slack))
+        if not slack >= SLACK_FLOOR:
             self.violations += 1
             self.failures.append({
                 "trial": trial,
@@ -332,7 +333,7 @@ def run_campaigns(
 def format_report(report: PropertyReport) -> list:
     lines = [f"property campaigns (seed {report.seed})"]
     for c in report.campaigns:
-        worst = "n/a" if not np.isfinite(c.worst_slack) else f"{c.worst_slack:.3e}"
+        worst = "n/a" if c.worst_slack == np.inf else f"{c.worst_slack:.3e}"
         status = "PASS" if c.passed else "FAIL"
         lines.append(
             f"  {c.name:<18} {status}  trials={c.trials} violations={c.violations} "

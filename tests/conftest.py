@@ -94,6 +94,68 @@ def mp_power_mean2(A1, A2, w1, t, dps=50):
         return np.array([[complex(mean[i, j]) for j in range(mean.cols)] for i in range(mean.rows)])
 
 
+def mp_barycenter(mats, weights, f, f_prime, c, start, dps=50, steps=3):
+    """The weighted barycenter, argmin_X sum_j w_j phi(A_j, X), carried at dps
+    digits, and its stationarity residual ||G||_F; the solution is returned
+    as a complex ndarray.
+
+    G(X) = c I - sum_j w_j R_j Df(M_j)[A_j] R_j, with R_j = A_j^{-1/2} and
+    M_j = R_j X R_j = V diag(e) V*, takes Df(M_j)[A_j] = V (f^[1](e) o V* A_j V) V*
+    from the divided differences of f on mpmath's Hermitian eigenpairs.
+    Newton on the d^2 real coordinates of a Hermitian X (the diagonal, then
+    the real and imaginary parts of the strict upper triangle), with a
+    forward-difference Jacobian of step 10^(-dps/2), starts at `start`, a
+    double-precision solution, and takes `steps` steps.  f and f_prime map
+    an mpf to an mpf."""
+    d = len(start)
+    upper = [(i, k) for i in range(d) for k in range(i + 1, d)]
+    with mp.workdps(dps):
+        mats = [mp.matrix(np.asarray(A).tolist()) for A in mats]
+        weights, c = [mp.mpf(float(w)) for w in weights], mp.mpf(c)
+        inv_roots = []
+        for A in mats:
+            lam, U = mp.eighe(A)
+            inv_roots.append(U * mp.diag([1 / mp.sqrt(x) for x in lam]) * U.H)
+
+        def coordinates(H):
+            return ([mp.re(H[i, i]) for i in range(d)] + [mp.re(H[i, k]) for i, k in upper]
+                    + [mp.im(H[i, k]) for i, k in upper])
+
+        def hermitian(x):
+            H = mp.diag(x[:d])
+            for n, (i, k) in enumerate(upper):
+                H[i, k] = mp.mpc(x[d + n], x[d + len(upper) + n])
+                H[k, i] = mp.conj(H[i, k])
+            return H
+
+        def gradient(x):
+            X, G = hermitian(x), c * mp.eye(d)
+            for w, A, R in zip(weights, mats, inv_roots):
+                M = R * X * R
+                e, V = mp.eighe((M + M.H) / 2)
+                K = V.H * A * V
+                for i in range(d):
+                    for k in range(d):
+                        gap = e[i] - e[k]
+                        K[i, k] *= f_prime(e[i]) if gap == 0 else (f(e[i]) - f(e[k])) / gap
+                G -= w * R * V * K * V.H * R
+            return coordinates(G)
+
+        x, h = coordinates(mp.matrix(np.asarray(start).tolist())), mp.mpf(10) ** (-dps // 2)
+        for _ in range(steps):
+            g = gradient(x)
+            J = mp.matrix(d * d, d * d)
+            for n in range(d * d):
+                shifted = gradient([v + h if m == n else v for m, v in enumerate(x)])
+                for r in range(d * d):
+                    J[r, n] = (shifted[r] - g[r]) / h
+            step = mp.lu_solve(J, mp.matrix([-v for v in g]))
+            x = [v + step[n] for n, v in enumerate(x)]
+        X = hermitian(x)
+        res = float(mp.mnorm(hermitian(gradient(x)), "f"))
+        return np.array([[complex(X[i, k]) for k in range(d)] for i in range(d)]), res
+
+
 def pinned_spectrum_ensemble_np(rng, dim, size, spread):
     """`size` matrices U diag(e) U* with Haar U and Dirichlet(1) weights.
 

@@ -8,6 +8,7 @@ from qhmeans import (
     CommutativityError,
     ConditioningWarning,
     DimensionMismatchError,
+    DiscreteMeasure,
     DivergenceSpec,
     DomainError,
     GeometricGenerator,
@@ -17,10 +18,12 @@ from qhmeans import (
     PowerGenerator,
     UnsupportedGeneratorError,
     arcsine_generator,
+    center_of_mass,
     check_dpi,
     check_joint_convexity,
     classical_hellinger,
     commutative_phi,
+    dirac,
     g_of,
     kubo_ando_mean,
     maximal_f_divergence,
@@ -76,6 +79,19 @@ class TestKuboAndoMean:
         A = pd(random_pd_np(rng, 2))
         with pytest.raises(UnsupportedGeneratorError):
             kubo_ando_mean(A, A, LogGenerator())
+
+    def test_rejects_a_spec_in_place_of_its_generator(self, ref_pair):
+        A, B = ref_pair
+        with pytest.raises(UnsupportedGeneratorError):
+            kubo_ando_mean(A, B, ARCSINE_SPEC)
+
+    @pytest.mark.parametrize("location, slot", [(0.0, 0), (1.0, 1)], ids=["A", "B"])
+    def test_endpoint_atoms_give_the_trivial_means(self, ref_pair, location, slot):
+        # mu = dirac(0) has f = 1 and weight 0, dirac(1) has f(x) = x and
+        # weight 1: means, though no divergence is built from them.
+        expected = ref_pair[slot].mat
+        out = kubo_ando_mean(*ref_pair, MeasureGenerator(dirac(location))).mat
+        assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -303,7 +319,8 @@ class TestBatchedPhi:
             weight=0.5,
             representing_measure=lambda: None,
         )
-        spec = DivergenceSpec(gen)
+        # DivergenceSpec takes measure generators only, so a bare spec.
+        spec = SimpleNamespace(generator=gen, c=0.5)
         eye, B = pd(np.eye(2)), pd(np.diag([4.0, 1.0]))
         with pytest.raises(DomainError, match="not positive definite"):
             phi(eye, B, spec)
@@ -337,6 +354,21 @@ class TestPhiAgainstMpmath:
             scale = np.trace(A).real + np.trace(B).real
             error = abs(phi(A, B, spec) - mp_phi(A, B, f, spec.c))
             assert error <= 16 * np.finfo(float).eps * scale
+
+    def test_measure_with_a_tiny_inner_atom(self):
+        # mass 1e-8 at 1/2 makes f strictly concave, but only just: phi is
+        # about 1e-8 on the reference pair, and the spec is built from the
+        # measure alone, with no numerical concavity test to mistake it for
+        # an affine f.
+        eps = 1e-8
+        mu = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5 - eps), (0.5, eps)))
+        spec = DivergenceSpec(MeasureGenerator(mu))
+        assert spec.c == center_of_mass(mu)
+        l, m = mu.locations.tolist(), mu.masses.tolist()
+        f = lambda x: sum(mk * x / ((1 - lk) * x + lk) for lk, mk in zip(l, m))
+        value = phi(REF_A1, REF_A2, spec)
+        assert 1e-9 < value < 1e-7
+        assert abs(value - mp_phi(REF_A1, REF_A2, f, mp.mpf(spec.c))) <= 1e-14
 
 
 class TestCommutativePhi:

@@ -134,18 +134,23 @@ class TestDivergenceSpec:
             assert 0 < spec.c < 1
 
     def test_rejects_log(self):
-        with pytest.raises(UnsupportedGeneratorError):
+        with pytest.raises(UnsupportedGeneratorError, match="commutative_phi"):
             DivergenceSpec(LogGenerator())
 
+    def test_rejects_no_generator(self):
+        with pytest.raises(UnsupportedGeneratorError):
+            DivergenceSpec(None)
+
     def test_rejects_generator_not_normalized_at_one(self):
-        # Strictly concave with weight in (0,1), but f(1) = 2: no operator mean.
+        # Strictly concave with weight in (0,1), but f(1) = 2: no operator mean,
+        # and no measure to represent one.
         gen = SimpleNamespace(
             f=lambda x: 2.0 * np.sqrt(np.asarray(x, dtype=np.float64)),
             f_prime=lambda x: 1.0 / np.sqrt(np.asarray(x, dtype=np.float64)),
             weight=0.5,
             representing_measure=lambda: None,
         )
-        with pytest.raises(UnsupportedGeneratorError, match="not mean-normalized"):
+        with pytest.raises(UnsupportedGeneratorError, match="not a MeasureGenerator"):
             DivergenceSpec(gen)
 
     def test_rejects_affine_arithmetic(self):

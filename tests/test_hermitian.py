@@ -91,6 +91,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             H.mat[0, 0] = 5.0
 
+    def test_array_conversion_copies_unless_asked_not_to(self):
+        A = pd(np.eye(2))
+        copied = np.array(A)
+        copied[0, 0] = 5.0
+        assert A.mat[0, 0] == 1.0
+        assert np.shares_memory(np.asarray(A), A.mat)
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # the copy keyword's protocol
+            with pytest.raises(ValueError):
+                np.array(A, dtype=np.complex64, copy=False)
+
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_always_hermitian(self, dim, seed):

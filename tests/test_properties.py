@@ -19,6 +19,8 @@ from qhmeans.divergences import kubo_ando_mean, phi
 from qhmeans.hermitian import _hermitian_part, _spectral
 from qhmeans.properties import (
     MAX_SPREAD,
+    CampaignResult,
+    PropertyReport,
     format_report,
     random_convex_order_pair,
     random_hermitian,
@@ -82,6 +84,27 @@ def test_corrupt_channel_failure_keeps_its_kraus_operators():
     assert failure["trial"] == 0
     kraus = [matrix_from_json(K) for K in failure["inputs"]["kraus"]]
     assert kraus_defect(kraus) == pytest.approx(-failure["slack"], abs=1e-12)
+
+
+def _nan_then_finite_slack():
+    result = CampaignResult("dpi", 3)
+    for trial, slack in enumerate((0.5, float("nan"), 0.25)):
+        result.record(slack, trial, "data processing")
+    return result
+
+
+def test_a_nan_slack_is_a_violation_and_stays_the_worst():
+    result = _nan_then_finite_slack()
+    assert not result.passed
+    assert result.violations == 1
+    assert result.failures[0]["trial"] == 1
+    assert np.isnan(result.worst_slack)
+
+
+def test_a_nan_slack_fails_the_report():
+    lines = format_report(PropertyReport(seed=1, campaigns=[_nan_then_finite_slack()]))
+    assert "FAIL" in lines[1] and "violations=1" in lines[1] and "worst_slack=nan" in lines[1]
+    assert lines[-1] == "VIOLATIONS FOUND"
 
 
 def test_passing_trials_encode_no_inputs(monkeypatch):
