@@ -29,7 +29,10 @@ from .measures import (
     dirac,
     f_mu,
     f_mu_prime,
+    power_exponent,
 )
+
+INNER_MOMENT_FLOOR = 4 * np.finfo(np.float64).eps
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -113,10 +116,7 @@ def _require_measure(gen) -> Measure:
     divergences take no other generator (UnsupportedGeneratorError)."""
     if not isinstance(gen, MeasureGenerator):
         hint = "; use commutative_phi for its divergence" if isinstance(gen, LogGenerator) else ""
-        raise UnsupportedGeneratorError(
-            f"{type(gen).__name__} is not a MeasureGenerator: an operator mean "
-            f"needs a representing measure{hint}"
-        )
+        raise UnsupportedGeneratorError(f"{type(gen).__name__} is not a MeasureGenerator{hint}")
     return gen.mu
 
 
@@ -125,10 +125,10 @@ class DivergenceSpec:
     """A mean's generator f_mu with its weight c = center_of_mass(mu).
 
     The induced divergence is phi(A, B) = Tr((1-c) A + c B - A sigma B).  It
-    needs f_mu strictly concave: f_mu''(x) = -2 integral of
-    l (1-l) / ((1-l) x + l)^3 dmu(l) < 0 exactly when mu puts mass inside
-    (0,1), which also puts c in (0,1), so a measure on {0,1} alone (affine f)
-    raises DomainError.  f_mu(1) = 1 holds by construction.
+    needs f_mu strictly concave: f_mu''(x) = -2 integral of l (1-l) /
+    ((1-l) x + l)^3 dmu(l) < 0 exactly when mu puts mass inside (0,1).  A mu
+    with inner moment integral of l (1-l) dmu at most INNER_MOMENT_FLOOR = 4 eps
+    gives an f affine to rounding and raises DomainError.
     """
 
     generator: MeasureGenerator
@@ -136,9 +136,9 @@ class DivergenceSpec:
 
     def __post_init__(self):
         mu = _require_measure(self.generator)
-        if isinstance(mu, DiscreteMeasure) and all(loc in (0.0, 1.0) for loc, _ in mu.atoms):
-            raise DomainError(
-                "measure supported only on {0,1} generates an affine f; "
-                "the divergence would be identically zero"
-            )
+        t = power_exponent(mu)
+        inner = (t * (1 - t) / 2 if t is not None
+                 else float(np.dot(mu.masses, mu.locations * (1 - mu.locations))))
+        if not inner > INNER_MOMENT_FLOOR:
+            raise DomainError(f"measure with inner moment {inner:.3g} <= 4 eps: f is affine to rounding")
         object.__setattr__(self, "c", center_of_mass(mu))

@@ -81,6 +81,8 @@ class HermitianMatrix:
         return self.mat.shape[0]
 
     def __array__(self, dtype=None, copy=None):
+        if copy is None:  # NumPy 1.x passes none, and its np.array refuses copy=None
+            return np.asarray(self.mat, dtype=dtype)
         return np.array(self.mat, dtype=dtype, copy=copy)
 
     def trace(self) -> float:

@@ -18,7 +18,6 @@ from qhmeans import (
     MeasureGenerator,
     NonConvergenceError,
     SolverOptions,
-    UnsupportedGeneratorError,
     arcsine_generator,
     ensemble,
     euclidean_gradient,
@@ -97,25 +96,6 @@ def scalar_mean_equation(a, w, gen):
         return brentq(fn, lo, hi, xtol=1e-13)
 
     return np.array([solve_one(a[:, i]) for i in range(a.shape[1])])
-
-
-class _NoMeasureGenerator:
-    """Strictly concave generator without a representing measure."""
-
-    def f(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return 2.0 * np.sqrt(x) - 0.5 * (1 + x)  # f(1) = 1, f'(1) = 1/2
-
-    def f_prime(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return 1.0 / np.sqrt(x) - 0.5
-
-    @property
-    def weight(self):
-        return 0.5
-
-    def representing_measure(self):
-        return None
 
 
 def _near_commuting_pair(rng):
@@ -286,12 +266,6 @@ class TestGradient:
 
     def test_residual_positive_at_identity(self):
         assert residual(ref_ensemble(), pd(np.eye(2)), ARCSINE_SPEC) > 1e-2
-
-    def test_requires_representing_measure(self):
-        # The gradient reads the spec's measure, so a generator without one
-        # is refused when the spec is built.
-        with pytest.raises(UnsupportedGeneratorError):
-            DivergenceSpec(_NoMeasureGenerator())
 
 
 class TestMeasureFrechetDerivative:

@@ -17,6 +17,7 @@ from qhmeans import (
     PowerGenerator,
     UnsupportedGeneratorError,
     arcsine_generator,
+    center_of_mass,
     dirac,
     f_mu,
     quadrature,
@@ -133,31 +134,57 @@ class TestDivergenceSpec:
             assert spec.c == pytest.approx(gen.weight)
             assert 0 < spec.c < 1
 
-    def test_rejects_log(self):
-        with pytest.raises(UnsupportedGeneratorError, match="commutative_phi"):
-            DivergenceSpec(LogGenerator())
-
-    def test_rejects_no_generator(self):
-        with pytest.raises(UnsupportedGeneratorError):
-            DivergenceSpec(None)
-
-    def test_rejects_generator_not_normalized_at_one(self):
-        # Strictly concave with weight in (0,1), but f(1) = 2: no operator mean,
-        # and no measure to represent one.
-        gen = SimpleNamespace(
-            f=lambda x: 2.0 * np.sqrt(np.asarray(x, dtype=np.float64)),
-            f_prime=lambda x: 1.0 / np.sqrt(np.asarray(x, dtype=np.float64)),
-            weight=0.5,
-            representing_measure=lambda: None,
-        )
-        with pytest.raises(UnsupportedGeneratorError, match="not a MeasureGenerator"):
+    @pytest.mark.parametrize(
+        "gen, match",
+        [
+            (LogGenerator(), "commutative_phi"),
+            (None, "not a MeasureGenerator"),
+            # strictly concave with weight 1/2, but f(1) = 2: no operator mean
+            (
+                SimpleNamespace(
+                    f=lambda x: 2.0 * np.sqrt(x),
+                    f_prime=lambda x: 1.0 / np.sqrt(x),
+                    weight=0.5,
+                    representing_measure=lambda: None,
+                ),
+                "not a MeasureGenerator",
+            ),
+            # strictly concave with f(1) = 1 and f'(1) = 1/2, but no measure
+            (
+                SimpleNamespace(
+                    f=lambda x: 2.0 * np.sqrt(x) - 0.5 * (1 + x),
+                    f_prime=lambda x: 1.0 / np.sqrt(x) - 0.5,
+                    weight=0.5,
+                    representing_measure=lambda: None,
+                ),
+                "not a MeasureGenerator",
+            ),
+        ],
+        ids=["log", "none", "not-normalized-at-one", "normalized-without-measure"],
+    )
+    def test_rejects_generator_without_measure(self, gen, match):
+        with pytest.raises(UnsupportedGeneratorError, match=match):
             DivergenceSpec(gen)
 
-    def test_rejects_affine_arithmetic(self):
-        with pytest.raises(DomainError):
-            DivergenceSpec(ArithmeticGenerator(0.5))
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            ArithmeticGenerator(0.5),
+            MeasureGenerator(DiscreteMeasure(((0.0, 0.4), (1.0, 0.6)))),
+            # inner mass below rounding: c == 1.0 exactly, phi is rounding noise
+            # and the barycenter gradient vanishes everywhere
+            MeasureGenerator(DiscreteMeasure(((1.0, 1.0), (0.5, 1e-17)))),
+            MeasureGenerator(DiscreteMeasure(((0.0, 0.5), (1.0, 0.5), (0.5, 1e-300)))),
+            # weight in (0,1), but f(x) = x / ((1 - 1e-17) x + 1e-17) is 1 to rounding
+            HarmonicGenerator(1e-17),
+        ],
+        ids=["arithmetic", "endpoints-only", "inner-1e-17", "inner-1e-300", "harmonic-1e-17"],
+    )
+    def test_rejects_f_affine_to_rounding(self, gen):
+        with pytest.raises(DomainError, match="affine to rounding"):
+            DivergenceSpec(gen)
 
-    def test_rejects_endpoint_only_measure(self):
-        mu = DiscreteMeasure(((0.0, 0.4), (1.0, 0.6)))
-        with pytest.raises(DomainError):
-            DivergenceSpec(MeasureGenerator(mu))
+    def test_accepts_inner_moment_just_above_the_floor(self):
+        # integral of l (1-l) dmu = 2.5e-15, about 3x INNER_MOMENT_FLOOR
+        mu = DiscreteMeasure(((1.0, 1.0), (0.5, 1e-14)))
+        assert DivergenceSpec(MeasureGenerator(mu)).c == center_of_mass(mu)
