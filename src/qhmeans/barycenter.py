@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
-from .generators import DivergenceSpec, GeometricGenerator, Generator
+from .generators import DivergenceSpec, GeometricGenerator, Generator, MeasureGenerator
 from .hermitian import (
     HermitianMatrix,
     MatrixLike,
@@ -322,14 +322,6 @@ def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> floa
     return _Workspace(ens, spec).point(_as_state(ens, X)).res
 
 
-def _cholesky(X: np.ndarray) -> Optional[np.ndarray]:
-    """The lower Cholesky factor L of X = L L*, or None if X fails the test."""
-    try:
-        return np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _report(X: np.ndarray, iterations: int, res: float, trace: list, tol: float) -> SolverReport:
     """The report on a solver's last point X, exactly Hermitian and past its
     cone test: X is held to the PositiveDefiniteMatrix predicate on one
@@ -363,11 +355,12 @@ def solve_barycenter(
     spectral pass (_Workspace.evaluate) and
     ||G(X + sP)|| <= (1 - 1e-4 s) ||G(X)||; along P the squared gradient norm
     falls at rate 2 ||G||^2, so that search ends short of rounding level.
-    Steps are judged on the gradient, not on the objective, whose rounding
-    floor lies far above the gradient's.  Convergence is declared on the
-    stationarity residual; a singular Hessian, a step that is not finite or
-    an exhausted step search ends the solve unconverged.  Non-convergence is
-    reported, not raised.
+    The decrease must be strict: below s of about 1e-12 the factor rounds to
+    1, and X + sP to X.  Steps are judged on the gradient, not on the
+    objective, whose rounding floor lies far above the gradient's.
+    Convergence is declared on the stationarity residual; a singular Hessian,
+    a step that is not finite or an exhausted step search ends the solve
+    unconverged.  Non-convergence is reported, not raised.
     """
     opts = opts or SolverOptions()
     ws = _Workspace(ens, spec)
@@ -388,7 +381,8 @@ def solve_barycenter(
         s = 1.0
         while s >= _MIN_STEP:
             trial = ws.evaluate(point.X + s * P)
-            if trial is not None and trial.res <= (1 - 1e-4 * s) * point.res:
+            if (trial is not None and trial.res < point.res
+                    and trial.res <= (1 - 1e-4 * s) * point.res):
                 break
             s *= _SHRINK
         else:
@@ -415,18 +409,27 @@ def _member_sum(Vc: np.ndarray, R: np.ndarray) -> np.ndarray:
     return Vc.reshape(m * d, d).T @ R.reshape(m * d, d)
 
 
-def _mean_map(L: np.ndarray, stack: np.ndarray, weights: np.ndarray, f_prime):
-    """The map in the frame of X = L L*: S = sum_j weights_j f'(M_j^{-1}) for
+def _map_pass(X: np.ndarray, stack: np.ndarray, weights: np.ndarray, f_prime):
+    """The map's pass at X: (X, L, S, y, Vc, Vh, T(X), ||T(X) - X||_F / ||X||_F)
+    with X = L L* (Cholesky) and S = sum_j weights_j f'(M_j^{-1}) for
     M_j = L^{-1} A_j L^{-*} = V_j diag(e_j) V_j*, from one batched eigh, with
     y = 1/e and the C-contiguous stacks of the V_j^T (Vc) and V_j* (Vh).
-    weights is (m, 1) and carries the 1/f'(1) factor."""
+    weights is (m, 1) and carries the 1/f'(1) factor.  None if X fails the
+    Cholesky test or some e_j0 <= 0 (the positive form fails NaN)."""
+    try:
+        L = np.linalg.cholesky(X)
+    except np.linalg.LinAlgError:
+        return None
     Li = np.linalg.inv(L)
     e, V = np.linalg.eigh(Li @ stack @ np.conj(Li.T))
+    if not (e[:, 0] > 0).all():
+        return None
     y = 1.0 / e
     Vc = np.ascontiguousarray(np.swapaxes(V, -1, -2))
     Vh = np.conj(Vc)
-    b = weights * np.asarray(f_prime(y), dtype=np.float64)
-    return _member_sum(Vc, b[..., None] * Vh), y, Vc, Vh
+    S = _member_sum(Vc, (weights * np.asarray(f_prime(y), dtype=np.float64))[..., None] * Vh)
+    U = _hermitian_part(L @ S @ np.conj(L.T))
+    return X, L, S, y, Vc, Vh, U, float(np.linalg.norm(U - X) / max(np.linalg.norm(X), 1e-300))
 
 
 def _map_jacobian(Vc: np.ndarray, Vh: np.ndarray, table: np.ndarray):
@@ -464,10 +467,8 @@ def solve_power_mean(
     X = sum_j w_j (X #_{1-t} A_j).
 
     This is the mean equation of GeometricGenerator(t), solved by
-    solve_mean_equation.
+    solve_mean_equation; GeometricGenerator(t) refuses t outside (0,1).
     """
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"power order t={t} must lie in (0,1)")
     return solve_mean_equation(ens, GeometricGenerator(t), opts)
 
 
@@ -483,7 +484,8 @@ def solve_mean_equation(
     Accepts a DivergenceSpec or a bare generator (e.g. the log generator,
     whose equation collapses to the weighted arithmetic mean).  The Cholesky
     factor L of X = L L* stands in for X^{1/2}, which leaves the right side
-    unchanged: T(X) = L S L* (_mean_map).
+    unchanged: T(X) = L S L*.  A point has a pass (_map_pass) when it passes
+    the Cholesky test and every M_j = L^{-1} A_j L^{-*} is positive definite.
 
     Iteration k stops once ||T(X_k) - X_k||_F / ||X_k||_F <= residual_tol or
     at the iteration cap, and returns X_k either way; objective_trace holds
@@ -491,37 +493,34 @@ def solve_mean_equation(
     at k = 1 when f = x^t, X_1 #_beta T(X_1) = G G* with G = L S^(beta/2),
     beta = 1/(1-t), the power mean of order 1-t of the M_j carried back by L,
     exact for commuting members and so, by congruence with A_1^{-1/2}, for
-    any two; later, when f has a measure, the Newton point X_k + L E L* for
+    any two; later, for a MeasureGenerator, the Newton point X_k + L E L* for
     (I - D) E = S - I (_newton_point), with D the map's Jacobian in the frame
     of L: T(L (I + Z) L*) = L (S + D[Z]) L* + O(Z^2), where
     D[Z] = sum_j w_j V_j (Phi_j o (V_j* Z V_j)) V_j* (_map_jacobian) takes
     the V_j of the same eigh and Phi_j the divided differences
     h^[1](1/e_ji, 1/e_jk) of h(y) = y f'(y) / f'(1), which is f for x^t.
-    The next point is the first of (the proposal, the plain T(X_k)) that
-    passes the Cholesky test, whose factor is the next L; the plain map
-    contracts (by t in the Thompson metric for x^t) where a proposal can
-    overshoot.  If neither passes, the solve ends unconverged at X_k.  A
-    start that fails the test raises DomainError.
+    The next point is the first of (the proposal, the plain T(X_k)) that has
+    a pass; the plain map contracts (by t in the Thompson metric for x^t)
+    where a proposal can overshoot.  If neither has one, the solve ends
+    unconverged at X_k.  A start without a pass raises DomainError.
     """
     opts = opts or SolverOptions()
     gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
     fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
     if fp1 <= 0:
         raise DomainError("generator must have positive derivative at 1")
-    mu = gen.representing_measure()
+    mu = gen.mu if isinstance(gen, MeasureGenerator) else None
     t = power_exponent(mu)
     weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
     member_weights = ens.weights[:, None, None]  # _map_differences divides by f'(1)
-    X = _initial_state(ens, opts)
-    L = _cholesky(X)
-    if L is None:
-        raise DomainError("the starting point fails the Cholesky test")
+    point = _map_pass(_initial_state(ens, opts), ens.stack, weights, gen.f_prime)
+    if point is None:
+        raise DomainError("the starting point fails the Cholesky or spectrum test")
     trace: list = []
     while True:
-        S, y, Vc, Vh = _mean_map(L, ens.stack, weights, gen.f_prime)
-        U = _hermitian_part(L @ S @ np.conj(L.T))
-        trace.append(float(np.linalg.norm(U - X) / max(np.linalg.norm(X), 1e-300)))
-        if trace[-1] <= opts.residual_tol or len(trace) == opts.max_iterations:
+        X, L, S, y, Vc, Vh, U, res = point
+        trace.append(res)
+        if res <= opts.residual_tol or len(trace) == opts.max_iterations:
             break
         proposal = None
         if len(trace) == 1 and t is not None:
@@ -531,13 +530,12 @@ def solve_mean_equation(
             D = _map_jacobian(Vc, Vh, member_weights * _map_differences(mu, y))
             proposal = _newton_point(X, L, S, D)
         for Y in (proposal, U):
-            factor = None if Y is None else _cholesky(Y)
-            if factor is not None:
+            point = None if Y is None else _map_pass(Y, ens.stack, weights, gen.f_prime)
+            if point is not None:
                 break
-        else:  # neither point passes the test
+        else:  # neither point has a pass
             break
-        X, L = Y, factor
-    return _report(X, len(trace), trace[-1], trace, opts.residual_tol)
+    return _report(X, len(trace), res, trace, opts.residual_tol)
 
 
 def noncommutativity_measure(

@@ -27,10 +27,9 @@ from .errors import NonConvergenceError, QHMeansError
 from .generators import (
     ArithmeticGenerator,
     DivergenceSpec,
-    Generator,
     GeometricGenerator,
     HarmonicGenerator,
-    LogGenerator,
+    MeasureGenerator,
     arcsine_generator,
 )
 from .hermitian import PositiveDefiniteMatrix, frobenius_dist, pd
@@ -64,17 +63,17 @@ _SHORTHANDS = {"arithmetic": ArithmeticGenerator, "harmonic": HarmonicGenerator}
 _SHORTHANDS.update(dict.fromkeys(("geometric", "power", "beta"), GeometricGenerator))
 
 
-def parse_generator(text: str) -> Generator:
+def parse_generator(text: str) -> MeasureGenerator:
     """Parse a generator from JSON or shorthand like 'geometric:0.5'."""
     text = text.strip()
     if text.startswith("{"):
         return generator_from_json(json.loads(text))
     name, sep, arg = text.partition(":")
     name = name.lower()
-    if name in ("arcsine", "log"):
+    if name == "arcsine":
         if sep:
-            raise InputError(f"generator {name!r} takes no parameter")
-        return arcsine_generator() if name == "arcsine" else LogGenerator()
+            raise InputError("generator 'arcsine' takes no parameter")
+        return arcsine_generator()
     family = _SHORTHANDS.get(name)
     if family is None:
         raise InputError(f"unknown generator shorthand {text!r}")
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--generator",
                 default="arcsine",
                 help="generator JSON or shorthand (arcsine, geometric:0.5, "
-                "harmonic:0.3, arithmetic:0.3, beta:0.25, power:0.5, log)",
+                "harmonic:0.3, arithmetic:0.3, beta:0.25, power:0.5)",
             )
         if payload:
             p.add_argument("--input", action="append", help="path to a JSON input (repeatable)")

@@ -8,14 +8,16 @@ generators (arithmetic, geometric, harmonic) are constructors of the
 MeasureGenerator of their measure; PowerGenerator, the x^t of the relaxed
 commutative family, is an alias of GeometricGenerator.  DivergenceSpec and
 kubo_ando_mean take a MeasureGenerator and are validated by its measure
-alone.  The log generator belongs to the commutative family only: it is
-strictly concave and C^1, not operator monotone, and has no measure.
+alone.  Each fact is read one way: the measure as gen.mu, the weight as
+DivergenceSpec.c, its center of mass.  The log generator belongs to the
+commutative family only: it is strictly concave and C^1, not operator
+monotone, and has no measure, so it has no CLI shorthand or JSON kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -44,8 +46,9 @@ def _check_unit_interval(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class MeasureGenerator:
-    """Generator f_mu defined by a probability measure on [0,1], evaluated by
-    f_mu and f_mu_prime."""
+    """Generator f_mu defined by a probability measure mu on [0,1], evaluated
+    by f_mu and f_mu_prime.  Its weight is center_of_mass(mu), which
+    DivergenceSpec keeps as c."""
 
     mu: Measure
 
@@ -54,13 +57,6 @@ class MeasureGenerator:
 
     def f_prime(self, x):
         return f_mu_prime(self.mu, x)
-
-    @property
-    def weight(self) -> float:
-        return center_of_mass(self.mu)
-
-    def representing_measure(self) -> Optional[Measure]:
-        return self.mu
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,6 @@ class LogGenerator:
     def f_prime(self, x):
         return 1.0 / np.asarray(x, dtype=np.float64)
 
-    @property
-    def weight(self) -> float:
-        return 1.0
-
-    def representing_measure(self) -> Optional[Measure]:
-        return None
-
 
 def ArithmeticGenerator(lam: float) -> MeasureGenerator:
     """f(x) = (1-lam) + lam x, the weighted arithmetic mean: mass 1-lam at 0
@@ -90,7 +79,7 @@ def ArithmeticGenerator(lam: float) -> MeasureGenerator:
 
 def GeometricGenerator(lam: float) -> MeasureGenerator:
     """f(x) = x^lam, the weighted geometric mean: the Beta-type density t = lam."""
-    return MeasureGenerator(BetaTypeMeasure(_check_unit_interval("lam", lam)))
+    return MeasureGenerator(BetaTypeMeasure(lam))
 
 
 def HarmonicGenerator(lam: float) -> MeasureGenerator:

@@ -15,10 +15,8 @@ from .channels import QuantumChannel
 from .errors import DomainError
 from .generators import (
     ArithmeticGenerator,
-    Generator,
     GeometricGenerator,
     HarmonicGenerator,
-    LogGenerator,
     MeasureGenerator,
 )
 from .hermitian import MatrixLike, _mat, _require_count
@@ -84,15 +82,13 @@ def measure_from_json(obj: dict) -> Measure:
     raise DomainError(f"unknown measure kind {kind!r}")
 
 
-def generator_to_json(gen: Generator) -> dict:
+def generator_to_json(gen: MeasureGenerator) -> dict:
     if isinstance(gen, MeasureGenerator):
         return {"kind": "measure", "mu": measure_to_json(gen.mu)}
-    if isinstance(gen, LogGenerator):
-        return {"kind": "log"}
     raise DomainError(f"unknown generator variant {type(gen).__name__}")
 
 
-def generator_from_json(obj: dict) -> Generator:
+def generator_from_json(obj: dict) -> MeasureGenerator:
     """A generator from its JSON object.  The named kinds (arithmetic,
     geometric, harmonic, power) load as the MeasureGenerator of their measure,
     which generator_to_json writes as the "measure" kind."""
@@ -106,8 +102,6 @@ def generator_from_json(obj: dict) -> Generator:
             return HarmonicGenerator(float(obj["lambda"]))
         if kind == "measure":
             return MeasureGenerator(measure_from_json(obj["mu"]))
-        if kind == "log":
-            return LogGenerator()
         if kind == "power":
             return GeometricGenerator(float(obj["t"]))
     except DomainError:

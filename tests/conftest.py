@@ -156,6 +156,24 @@ def mp_barycenter(mats, weights, f, f_prime, c, start, dps=50, steps=3):
         return np.array([[complex(X[i, k]) for k in range(d)] for i in range(d)]), res
 
 
+def mp_map_residual(mats, weights, f_prime, X, dps=50):
+    """The mean-equation map residual ||T(X) - X||_F / ||X||_F carried at dps
+    digits, for T(X) = sum_j w_j X^{1/2} f'(M_j^{-1}) X^{1/2} / f'(1) with
+    M_j = X^{-1/2} A_j X^{-1/2}, through the square root of X from mpmath's
+    Hermitian eigensolver.  f_prime maps an mpf to an mpf."""
+    with mp.workdps(dps):
+        X = mp.matrix(np.asarray(X).tolist())
+        x, U = mp.eighe(X)
+        root = U * mp.diag([mp.sqrt(v) for v in x]) * U.H
+        inv_root = U * mp.diag([1 / mp.sqrt(v) for v in x]) * U.H
+        image = mp.matrix(X.rows, X.cols)
+        for w, A in zip(weights, mats):
+            M = inv_root * mp.matrix(np.asarray(A).tolist()) * inv_root
+            e, V = mp.eighe((M + M.H) / 2)
+            image += mp.mpf(float(w)) * root * V * mp.diag([f_prime(1 / v) for v in e]) * V.H * root
+        return float(mp.mnorm(image / f_prime(mp.mpf(1)) - X, "f") / mp.mnorm(X, "f"))
+
+
 def pinned_spectrum_ensemble_np(rng, dim, size, spread):
     """`size` matrices U diag(e) U* with Haar U and Dirichlet(1) weights.
 

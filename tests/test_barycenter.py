@@ -46,6 +46,7 @@ from conftest import (
     REF_ONE_STEP,
     assembled_gradient,
     mp_barycenter,
+    mp_map_residual,
     mp_power_mean2,
     pinned_spectrum_ensemble_np,
     power_derivative,
@@ -631,6 +632,22 @@ class TestNewtonSpectralPass:
         assert len(eigh) == 1  # the start's pass only
         assert np.array_equal(report.solution.mat, start)
 
+    def test_search_at_the_residual_floor_ends_the_solve(self, monkeypatch):
+        # members of condition e^24 = 2.6e10: the residual reaches its rounding
+        # floor, about 1e-4, within 20 iterations.  There the search halves s
+        # until 1 - 1e-4 s rounds to 1 and X + sP to X; the strict decrease
+        # refuses X itself, so the search exhausts and the solve ends
+        # unconverged instead of repeating that null step to the cap.
+        ens = spread_ensemble(1, 8, 3, 12.0)
+        passes = _counting(monkeypatch, barycenter._Workspace, "evaluate")
+        report = solve_barycenter(ens, ARCSINE_SPEC)
+        assert not report.converged
+        assert report.iterations <= 20
+        assert len(passes) <= 300
+        assert report.final_residual == pytest.approx(
+            residual(ens, report.solution, ARCSINE_SPEC), rel=1e-12
+        )
+
     def test_point_outside_the_cone(self, rng):
         ws = barycenter._Workspace(random_ensemble(rng, 3, 2), ARCSINE_SPEC)
         X = -np.eye(3, dtype=np.complex128)
@@ -710,8 +727,10 @@ class TestSolvePowerMean:
             assert error <= 2 * (report.final_residual + eps) / (1 - t)
 
     def test_order_validation(self):
-        with pytest.raises(DomainError):
-            solve_power_mean(ref_ensemble(), 1.0)
+        # GeometricGenerator(t) is the one range check
+        for t in (0.0, 1.0, 1.5):
+            with pytest.raises(DomainError, match="must lie in"):
+                solve_power_mean(ref_ensemble(), t)
 
     def test_ill_conditioned_members_do_not_warn(self):
         # the batched map takes its roots without the conditioning check
@@ -980,8 +999,13 @@ class TestFixedPointMap:
         Z = random_hermitian_np(rng, 4)
         Z /= np.linalg.norm(Z)
         fp1 = float(gen.f_prime(1.0))
-        S, y, Vc, Vh = barycenter._mean_map(L, ens.stack, ens.weights[:, None] / fp1, gen.f_prime)
-        table = ens.weights[:, None, None] * _map_differences(gen.representing_measure(), y)
+        weights = ens.weights[:, None] / fp1
+        # the pass at X = L L* recovers L to rounding: the Cholesky factor is unique
+        _, L_pass, S, y, Vc, Vh, _, _ = barycenter._map_pass(
+            L @ L.conj().T, ens.stack, weights, gen.f_prime
+        )
+        assert np.linalg.norm(L_pass - L) <= 1e-14 * np.linalg.norm(L)
+        table = ens.weights[:, None, None] * _map_differences(gen.mu, y)
         jacobian = barycenter._map_jacobian(Vc, Vh, table)
 
         def frame(h):
@@ -1030,21 +1054,55 @@ class TestFixedPointMap:
         # residual S - I is still of order 1, the early Newton points leave the
         # cone, and the plain map carries the solve (the extrapolated map,
         # taken instead, overshoots further at every step and never converges)
-        newton = barycenter._newton_point
-        refused = []
+        newton, map_pass = barycenter._newton_point, barycenter._map_pass
+        proposals, refused = [], []
 
-        def counting(*args):
-            Y = newton(*args)
-            refused.append(Y is None or barycenter._cholesky(Y) is None)
-            return Y
+        def proposing(*args):
+            proposals.append(newton(*args))
+            return proposals[-1]
 
-        monkeypatch.setattr(barycenter, "_newton_point", counting)
+        def passing(Y, *args):
+            point = map_pass(Y, *args)
+            if point is None and proposals and Y is proposals[-1]:
+                refused.append(Y)  # a Newton point without a pass
+            return point
+
+        monkeypatch.setattr(barycenter, "_newton_point", proposing)
+        monkeypatch.setattr(barycenter, "_map_pass", passing)
         ens = spread_ensemble(0, 4, 3, 6.0)
         opts = SolverOptions()
         report = solve_power_mean(ens, t, opts)
         assert report.converged
-        assert any(refused)
+        assert refused or any(Y is None for Y in proposals)
         assert map_residual(ens, report.solution, 1.0 - t) <= 10 * opts.residual_tol
+
+    def test_pass_refuses_a_spectrum_at_or_below_zero(self):
+        # X = I passes the Cholesky test, but M_2 = A_2 is indefinite: f' is
+        # undefined there, so X has no pass
+        stack = np.array([np.eye(2), np.diag([1.0, -1e-12])], dtype=np.complex128)
+        weights = np.array([[0.5], [0.5]])
+        f_prime = HarmonicGenerator(0.3).f_prime
+        eye = np.eye(2, dtype=np.complex128)
+        assert barycenter._map_pass(eye, stack[:1], weights[:1], f_prime) is not None
+        assert barycenter._map_pass(eye, stack, weights, f_prime) is None
+
+    def test_converges_at_spread_12_against_the_50_digit_map(self):
+        # members of condition e^24 = 2.6e10.  Depending on the BLAS kernel, a
+        # Newton point that passes the Cholesky test can give an M_j whose
+        # eigh returns an eigenvalue <= 0; its pass refuses it like a point
+        # that fails Cholesky, the plain map is taken, and the solve
+        # converges, by a residual that the 50-digit map, formed through
+        # X^{1/2}, confirms.
+        ens = spread_ensemble(1, 8, 3, 12.0)
+        opts = SolverOptions()
+        report = solve_mean_equation(ens, HarmonicGenerator(0.3), opts)
+        assert report.converged
+        lam = mp.mpf(0.3)
+        true = mp_map_residual(
+            ens.stack, ens.weights, lambda x: lam / ((1 - lam) * x + lam) ** 2, report.solution.mat
+        )
+        assert true <= opts.residual_tol
+        assert true == pytest.approx(report.final_residual, rel=0.01)
 
     def test_reports_non_convergence(self):
         report = solve_power_mean(ref_ensemble(), 0.75, SolverOptions(max_iterations=1))
@@ -1070,17 +1128,17 @@ class TestFixedPointMap:
         )
 
     def test_fallback_that_fails_cholesky_ends_the_solve_unconverged(self, monkeypatch):
-        # only the start factors: the extrapolated point and then the plain
-        # map's T(X_0) "fail", so the solve stops at X_0 and reports it, with
-        # no exception
-        factor = barycenter._cholesky
+        # only the start has a pass: the extrapolated point and then the plain
+        # map's T(X_0) "fail" theirs, so the solve stops at X_0 and reports
+        # it, with no exception
+        map_pass = barycenter._map_pass
         calls = []
 
-        def start_only(X):
+        def start_only(X, *args):
             calls.append(X)
-            return factor(X) if len(calls) == 1 else None
+            return map_pass(X, *args) if len(calls) == 1 else None
 
-        monkeypatch.setattr(barycenter, "_cholesky", start_only)
+        monkeypatch.setattr(barycenter, "_map_pass", start_only)
         ens = ref_ensemble()
         report = solve_power_mean(ens, 0.75)
         assert len(calls) == 3  # the start, the proposal and the plain map
@@ -1091,16 +1149,16 @@ class TestFixedPointMap:
     def test_extrapolated_point_that_fails_cholesky_falls_back_to_the_plain_map(
         self, monkeypatch
     ):
-        # only the extrapolated point (the second factorization) "fails": the
-        # first step is the plain map's, and the solve goes on to converge
-        factor = barycenter._cholesky
+        # only the extrapolated point (the second pass) "fails": the first
+        # step is the plain map's, and the solve goes on to converge
+        map_pass = barycenter._map_pass
         calls = []
 
-        def refuse_second(X):
+        def refuse_second(X, *args):
             calls.append(X)
-            return None if len(calls) == 2 else factor(X)
+            return None if len(calls) == 2 else map_pass(X, *args)
 
-        monkeypatch.setattr(barycenter, "_cholesky", refuse_second)
+        monkeypatch.setattr(barycenter, "_map_pass", refuse_second)
         ens = ref_ensemble()
         opts = SolverOptions()
         report = solve_power_mean(ens, 0.75, opts)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qhmeans.cli import InputError, main, parse_generator
-from qhmeans import BetaTypeMeasure, GeometricGenerator, LogGenerator, MeasureGenerator
+from qhmeans import BetaTypeMeasure, GeometricGenerator, MeasureGenerator
 from qhmeans.serialize import matrix_from_json, matrix_to_json
 
 from conftest import REF_A1, REF_A2, REF_BARYCENTER, inv2
@@ -34,7 +34,9 @@ def ref_files(tmp_path):
 class TestParseGenerator:
     def test_shorthands(self):
         assert parse_generator("geometric:0.5") == GeometricGenerator(0.5)
-        assert parse_generator("log") == LogGenerator()
+        # log generates no mean, so it is no shorthand
+        with pytest.raises(InputError, match="unknown generator shorthand 'log'"):
+            parse_generator("log")
         assert isinstance(parse_generator("arcsine"), MeasureGenerator)
         # the commutative family's x^t is the geometric generator
         assert parse_generator("power:0.25") == GeometricGenerator(0.25)
@@ -55,6 +57,9 @@ class TestParseGenerator:
         [
             ("foo", "unknown generator shorthand 'foo'"),
             ("foo:abc", "unknown generator shorthand 'foo:abc'"),
+            ("log", "unknown generator shorthand 'log'"),
+            ("log:2", "unknown generator shorthand 'log:2'"),
+            ("LOG:", "unknown generator shorthand 'LOG:'"),
             ("geometric:abc", "generator 'geometric' needs a numeric parameter, got 'abc'"),
         ],
     )
@@ -65,7 +70,7 @@ class TestParseGenerator:
         assert main(["divergence", "--inline", a, "--inline", a, "--generator", text]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["arcsine:0.3", "arcsine:", "log:2", "LOG:"])
+    @pytest.mark.parametrize("text", ["arcsine:0.3", "arcsine:"])
     def test_shorthands_without_a_parameter_refuse_one(self, text):
         name = text.partition(":")[0].lower()
         with pytest.raises(InputError, match=f"generator '{name}' takes no parameter"):

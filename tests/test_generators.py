@@ -49,7 +49,7 @@ class TestClosedForms:
         for cls in (ArithmeticGenerator, GeometricGenerator, HarmonicGenerator):
             gen = cls(lam)
             assert float(gen.f(1.0)) == pytest.approx(1.0, abs=1e-15)
-            assert gen.weight == pytest.approx(lam)
+            assert center_of_mass(gen.mu) == pytest.approx(lam)
 
     def test_parameter_range(self):
         for cls in (ArithmeticGenerator, GeometricGenerator, HarmonicGenerator, PowerGenerator):
@@ -77,8 +77,8 @@ class TestClosedForms:
     def test_log_generator(self):
         gen = LogGenerator()
         assert float(gen.f(1.0)) == 0.0
-        assert gen.weight == 1.0
-        assert gen.representing_measure() is None
+        assert float(gen.f_prime(1.0)) == 1.0
+        assert not isinstance(gen, MeasureGenerator)
 
 
 class TestRepresentingMeasures:
@@ -91,7 +91,7 @@ class TestRepresentingMeasures:
         # the error near 1e-9 for lam far from 1/2; a wrong pairing would be
         # off at order one.
         gen = GeometricGenerator(lam)
-        quad_vals = f_mu(quadrature(gen.representing_measure(), 256), GRID)
+        quad_vals = f_mu(quadrature(gen.mu, 256), GRID)
         assert np.max(np.abs(quad_vals - GRID**lam)) <= 1e-8
 
     def test_arcsine_is_the_beta_type_half(self):
@@ -131,7 +131,7 @@ class TestDivergenceSpec:
             MeasureGenerator(DiscreteMeasure(((0.2, 0.5), (0.9, 0.5)))),
         ):
             spec = DivergenceSpec(gen)
-            assert spec.c == pytest.approx(gen.weight)
+            assert spec.c == pytest.approx(center_of_mass(gen.mu))
             assert 0 < spec.c < 1
 
     @pytest.mark.parametrize(

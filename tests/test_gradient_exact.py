@@ -24,6 +24,7 @@ from qhmeans import (
     HarmonicGenerator,
     MeasureGenerator,
     arcsine_generator,
+    center_of_mass,
     ensemble,
     euclidean_gradient,
     f_mu,
@@ -77,7 +78,7 @@ def test_measure_generators_match_independent_derivatives(rng, mu, spread):
 def test_closed_form_generators_match_frechet_derivative(rng, gen):
     # DivergenceSpec rejects the affine arithmetic generator (its divergence is
     # identically zero), so the gradient is checked on the bare (generator, c).
-    spec = SimpleNamespace(generator=gen, c=gen.weight)
+    spec = SimpleNamespace(generator=gen, c=center_of_mass(gen.mu))
     for spread in (1.0, 4.0):
         ens, X = _random_problem(rng, 4, 3, spread)
         exact = euclidean_gradient(ens, X, spec).mat
@@ -116,7 +117,7 @@ def _exact_power_difference(t, a, b):
 def test_power_table_near_ties_against_exact_arithmetic(t, sep):
     # The gradient's f^[1] table of x^t on clustered spectra; forming
     # (b^t - a^t) / (b - a) directly loses about eps / sep (relative) there.
-    mu = GeometricGenerator(t).representing_measure()
+    mu = GeometricGenerator(t).mu
     for base in (1e-3, 1.0, 37.3):
         w = base * np.array([1.0, 1.0 + sep, 1.0 + 2 * sep, 5.0])
         table = _first_differences(mu, w[None])[0]

@@ -97,9 +97,8 @@ class TestConstruction:
         copied[0, 0] = 5.0
         assert A.mat[0, 0] == 1.0
         assert np.shares_memory(np.asarray(A), A.mat)
-        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # the copy keyword's protocol
-            with pytest.raises(ValueError):
-                np.array(A, dtype=np.complex64, copy=False)
+        with pytest.raises(ValueError):
+            np.array(A, dtype=np.complex64, copy=False)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -112,7 +112,6 @@ class TestMeasureAndGeneratorJson:
         "gen",
         [
             GeometricGenerator(0.5),
-            LogGenerator(),
             MeasureGenerator(ArcsineMeasure()),
         ],
     )
@@ -123,7 +122,8 @@ class TestMeasureAndGeneratorJson:
         assert generator_from_json(
             {"kind": "geometric", "lambda": 0.5}
         ) == GeometricGenerator(0.5)
-        assert generator_from_json({"kind": "log"}) == LogGenerator()
+        with pytest.raises(DomainError, match="unknown generator kind 'log'"):
+            generator_from_json({"kind": "log"})
         assert generator_from_json({"kind": "power", "t": 0.25}) == GeometricGenerator(0.25)
 
     @pytest.mark.parametrize(
@@ -142,11 +142,17 @@ class TestMeasureAndGeneratorJson:
             ({"kind": "harmonic", "lambda": 0.3}, HarmonicGenerator(0.3)),
             ({"kind": "power", "t": 0.25}, PowerGenerator(0.25)),
             ({"kind": "measure", "mu": {"kind": "arcsine"}}, arcsine_generator()),
-            ({"kind": "log"}, LogGenerator()),
         ],
     )
     def test_every_documented_kind_reads(self, obj, gen):
         assert generator_from_json(obj) == gen
+
+    def test_log_generator_has_no_kind(self):
+        # log generates no mean, so it is neither read nor written
+        with pytest.raises(DomainError, match="unknown generator kind 'log'"):
+            generator_from_json({"kind": "log"})
+        with pytest.raises(DomainError, match="unknown generator variant LogGenerator"):
+            generator_to_json(LogGenerator())
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
