@@ -60,7 +60,6 @@ from .hermitian import (
     ConditioningWarning,
     HermitianMatrix,
     PositiveDefiniteMatrix,
-    SpectralDecomposition,
     eig_hermitian,
     frechet_derivative,
     frobenius_dist,

@@ -55,8 +55,10 @@ from .measures import (
 )
 
 # Newton step search: the smallest step tried and the factor each rejected
-# trial shrinks the step by.
-_MIN_STEP = 1e-18
+# trial shrinks the step by.  2^-40 is the smallest power of two at which
+# 1 - 1e-4 s is still below 1 in float64 (at 2^-41 it rounds to 1), so every
+# step tried demands a strict decrease of the residual.
+_MIN_STEP = 2.0**-40
 _SHRINK = 0.5
 
 
@@ -109,10 +111,6 @@ class WeightedEnsemble:
     @property
     def dim(self) -> int:
         return self.matrices[0].dim
-
-    @property
-    def size(self) -> int:
-        return len(self.matrices)
 
     def arithmetic_mean(self) -> PositiveDefiniteMatrix:
         return PositiveDefiniteMatrix(self._mean_array())
@@ -322,14 +320,23 @@ def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> floa
     return _Workspace(ens, spec).point(_as_state(ens, X)).res
 
 
-def _report(X: np.ndarray, iterations: int, res: float, trace: list, tol: float) -> SolverReport:
-    """The report on a solver's last point X, exactly Hermitian and past its
-    cone test: X is held to the PositiveDefiniteMatrix predicate on one
-    eigvalsh and wrapped read-only, without the constructor's copy and
-    Hermitian part."""
-    _require_pd(np.linalg.eigvalsh(X))
-    X.setflags(write=False)
-    return SolverReport(_validated_pd(X), iterations, res, trace, res <= tol)
+def _report(points: list, iterations: int, trace: list, tol: float) -> SolverReport:
+    """The report on the latest of a solver's points (X, res), each exactly
+    Hermitian and past its cone test, whose X passes the PositiveDefiniteMatrix
+    predicate on one eigvalsh (DomainError if none does); X is wrapped
+    read-only, without the constructor's copy and Hermitian part.  Near the
+    cone's boundary the cone test can pass an X that the predicate refuses.
+    A solver moves on only from a point with res > tol, so an earlier point
+    reports unconverged."""
+    for k, (X, res) in reversed(list(enumerate(points))):
+        try:
+            _require_pd(np.linalg.eigvalsh(X))
+        except DomainError:
+            if k:
+                continue
+            raise
+        X.setflags(write=False)
+        return SolverReport(_validated_pd(X), iterations, res, trace, res <= tol)
 
 
 def _initial_state(ens: WeightedEnsemble, opts: SolverOptions) -> np.ndarray:
@@ -351,16 +358,18 @@ def solve_barycenter(
     (_Workspace.ray_start), which is the barycenter when the members are
     proportional and costs no eigendecomposition beyond the one at A.
     Each iteration solves H P = -G for the exact Hessian H and gradient G at
-    X, then halves the step s from 1 until X + sP passes the cone test of its
-    spectral pass (_Workspace.evaluate) and
+    X, then halves the step s from 1 down to 2^-40 until X + sP passes the
+    cone test of its spectral pass (_Workspace.evaluate) and
     ||G(X + sP)|| <= (1 - 1e-4 s) ||G(X)||; along P the squared gradient norm
     falls at rate 2 ||G||^2, so that search ends short of rounding level.
-    The decrease must be strict: below s of about 1e-12 the factor rounds to
-    1, and X + sP to X.  Steps are judged on the gradient, not on the
+    At every s tried the factor is below 1 in float64, so the test demands a
+    strict decrease.  Steps are judged on the gradient, not on the
     objective, whose rounding floor lies far above the gradient's.
     Convergence is declared on the stationarity residual; a singular Hessian,
     a step that is not finite or an exhausted step search ends the solve
-    unconverged.  Non-convergence is reported, not raised.
+    unconverged.  Non-convergence is reported, not raised; a solve that runs
+    X to the cone's boundary reports its latest point that passes the
+    PositiveDefiniteMatrix predicate, unconverged (_report).
     """
     opts = opts or SolverOptions()
     ws = _Workspace(ens, spec)
@@ -368,6 +377,7 @@ def solve_barycenter(
     if opts.initial_guess is None and ws.power is not None:
         point = ws.ray_start(point)
     trace = [ws.objective(point)]
+    points = [(point.X, point.res)]
     for _ in range(opts.max_iterations):
         if point.res <= opts.residual_tol:
             break
@@ -381,15 +391,15 @@ def solve_barycenter(
         s = 1.0
         while s >= _MIN_STEP:
             trial = ws.evaluate(point.X + s * P)
-            if (trial is not None and trial.res < point.res
-                    and trial.res <= (1 - 1e-4 * s) * point.res):
+            if trial is not None and trial.res <= (1 - 1e-4 * s) * point.res:
                 break
             s *= _SHRINK
         else:
             break
         point = trial
+        points.append((point.X, point.res))
         trace.append(ws.objective(point))
-    return _report(point.X, len(trace) - 1, point.res, trace, opts.residual_tol)
+    return _report(points, len(trace) - 1, trace, opts.residual_tol)
 
 
 def _half_power(S: np.ndarray, beta: float) -> np.ndarray:
@@ -535,7 +545,7 @@ def solve_mean_equation(
                 break
         else:  # neither point has a pass
             break
-    return _report(X, len(trace), res, trace, opts.residual_tol)
+    return _report([(X, res)], len(trace), trace, opts.residual_tol)
 
 
 def noncommutativity_measure(

@@ -36,14 +36,10 @@ TP_ATOL = 1e-10
 MAX_OUTPUT_CONDITION = 1e8
 
 
-def _adjoint(M: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(M, -1, -2))
-
-
 def _kraus_defects(kraus: np.ndarray) -> np.ndarray:
     """kraus_defect of each channel in a stack (..., r, d_out, d_in) of Kraus
     families."""
-    acc = (_adjoint(kraus) @ kraus).sum(-3)
+    acc = (kraus.mT.conj() @ kraus).sum(-3)
     return np.linalg.norm(acc - np.eye(kraus.shape[-1]), axis=(-2, -1))
 
 
@@ -70,7 +66,7 @@ def kraus_defect(kraus) -> float:
 def _apply_kraus(kraus: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Hermitian part of sum_i K_i A K_i* for Kraus families (..., r, d_out, d_in)
     and inputs (..., d_in, d_in), the leading axes broadcast."""
-    return _hermitian_part((kraus @ a[..., None, :, :] @ _adjoint(kraus)).sum(-3))
+    return _hermitian_part((kraus @ a[..., None, :, :] @ kraus.mT.conj()).sum(-3))
 
 
 def _check_input_dim(T: QuantumChannel, a: np.ndarray) -> None:

@@ -101,11 +101,8 @@ def _phi_batch(a: np.ndarray, b: np.ndarray, spec: DivergenceSpec) -> np.ndarray
     _require_pd(np.sort(fmu, axis=-1).reshape(-1, mu.shape[-1]), "mean")
     weights = (v.conj() * (a @ v)).real.sum(-2)
     mean_trace = (fmu * weights).sum(-1)
-    return (1 - spec.c) * _trace(a).real + spec.c * _trace(b).real - mean_trace
-
-
-def _trace(stack: np.ndarray) -> np.ndarray:
-    return stack.diagonal(0, -2, -1).sum(-1)
+    traces = (1 - spec.c) * a.trace(0, -2, -1).real + spec.c * b.trace(0, -2, -1).real
+    return traces - mean_trace
 
 
 def phi(A: MatrixLike, B: MatrixLike, spec: DivergenceSpec) -> float:

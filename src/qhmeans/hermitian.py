@@ -151,27 +151,16 @@ def pd(entries: MatrixLike) -> PositiveDefiniteMatrix:
     return PositiveDefiniteMatrix(_mat(entries))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order plus the unitary of eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reassemble(self) -> np.ndarray:
-        return _spectral(self.eigenvectors, self.eigenvalues)
-
-
-def eig_hermitian(H: MatrixLike) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
+def eig_hermitian(H: MatrixLike):
+    """np.linalg.eigh of the Hermitian part of H: NumPy's EighResult, whose
+    fields eigenvalues (ascending) and eigenvectors also unpack as (w, U)."""
     mat = _mat(herm(H))
     try:
-        w, U = np.linalg.eigh(mat)
+        return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(
             f"eigendecomposition failed to converge for\n{mat!r}"
         ) from exc
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=U)
 
 
 def _apply_spectral_raw(mat: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

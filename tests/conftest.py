@@ -24,6 +24,16 @@ REF_ONE_STEP = np.array([[3.02915, 0.673215], [0.673215, 1.68272]])
 REF_PHI_A1_A2 = 0.5827389570061385
 REF_OBJECTIVE_AT_I = 0.5
 
+# Two members of condition 1.6e5, weights (0.01, 0.99): from the arithmetic
+# mean, Newton under harmonic:0.3 or harmonic:0.5 runs X to the cone's
+# boundary, where the M_j cone test passes points whose smallest eigenvalue
+# the PositiveDefiniteMatrix floor refuses.
+BOUNDARY_MATS = [
+    np.diag([0.0025, 400.0]),
+    np.array([[1.001661, -19.966559], [-19.966559, 399.000839]]),
+]
+BOUNDARY_WEIGHTS = [0.01, 0.99]
+
 
 def inv2(M):
     """Adjugate inverse of a 2x2 matrix."""

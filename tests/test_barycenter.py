@@ -17,6 +17,7 @@ from qhmeans import (
     LogGenerator,
     MeasureGenerator,
     NonConvergenceError,
+    PositiveDefiniteMatrix,
     SolverOptions,
     arcsine_generator,
     ensemble,
@@ -39,6 +40,8 @@ from qhmeans.hermitian import _spectral
 from qhmeans.measures import _map_differences
 
 from conftest import (
+    BOUNDARY_MATS,
+    BOUNDARY_WEIGHTS,
     REF_A1,
     REF_A2,
     REF_BARYCENTER,
@@ -634,10 +637,10 @@ class TestNewtonSpectralPass:
 
     def test_search_at_the_residual_floor_ends_the_solve(self, monkeypatch):
         # members of condition e^24 = 2.6e10: the residual reaches its rounding
-        # floor, about 1e-4, within 20 iterations.  There the search halves s
-        # until 1 - 1e-4 s rounds to 1 and X + sP to X; the strict decrease
-        # refuses X itself, so the search exhausts and the solve ends
-        # unconverged instead of repeating that null step to the cap.
+        # floor, about 1e-4, within 20 iterations.  There every trial down to
+        # the smallest step must still decrease it strictly, so the search
+        # exhausts and the solve ends unconverged instead of repeating a null
+        # step X + sP == X to the cap.
         ens = spread_ensemble(1, 8, 3, 12.0)
         passes = _counting(monkeypatch, barycenter._Workspace, "evaluate")
         report = solve_barycenter(ens, ARCSINE_SPEC)
@@ -646,6 +649,33 @@ class TestNewtonSpectralPass:
         assert len(passes) <= 300
         assert report.final_residual == pytest.approx(
             residual(ens, report.solution, ARCSINE_SPEC), rel=1e-12
+        )
+
+    def test_smallest_step_still_demands_a_strict_decrease(self):
+        # 1 - 1e-4 s is below 1 at every step tried, and rounds to 1 at half
+        # the smallest
+        assert 1 - 1e-4 * barycenter._MIN_STEP < 1
+        assert 1 - 1e-4 * (barycenter._MIN_STEP / 2) == 1
+
+    @pytest.mark.parametrize(
+        "ens, gen, max_iterations",
+        [
+            (ensemble(BOUNDARY_MATS, BOUNDARY_WEIGHTS), HarmonicGenerator(0.3), 500),
+            (ensemble(BOUNDARY_MATS, BOUNDARY_WEIGHTS), HarmonicGenerator(0.5), 500),
+            (spread_ensemble([7, 62, 22], 2, 2, 6.0), HarmonicGenerator(0.3), 60),
+        ],
+        ids=["2x2-harmonic:0.3", "2x2-harmonic:0.5", "spread-6-harmonic:0.3"],
+    )
+    def test_solve_at_the_cone_boundary_reports_unconverged(self, ens, gen, max_iterations):
+        # the Newton iterate's smallest eigenvalue runs toward 0: its last
+        # accepted points pass the M_j cone test but not the predicate, so the
+        # report carries the latest point that passes it, instead of raising
+        spec = DivergenceSpec(gen)
+        report = solve_barycenter(ens, spec, SolverOptions(max_iterations=max_iterations))
+        assert not report.converged
+        PositiveDefiniteMatrix(report.solution.mat)  # the predicate holds
+        assert report.final_residual == pytest.approx(
+            residual(ens, report.solution, spec), rel=1e-10
         )
 
     def test_point_outside_the_cone(self, rng):

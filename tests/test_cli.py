@@ -8,7 +8,7 @@ from qhmeans.cli import InputError, main, parse_generator
 from qhmeans import BetaTypeMeasure, GeometricGenerator, MeasureGenerator
 from qhmeans.serialize import matrix_from_json, matrix_to_json
 
-from conftest import REF_A1, REF_A2, REF_BARYCENTER, inv2
+from conftest import BOUNDARY_MATS, BOUNDARY_WEIGHTS, REF_A1, REF_A2, REF_BARYCENTER, inv2
 from report_text import mismatches
 
 
@@ -179,6 +179,13 @@ class TestBarycenter:
         assert code == 3
         report = json.loads(capsys.readouterr().out)  # report still printed
         assert report["converged"] is False
+
+    def test_solve_at_the_cone_boundary_exits_3(self, tmp_path, capsys):
+        # a solver failure on valid input is a report, not an input error
+        ens = write_ensemble(tmp_path / "e.json", BOUNDARY_MATS, BOUNDARY_WEIGHTS)
+        code = main(["barycenter", "--input", ens, "--generator", "harmonic:0.3"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["converged"] is False
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tolerance_is_an_input_error(self, capsys, tol):

@@ -316,8 +316,6 @@ class TestBatchedPhi:
         gen = SimpleNamespace(
             f=lambda x: 2.0 - np.asarray(x, dtype=np.float64) ** 2,
             f_prime=lambda x: -2.0 * np.asarray(x, dtype=np.float64),
-            weight=0.5,
-            representing_measure=lambda: None,
         )
         # DivergenceSpec takes measure generators only, so a bare spec.
         spec = SimpleNamespace(generator=gen, c=0.5)

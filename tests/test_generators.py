@@ -139,13 +139,11 @@ class TestDivergenceSpec:
         [
             (LogGenerator(), "commutative_phi"),
             (None, "not a MeasureGenerator"),
-            # strictly concave with weight 1/2, but f(1) = 2: no operator mean
+            # strictly concave, but f(1) = 2: no operator mean
             (
                 SimpleNamespace(
                     f=lambda x: 2.0 * np.sqrt(x),
                     f_prime=lambda x: 1.0 / np.sqrt(x),
-                    weight=0.5,
-                    representing_measure=lambda: None,
                 ),
                 "not a MeasureGenerator",
             ),
@@ -154,8 +152,6 @@ class TestDivergenceSpec:
                 SimpleNamespace(
                     f=lambda x: 2.0 * np.sqrt(x) - 0.5 * (1 + x),
                     f_prime=lambda x: 1.0 / np.sqrt(x) - 0.5,
-                    weight=0.5,
-                    representing_measure=lambda: None,
                 ),
                 "not a MeasureGenerator",
             ),

@@ -26,7 +26,7 @@ from qhmeans import (
 )
 
 from qhmeans.hermitian import (
-    _TIE_RTOL, _apply_spectral_raw, _divided_differences, _second_divided_differences
+    _TIE_RTOL, _apply_spectral_raw, _divided_differences, _second_divided_differences, _spectral
 )
 
 from conftest import random_pd_np
@@ -120,11 +120,18 @@ class TestEig:
     def test_offdiagonal_reassembly(self):
         dec = eig_hermitian(herm(A2))
         assert np.allclose(dec.eigenvalues, [1.0, 4.0])
-        assert np.linalg.norm(dec.reassemble() - A2) <= 1e-10 * 2
+        assert np.linalg.norm(_spectral(dec.eigenvectors, dec.eigenvalues) - A2) <= 1e-10 * 2
 
     def test_identity(self):
         dec = eig_hermitian(herm(np.eye(3)))
         assert np.allclose(dec.eigenvalues, 1.0)
+
+    def test_is_numpys_eigh_of_the_hermitian_part(self, rng):
+        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        w, U = eig_hermitian(raw)
+        expected = np.linalg.eigh(herm(raw).mat)
+        assert np.array_equal(w, expected.eigenvalues)
+        assert np.array_equal(U, expected.eigenvectors)
 
     def test_unitarity_and_reassembly_random(self, rng):
         for dim in (2, 5, 16):
@@ -132,7 +139,7 @@ class TestEig:
             dec = eig_hermitian(H)
             U = dec.eigenvectors
             assert np.linalg.norm(U.conj().T @ U - np.eye(dim)) <= 1e-12 * dim
-            assert np.linalg.norm(dec.reassemble() - H.mat) <= 1e-10 * dim
+            assert np.linalg.norm(_spectral(dec.eigenvectors, dec.eigenvalues) - H.mat) <= 1e-10 * dim
             assert np.all(np.diff(dec.eigenvalues) >= 0)
 
 
