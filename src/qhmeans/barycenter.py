@@ -39,12 +39,12 @@ from .hermitian import (
     HermitianMatrix,
     MatrixLike,
     PositiveDefiniteMatrix,
+    _apply_spectral_raw,
     _hermitian_part,
     _mat,
     _require_count,
     _require_finite,
     _require_pd,
-    _spectral,
     _validated_pd,
     frobenius_dist,
     pd,
@@ -322,7 +322,8 @@ def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> floa
 
 def _report(points: list, iterations: int, trace: list, tol: float) -> SolverReport:
     """The report on the latest of a solver's points (X, res), each exactly
-    Hermitian and past its cone test, whose X passes the PositiveDefiniteMatrix
+    Hermitian and past its cone test (or a start without a pass, with
+    res = inf), whose X passes the PositiveDefiniteMatrix
     predicate on one eigvalsh (DomainError if none does); X is wrapped
     read-only, without the constructor's copy and Hermitian part.  Near the
     cone's boundary the cone test can pass an X that the predicate refuses.
@@ -369,11 +370,15 @@ def solve_barycenter(
     a step that is not finite or an exhausted step search ends the solve
     unconverged.  Non-convergence is reported, not raised; a solve that runs
     X to the cone's boundary reports its latest point that passes the
-    PositiveDefiniteMatrix predicate, unconverged (_report).
+    PositiveDefiniteMatrix predicate, unconverged (_report).  A start that
+    fails the cone test is reported at once, with an infinite residual.
     """
     opts = opts or SolverOptions()
     ws = _Workspace(ens, spec)
-    point = ws.point(_initial_state(ens, opts))
+    start = _initial_state(ens, opts)
+    point = ws.evaluate(start)
+    if point is None:
+        return _report([(start, np.inf)], 0, [], opts.residual_tol)
     if opts.initial_guess is None and ws.power is not None:
         point = ws.ray_start(point)
     trace = [ws.objective(point)]
@@ -408,8 +413,7 @@ def _half_power(S: np.ndarray, beta: float) -> np.ndarray:
     k = beta / 2
     if k.is_integer():
         return np.linalg.matrix_power(S, int(k))
-    e, V = np.linalg.eigh(S)
-    return _spectral(V, e**k)
+    return _apply_spectral_raw(S, lambda w: w**k)
 
 
 def _member_sum(Vc: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -512,7 +516,8 @@ def solve_mean_equation(
     The next point is the first of (the proposal, the plain T(X_k)) that has
     a pass; the plain map contracts (by t in the Thompson metric for x^t)
     where a proposal can overshoot.  If neither has one, the solve ends
-    unconverged at X_k.  A start without a pass raises DomainError.
+    unconverged at X_k.  A start without a pass is reported at once,
+    unconverged, with an infinite residual.
     """
     opts = opts or SolverOptions()
     gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
@@ -523,9 +528,10 @@ def solve_mean_equation(
     t = power_exponent(mu)
     weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
     member_weights = ens.weights[:, None, None]  # _map_differences divides by f'(1)
-    point = _map_pass(_initial_state(ens, opts), ens.stack, weights, gen.f_prime)
+    start = _initial_state(ens, opts)
+    point = _map_pass(start, ens.stack, weights, gen.f_prime)
     if point is None:
-        raise DomainError("the starting point fails the Cholesky or spectrum test")
+        return _report([(start, np.inf)], 0, [], opts.residual_tol)
     trace: list = []
     while True:
         X, L, S, y, Vc, Vh, U, res = point

@@ -8,17 +8,29 @@ of its code.
 
 from __future__ import annotations
 
+import importlib.util
+
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import fractional_matrix_power
 
 from qhmeans import PositiveDefiniteMatrix, pd
+
+# scipy is a test dependency only: it backs the Beta-type Gauss rules that
+# `quadrature` builds and the independent QAWS, brentq and block-power
+# oracles.  Every other test runs on the package's declared dependencies.
+needs_scipy = pytest.mark.skipif(
+    importlib.util.find_spec("scipy") is None, reason="calls scipy, a test-only dependency"
+)
 
 REF_A1 = np.diag([4.0, 1.0])
 REF_A2 = 0.5 * np.array([[5.0, 3.0], [3.0, 5.0]])
 REF_BARYCENTER = np.array([[2.99035, 0.634419], [0.634419, 1.72151]])
 REF_ONE_STEP = np.array([[3.02915, 0.673215], [0.673215, 1.68272]])
+# A third member, weights (0.3, 0.3, 0.4): with two members the fixed-point
+# solvers' first step is exact, so only three make them take Newton steps.
+REF_A3 = np.array([[1.0, 0.5], [0.5, 3.0]])
+REF_THREE_WEIGHTS = [0.3, 0.3, 0.4]
 
 # Frozen against the Cayley-Hamilton oracle below.
 REF_PHI_A1_A2 = 0.5827389570061385
@@ -249,5 +261,7 @@ def power_derivative(M, A, t):
     """Df(M)[A] for f(x) = x^t from the block-triangular identity
     f([[M, A], [0, M]]) = [[f(M), Df(M)[A]], [0, f(M)]], with scipy's
     fractional_matrix_power, which shares no code with the library."""
+    from scipy.linalg import fractional_matrix_power
+
     block = np.block([[M, A], [np.zeros_like(M), M]])
     return fractional_matrix_power(block, t)[: len(M), len(M):]

@@ -42,6 +42,7 @@ from conftest import (
     REF_A2,
     REF_BARYCENTER,
     REF_ONE_STEP,
+    needs_scipy,
     power_derivative,
     random_hermitian_np,
     random_pd_np,
@@ -152,6 +153,7 @@ def test_criterion_05_relative_entropy_barycenter():
     report(5, f"log-generator barycenter vs weighted sum, worst error {worst:.2e}")
 
 
+@needs_scipy
 def test_criterion_06_gradient_correctness():
     rng = np.random.default_rng(6)
     t = 1e-5
@@ -204,6 +206,7 @@ def test_criterion_07_property_campaigns():
               "corrupted channel detected")
 
 
+@needs_scipy
 def test_criterion_08_generator_measure_consistency():
     xs = np.logspace(-3, 3, 121)
     err = np.max(np.abs(f_mu(quadrature(ArcsineMeasure(), 256), xs) - np.sqrt(xs)))

@@ -3,7 +3,6 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from qhmeans import (
     ArcsineMeasure,
@@ -20,6 +19,7 @@ from qhmeans import (
     PositiveDefiniteMatrix,
     SolverOptions,
     arcsine_generator,
+    dirac,
     ensemble,
     euclidean_gradient,
     frechet_derivative,
@@ -44,13 +44,16 @@ from conftest import (
     BOUNDARY_WEIGHTS,
     REF_A1,
     REF_A2,
+    REF_A3,
     REF_BARYCENTER,
     REF_OBJECTIVE_AT_I,
     REF_ONE_STEP,
+    REF_THREE_WEIGHTS,
     assembled_gradient,
     mp_barycenter,
     mp_map_residual,
     mp_power_mean2,
+    needs_scipy,
     pinned_spectrum_ensemble_np,
     power_derivative,
     random_hermitian_np,
@@ -92,6 +95,8 @@ def scalar_power_barycenter(a, w, t):
 
 def scalar_mean_equation(a, w, gen):
     """Solve sum_j w_j f'(x / a_j) = f'(1) per entry by bracketing."""
+    from scipy.optimize import brentq
+
     c = float(np.asarray(gen.f_prime(1.0)))
 
     def solve_one(col):
@@ -146,6 +151,10 @@ class TestEnsemble:
     def test_positive_weights(self):
         with pytest.raises(DomainError):
             ensemble([np.eye(2), np.eye(2)], [1.0, 0.0])
+
+    def test_one_weight_per_member(self):
+        with pytest.raises(DimensionMismatchError, match="weight vector of shape"):
+            ensemble([np.eye(2), np.eye(2)], [1.0])
 
     @pytest.mark.parametrize("weights", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5]])
     def test_non_finite_weights(self, weights):
@@ -235,6 +244,10 @@ class TestObjective:
         val = objective(ref_ensemble(), pd(np.eye(2)), ARCSINE_SPEC)
         assert val == pytest.approx(REF_OBJECTIVE_AT_I, abs=1e-12)
 
+    def test_argument_of_another_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="argument dimension 3"):
+            objective(ref_ensemble(), np.eye(3), ARCSINE_SPEC)
+
     def test_solution_beats_arithmetic_mean(self):
         ens = ref_ensemble()
         report = solve_barycenter(ens, ARCSINE_SPEC)
@@ -273,6 +286,7 @@ class TestGradient:
 
 
 class TestMeasureFrechetDerivative:
+    @needs_scipy
     @pytest.mark.parametrize("mu", [ArcsineMeasure(), BetaTypeMeasure(0.3)], ids=["arcsine", "beta0.3"])
     def test_divided_differences_vs_block_identity(self, rng, mu):
         t = mu.t if isinstance(mu, BetaTypeMeasure) else 0.5
@@ -635,6 +649,40 @@ class TestNewtonSpectralPass:
         assert len(eigh) == 1  # the start's pass only
         assert np.array_equal(report.solution.mat, start)
 
+    def test_singular_hessian_ends_the_solve_unconverged(self, monkeypatch):
+        # a LAPACK solve that finds H singular: the solve stops at its start
+        # and reports it
+        ens = ref_ensemble()
+        ws = barycenter._Workspace(ens, ARCSINE_SPEC)
+        start = ws.ray_start(ws.point(ens._mean_array()))
+
+        def singular(H, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        report = solve_barycenter(ens, ARCSINE_SPEC)
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.final_residual == start.res
+        assert np.array_equal(report.solution.mat, start.X)
+
+    @pytest.mark.parametrize(
+        "gen",
+        [arcsine_generator(), HarmonicGenerator(0.3), MeasureGenerator(BetaTypeMeasure(0.9))],
+        ids=["arcsine", "harmonic:0.3", "x^0.9"],
+    )
+    def test_start_without_a_pass_is_reported(self, gen):
+        # members of condition e^34 = 5.8e14, under the 1e15 floor: at their
+        # arithmetic mean (condition 1.2e8) one triangle of some M_j reads a
+        # negative eigenvalue, though its Hermitian part is positive definite,
+        # so the start fails the cone test; the solve reports the start
+        ens = spread_ensemble(1, 8, 3, 17.0)
+        report = solve_barycenter(ens, DivergenceSpec(gen))
+        assert not report.converged
+        assert report.iterations == 0 and report.objective_trace == []
+        assert report.final_residual == np.inf
+        assert np.array_equal(report.solution.mat, ens.arithmetic_mean().mat)
+
     def test_search_at_the_residual_floor_ends_the_solve(self, monkeypatch):
         # members of condition e^24 = 2.6e10: the residual reaches its rounding
         # floor, about 1e-4, within 20 iterations.  There every trial down to
@@ -677,6 +725,13 @@ class TestNewtonSpectralPass:
         assert report.final_residual == pytest.approx(
             residual(ens, report.solution, spec), rel=1e-10
         )
+
+    def test_report_refuses_when_no_point_passes_the_predicate(self):
+        # every solver's first point passes it, so this is the report's own
+        # guard: condition 1e17 is beyond the PositiveDefiniteMatrix floor
+        X = np.diag([1.0, 1e-17]).astype(np.complex128)
+        with pytest.raises(DomainError):
+            barycenter._report([(X, 1.0)], 0, [], 1e-8)
 
     def test_point_outside_the_cone(self, rng):
         ws = barycenter._Workspace(random_ensemble(rng, 3, 2), ARCSINE_SPEC)
@@ -792,12 +847,18 @@ class TestSolvePowerMean:
 
 
 class TestSolveMeanEquation:
+    def test_generator_flat_at_one_is_refused(self):
+        # a unit atom at 0 makes f = 1, so f'(1) = 0 and the map has no scale
+        with pytest.raises(DomainError, match="positive derivative at 1"):
+            solve_mean_equation(ref_ensemble(), MeasureGenerator(dirac(0.0)))
+
     def test_single_member(self, rng):
         A = random_pd_np(rng, 3)
         report = solve_mean_equation(ensemble([A], [1.0]), ARCSINE_SPEC)
         assert report.converged
         assert np.linalg.norm(report.solution.mat - A) <= 1e-7
 
+    @needs_scipy
     def test_commuting_scalar_oracle(self, rng):
         ens = diagonal_ensemble(rng, 3, 3)
         report = solve_mean_equation(
@@ -984,6 +1045,7 @@ class TestFixedPointMap:
         oracle = scalar_power_barycenter(a, ens.weights, t)
         assert report.solution.mat[0, 0].real == pytest.approx(oracle[0], rel=1e-10)
 
+    @needs_scipy
     def test_scalar_ensemble_newton_steps(self, rng):
         # 1x1 members: the Krylov vectors r and (I - D) r of a Newton step are
         # collinear, so its 2x2 least-squares system is singular and the
@@ -1176,6 +1238,18 @@ class TestFixedPointMap:
         assert report.iterations == 1
         assert np.array_equal(report.solution.mat, ens.arithmetic_mean().mat)
 
+    @pytest.mark.parametrize("solver", ["power:0.5", "harmonic:0.3"])
+    def test_start_without_a_pass_is_reported(self, monkeypatch, solver):
+        # whether a start near the members' condition floor has a pass depends
+        # on the BLAS kernel's rounding, so the refusal is forced here
+        monkeypatch.setattr(barycenter, "_map_pass", lambda X, *args: None)
+        ens = ref_ensemble()
+        report = fixed_point_solve(ens, solver, SolverOptions())
+        assert not report.converged
+        assert report.iterations == 0 and report.objective_trace == []
+        assert report.final_residual == np.inf
+        assert np.array_equal(report.solution.mat, ens.arithmetic_mean().mat)
+
     def test_extrapolated_point_that_fails_cholesky_falls_back_to_the_plain_map(
         self, monkeypatch
     ):
@@ -1236,6 +1310,22 @@ class TestFixedPointMap:
         assert expected >= 0.01  # X is not the mean
         assert report.objective_trace[0] == pytest.approx(expected, rel=1e-12)
 
+    def test_degenerate_newton_space_proposes_no_point(self, rng):
+        # r = S - I = 0 spans nothing, so there is no Newton point
+        X = random_pd_np(rng, 3)
+        L = np.linalg.cholesky(X)
+        assert barycenter._newton_point(X, L, np.eye(3), lambda Z: Z) is None
+
+    def test_no_newton_point_falls_back_to_the_plain_map(self, monkeypatch):
+        ens = ensemble([REF_A1, REF_A2, REF_A3], REF_THREE_WEIGHTS)
+        gen = HarmonicGenerator(0.3)
+        newton = solve_mean_equation(ens, gen)
+        monkeypatch.setattr(barycenter, "_newton_point", lambda *args: None)
+        plain = solve_mean_equation(ens, gen)
+        assert newton.converged and plain.converged
+        assert plain.iterations > newton.iterations
+        assert np.linalg.norm(plain.solution.mat - newton.solution.mat) <= 1e-7
+
     @pytest.mark.parametrize("beta", [2.0, 4.0])
     def test_half_power_by_products_matches_the_spectral_power(self, rng, beta):
         S = random_pd_np(rng, 6, 1.0)
@@ -1264,6 +1354,10 @@ class TestNoncommutativityMeasure:
         val = noncommutativity_measure(ref_ensemble(), ARCSINE_SPEC, metric="thompson")
         assert val > 0.0
 
+    def test_start_without_a_pass_is_a_nonconvergence(self):
+        with pytest.raises(NonConvergenceError, match="residual inf"):
+            noncommutativity_measure(spread_ensemble(1, 8, 3, 17.0), ARCSINE_SPEC)
+
     def test_unknown_metric(self):
         with pytest.raises(DomainError):
             noncommutativity_measure(ref_ensemble(), ARCSINE_SPEC, metric="spectral")
@@ -1273,3 +1367,9 @@ class TestNoncommutativityMeasure:
             noncommutativity_measure(
                 ref_ensemble(), ARCSINE_SPEC, opts=SolverOptions(max_iterations=2)
             )
+
+    def test_nonconvergence_names_the_mean_equation_solver(self):
+        # in 3 iterations the Newton solve converges and the fixed point does not
+        ens = ensemble([REF_A1, REF_A2, REF_A3], REF_THREE_WEIGHTS)
+        with pytest.raises(NonConvergenceError, match="solve_mean_equation"):
+            noncommutativity_measure(ens, ARCSINE_SPEC, opts=SolverOptions(max_iterations=3))

@@ -4,12 +4,46 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qhmeans.cli as cli
 from qhmeans.cli import InputError, main, parse_generator
-from qhmeans import BetaTypeMeasure, GeometricGenerator, MeasureGenerator
+from qhmeans import (
+    BetaTypeMeasure,
+    DivergenceSpec,
+    GeometricGenerator,
+    HarmonicGenerator,
+    MeasureGenerator,
+    ensemble,
+    noncommutativity_measure,
+)
 from qhmeans.serialize import matrix_from_json, matrix_to_json
 
-from conftest import BOUNDARY_MATS, BOUNDARY_WEIGHTS, REF_A1, REF_A2, REF_BARYCENTER, inv2
+from conftest import (
+    BOUNDARY_MATS,
+    BOUNDARY_WEIGHTS,
+    REF_A1,
+    REF_A2,
+    REF_A3,
+    REF_BARYCENTER,
+    REF_PHI_A1_A2,
+    REF_THREE_WEIGHTS,
+    inv2,
+    pinned_spectrum_ensemble_np,
+)
 from report_text import mismatches
+
+A1, A2 = (json.dumps(matrix_to_json(M)) for M in (REF_A1, REF_A2))
+PAIR = json.dumps({"matrices": [matrix_to_json(REF_A1), matrix_to_json(REF_A2)], "weights": [0.5, 0.5]})
+THREE = json.dumps({
+    "matrices": [matrix_to_json(M) for M in (REF_A1, REF_A2, REF_A3)],
+    "weights": REF_THREE_WEIGHTS,
+})
+
+
+def harmonic_phi(A, B, lam):
+    """phi(A, B) of the weighted harmonic mean ((1-lam) A^-1 + lam B^-1)^-1,
+    c = lam, from 2x2 adjugate inverses."""
+    mean = inv2((1 - lam) * inv2(A) + lam * inv2(B))
+    return float(np.trace((1 - lam) * A + lam * B - mean))
 
 
 def write_matrix(path, mat):
@@ -116,6 +150,25 @@ class TestMean:
         code = main(["mean", "--inline", blob, "--inline", blob])
         assert code == 0
 
+    def test_arithmetic_generator(self, capsys):
+        assert main(["mean", "--inline", A1, "--inline", A2, "--generator", "arithmetic:0.3"]) == 0
+        out = matrix_from_json(json.loads(capsys.readouterr().out))
+        assert np.max(np.abs(out - (0.7 * REF_A1 + 0.3 * REF_A2))) <= 1e-14
+
+    def test_unit_atom_at_zero_gives_the_first_argument(self, capsys):
+        # every measure gives a mean: f = 1 for a unit atom at 0, so A s B = A
+        gen = '{"kind": "measure", "mu": {"kind": "discrete", "atoms": [[0.0, 1.0]]}}'
+        assert main(["mean", "--inline", A1, "--inline", A2, "--generator", gen]) == 0
+        out = matrix_from_json(json.loads(capsys.readouterr().out))
+        assert np.max(np.abs(out - REF_A1)) <= 1e-14
+
+    def test_complex_entries_in_the_table_format(self, capsys):
+        a = matrix_to_json(np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
+        code = main(["mean", "--inline", json.dumps(a), "--inline", A2, "--format", "table"])
+        assert code == 0
+        cells = capsys.readouterr().out.split()
+        assert len(cells) == 4 and cells[1].endswith("i") and cells[2].endswith("i")
+
     def test_round_trip_of_printed_matrix(self, ref_files, capsys):
         a, b, _ = ref_files
         main(["mean", "--input", a, "--input", b])
@@ -155,6 +208,34 @@ class TestDivergence:
             assert printed == pytest.approx(path_value, abs=1e-9)
 
 
+    @pytest.mark.parametrize(
+        "generator, expected, rel",
+        [
+            ("harmonic:0.3", harmonic_phi(REF_A1, REF_A2, 0.3), 1e-14),
+            (
+                '{"kind": "measure", "mu": {"kind": "tabulated", "nodes": [0.2, 0.5], "weights": [0.5, 0.5]}}',
+                0.5 * harmonic_phi(REF_A1, REF_A2, 0.2) + 0.5 * harmonic_phi(REF_A1, REF_A2, 0.5),
+                1e-14,
+            ),
+            # the atoms at 0 and 1 add nothing, and the 1e-8 inside makes f
+            # strictly concave, far above the rounding floor; phi of 1e-8 is
+            # an O(1) trace minus an O(1) mean, so it keeps fewer digits
+            (
+                '{"kind": "measure", "mu": {"kind": "discrete", "atoms": [[0.0, 0.5], [1.0, 0.49999999], [0.5, 1e-8]]}}',
+                1e-8 * harmonic_phi(REF_A1, REF_A2, 0.5),
+                1e-6,
+            ),
+            # the legacy arcsine kind reads as the Beta-type t = 1/2
+            ('{"kind": "measure", "mu": {"kind": "arcsine"}}', REF_PHI_A1_A2, 1e-14),
+        ],
+        ids=["harmonic:0.3", "tabulated", "discrete-inner-mass-1e-8", "legacy-arcsine"],
+    )
+    def test_named_and_measure_generators(self, generator, expected, rel, capsys):
+        assert main(["divergence", "--inline", A1, "--inline", A2, "--generator", generator]) == 0
+        value = json.loads(capsys.readouterr().out)["divergence"]
+        assert value == pytest.approx(expected, rel=rel)
+
+
 class TestBarycenter:
     def test_single_matrix(self, tmp_path, capsys):
         ens = write_ensemble(tmp_path / "e.json", [REF_A1], [1.0])
@@ -186,6 +267,24 @@ class TestBarycenter:
         code = main(["barycenter", "--input", ens, "--generator", "harmonic:0.3"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["converged"] is False
+
+    def test_start_without_a_pass_exits_3(self, tmp_path, capsys):
+        # members of condition 5.8e14: the arithmetic mean fails the Newton
+        # pass's cone test, so the start is reported, unconverged
+        mats, weights = pinned_spectrum_ensemble_np(np.random.default_rng(1), 8, 3, 17.0)
+        ens = write_ensemble(tmp_path / "e.json", mats, weights)
+        code = main(["barycenter", "--input", ens])
+        assert code == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is False and report["iterations"] == 0
+        assert report["final_residual"] == float("inf")
+
+    @pytest.mark.parametrize("generator", ["harmonic:0.3", "geometric:0.5", "beta:0.25"])
+    def test_both_newton_starts(self, generator, capsys):
+        # harmonic:0.3 starts Newton at the arithmetic mean, geometric:0.5
+        # and beta:0.25 (f = x^t) at its multiple on the ray through it
+        assert main(["barycenter", "--generator", generator, "--inline", PAIR]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tolerance_is_an_input_error(self, capsys, tol):
@@ -228,7 +327,30 @@ class TestPowerMean:
         assert np.max(np.abs(sol - REF_A2)) <= 1e-7
 
 
+    def test_newton_steps_on_three_members(self, capsys):
+        # two members would converge after the exact first step, and no
+        # Newton step would run; the fixed point is X = sum_j w_j X #_{3/4} A_j
+        assert main(["power-mean", "--t", "0.25", "--inline", THREE]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True and report["iterations"] >= 3
+        X = matrix_from_json(report["solution"])
+        lam, U = np.linalg.eigh(X)
+        root, inv_root = (U * np.sqrt(lam)) @ U.conj().T, (U / np.sqrt(lam)) @ U.conj().T
+        image = np.zeros_like(X)
+        for w, A in zip(REF_THREE_WEIGHTS, (REF_A1, REF_A2, REF_A3)):
+            e, V = np.linalg.eigh(inv_root @ A @ inv_root)
+            image += w * root @ ((V * e**0.75) @ V.conj().T) @ root
+        assert np.linalg.norm(image - X) <= 1e-7 * np.linalg.norm(X)
+
+
 class TestNcMeasure:
+    def test_three_members_under_harmonic_generator(self, capsys):
+        assert main(["ncmeasure", "--generator", "harmonic:0.3", "--inline", THREE]) == 0
+        value = json.loads(capsys.readouterr().out)["noncommutativity"]
+        ens = ensemble([REF_A1, REF_A2, REF_A3], REF_THREE_WEIGHTS)
+        assert value == noncommutativity_measure(ens, DivergenceSpec(HarmonicGenerator(0.3)))
+        assert value > 0.01
+
     def test_commuting_ensemble(self, tmp_path, capsys):
         ens = write_ensemble(
             tmp_path / "e.json", [np.diag([2.0, 1.0]), np.diag([1.0, 3.0])], [0.5, 0.5]
@@ -280,6 +402,15 @@ class TestProperties:
         assert code == 4
         out = capsys.readouterr().out
         assert "trace preserving" in out and "rng key" in out
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_beta_type_campaigns_discard_nothing(self, dim, capsys):
+        # at the golden files' dimension 2 and the benchmark's 3 and 4
+        argv = ["properties", "--generator", "beta:0.25", "--seed", "7", "--trials", "5"]
+        assert main([*argv, "--dim", str(dim)]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if "trials=5" in line]
+        assert len(rows) == 4
+        assert all(" PASS " in row and "discarded=0" in row for row in rows)
 
     def test_deterministic_output(self, capsys):
         argv = ["properties", "--trials", "5", "--dim", "2", "--seed", "7"]
@@ -335,6 +466,15 @@ class TestVerifyPaper:
         out = capsys.readouterr().out
         assert "verification passed" in out
 
+    def test_nonconvergence_exits_3(self, capsys):
+        assert main(["verify-paper", "--max-iter", "1"]) == 3
+        assert "barycenter solver did not converge" in capsys.readouterr().err
+
+    def test_reference_mismatch_exits_5(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "REFERENCE_BARYCENTER", REF_BARYCENTER + 0.01)
+        assert main(["verify-paper"]) == 5
+        assert "verification FAILED" in capsys.readouterr().err
+
 
 # Each subcommand accepts only the flags it reads.
 UNREAD_FLAGS = [
@@ -363,6 +503,10 @@ class TestErrorHandling:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["mean", "--input", str(p), "--input", str(p)]) == 2
+
+    def test_bad_inline_json(self, capsys):
+        assert main(["mean", "--inline", "{not json", "--inline", A2]) == 2
+        assert "bad inline JSON" in capsys.readouterr().err
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.json", np.eye(2))

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import needs_scipy
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 REPORT_SCIPY = """
@@ -68,6 +70,7 @@ assert np.allclose(MeasureGenerator(mu).f(x), x ** 0.3)
     assert _scipy_modules_after(code) == []
 
 
+@needs_scipy
 def test_beta_type_quadrature_loads_scipy_on_use():
     code = """
 from qhmeans import BetaTypeMeasure, quadrature

@@ -427,6 +427,13 @@ class TestClassicalHellinger:
         with pytest.raises(DomainError):
             classical_hellinger([1.2, -0.2], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "p, q", [([0.5, 0.5], [0.2, 0.3, 0.5]), ([[0.5, 0.5]], [[0.5, 0.5]])], ids=["lengths", "2-d"]
+    )
+    def test_rejects_mismatched_shapes(self, p, q):
+        with pytest.raises(DimensionMismatchError, match="equal-length 1-d"):
+            classical_hellinger(p, q)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             classical_hellinger([0.5, 0.4], [0.5, 0.5])

@@ -23,6 +23,8 @@ from qhmeans import (
     quadrature,
 )
 
+from conftest import needs_scipy
+
 GRID = np.logspace(-2, 2, 41)
 
 # The closed forms of the named means, (f, f') at lam: oracles for the
@@ -85,6 +87,7 @@ class TestRepresentingMeasures:
     """The named generators are their representing measures: they match the
     closed forms of their means and the Gauss rules of their densities."""
 
+    @needs_scipy
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     def test_geometric_is_beta_type(self, lam):
         # 1e-8 bound: Gauss-Jacobi node placement in double precision floors

@@ -36,7 +36,7 @@ from qhmeans import (
 from qhmeans.barycenter import _as_state, _Workspace
 from qhmeans.measures import _first_differences
 
-from conftest import assembled_gradient, power_derivative, random_hermitian_np, random_pd_np
+from conftest import assembled_gradient, needs_scipy, power_derivative, random_hermitian_np, random_pd_np
 
 
 def _random_problem(rng, dim, m, spread):
@@ -47,8 +47,11 @@ def _random_problem(rng, dim, m, spread):
 
 @pytest.mark.parametrize(
     "mu",
-    [ArcsineMeasure(), BetaTypeMeasure(0.3), DiscreteMeasure(((0.2, 0.5), (0.5, 0.3), (0.9, 0.2)))],
-    ids=["arcsine", "beta0.3", "discrete3"],
+    [
+        pytest.param(ArcsineMeasure(), marks=needs_scipy, id="arcsine"),
+        pytest.param(BetaTypeMeasure(0.3), marks=needs_scipy, id="beta0.3"),
+        pytest.param(DiscreteMeasure(((0.2, 0.5), (0.5, 0.3), (0.9, 0.2))), id="discrete3"),
+    ],
 )
 @pytest.mark.parametrize("spread", [1.0, 4.0])
 def test_measure_generators_match_independent_derivatives(rng, mu, spread):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhmeans import (
+    ComputationError,
     ConditioningWarning,
     DimensionMismatchError,
     DivergenceSpec,
@@ -132,6 +133,14 @@ class TestEig:
         expected = np.linalg.eigh(herm(raw).mat)
         assert np.array_equal(w, expected.eigenvalues)
         assert np.array_equal(U, expected.eigenvectors)
+
+    def test_lapack_failure_is_a_computation_error(self, monkeypatch):
+        def fails(mat):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(ComputationError, match="failed to converge"):
+            eig_hermitian(A2)
 
     def test_unitarity_and_reassembly_random(self, rng):
         for dim in (2, 5, 16):

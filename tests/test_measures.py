@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from qhmeans import (
     ArcsineMeasure,
@@ -30,6 +29,8 @@ from qhmeans.measures import (
     _second_differences,
 )
 
+from conftest import needs_scipy
+
 X_GRID = np.logspace(-3, 3, 61)
 
 SAMPLE_MEASURES = [
@@ -47,6 +48,8 @@ def beta_moment_oracle(t: float, k: int) -> float:
     Independent of the Gauss-Jacobi path: scipy's QAWS handles the algebraic
     endpoint singularities l^(t-1) (1-l)^(-t) directly.
     """
+    from scipy.integrate import quad
+
     val, err = quad(lambda l: l**k, 0.0, 1.0, weight="alg", wvar=(t - 1.0, -t))
     assert err < 1e-10
     return val * np.sin(t * np.pi) / np.pi
@@ -55,6 +58,8 @@ def beta_moment_oracle(t: float, k: int) -> float:
 def beta_integral(t: float, g) -> float:
     """Integral of g against the Beta-type density by QAWS, to 1e-10 relative:
     the resolvent integrands of f_mu and f_mu' span e^-9 to e^9."""
+    from scipy.integrate import quad
+
     val, err = quad(g, 0.0, 1.0, weight="alg", wvar=(t - 1.0, -t), epsabs=0.0, epsrel=1e-10, limit=500)
     assert err < 1e-10 * abs(val)
     return val * np.sin(t * np.pi) / np.pi
@@ -64,6 +69,10 @@ class TestConstruction:
     def test_discrete_validates_mass(self):
         with pytest.raises(DomainError):
             DiscreteMeasure(((0.5, 0.7),))
+
+    def test_discrete_needs_an_atom(self):
+        with pytest.raises(DomainError, match="at least one atom"):
+            DiscreteMeasure(())
 
     def test_discrete_validates_location(self):
         with pytest.raises(DomainError):
@@ -131,10 +140,12 @@ class TestQuadrature:
         mu = dirac(0.5)
         assert quadrature(mu, 64) is mu
 
+    @needs_scipy
     def test_arcsine_normalization(self):
         rule = quadrature(ArcsineMeasure(), 64)
         assert abs(rule.masses.sum() - 1.0) <= 1e-12
 
+    @needs_scipy
     @pytest.mark.parametrize("order", [2, 8, 64, 512])
     def test_arcsine_rule_is_gauss_chebyshev(self, order):
         # The Gauss rule of the arcsine density in closed form: nodes
@@ -145,6 +156,7 @@ class TestQuadrature:
         np.testing.assert_allclose(np.sort(rule.locations), nodes, rtol=0, atol=1e-14)
         np.testing.assert_allclose(rule.masses, 1.0 / order, rtol=0, atol=1e-14)
 
+    @needs_scipy
     @pytest.mark.parametrize("order", [64, 256, 1024, 4096])
     @pytest.mark.parametrize("mu", [ArcsineMeasure(), BetaTypeMeasure(0.3)], ids=["arcsine", "beta0.3"])
     def test_gauss_rules_are_discrete_measures(self, mu, order):
@@ -153,15 +165,21 @@ class TestQuadrature:
         assert isinstance(rule, DiscreteMeasure) and len(rule.atoms) == order
         assert abs(rule.masses.sum() - 1.0) <= 1e-15
 
+    def test_unknown_variant(self):
+        with pytest.raises(UnsupportedVariantError, match="unknown measure variant object"):
+            quadrature(object(), 8)
+
     @pytest.mark.parametrize("order", [1, 2.7, float("nan"), "4"])
     def test_order_validation(self, order):
         # a non-integer order is refused, not truncated to a smaller rule
         with pytest.raises(DomainError):
             quadrature(ArcsineMeasure(), order)
 
+    @needs_scipy
     def test_numpy_integer_order(self):
         assert len(quadrature(ArcsineMeasure(), np.int64(8)).atoms) == 8
 
+    @needs_scipy
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_beta_mass_and_mean_vs_adaptive_oracle(self, t):
         rule = quadrature(BetaTypeMeasure(t), 64)
@@ -170,6 +188,7 @@ class TestQuadrature:
         assert mean == pytest.approx(beta_moment_oracle(t, 1), abs=1e-8)
         assert mean == pytest.approx(t, abs=1e-8)
 
+    @needs_scipy
     def test_nodes_inside_unit_interval(self):
         for mu in SAMPLE_MEASURES:
             rule = quadrature(mu, 256)
@@ -227,6 +246,7 @@ class TestGeneratorFunction:
         beta = f_mu(BetaTypeMeasure(0.5), X_GRID)
         assert np.max(np.abs(arc - beta)) <= 1e-10
 
+    @needs_scipy
     def test_gauss_rules_converge_to_closed_form(self):
         base = f_mu(quadrature(ArcsineMeasure(), 256), X_GRID)
         doubled = f_mu(quadrature(ArcsineMeasure(), 512), X_GRID)
@@ -240,6 +260,7 @@ class TestGeneratorFunction:
             assert np.max(np.abs(base - doubled)) < 1e-7
             assert np.max(np.abs(base - f_mu(BetaTypeMeasure(t), X_GRID))) < 1e-7
 
+    @needs_scipy
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_closed_forms_match_adaptive_oracle(self, t):
         # f_mu and f_mu' by their defining integrals against the Beta-type

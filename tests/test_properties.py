@@ -260,6 +260,18 @@ def test_axiom_trial_matches_one_pair_phi():
             assert abs(slack - e) <= 1e-13
 
 
+def test_axiom_trial_at_equal_arguments_checks_the_diagonal():
+    # phi(A, A), 0 to rounding, is below 1e-8, so the trial adds the record
+    # that phi vanishes only near the diagonal, held here with distance 0
+    spec = DivergenceSpec(parse_generator("harmonic:0.3"))
+    A, _, Y = properties._axiom_draw(3, trial_rng(11, "divergence_axioms", 0))
+    (records,) = properties._axiom_trials(spec, 3, [(A, A, Y)])
+    slacks = {name: slack for slack, name, _ in records}
+    assert len(slacks) == 5
+    assert slacks["phi ~ 0 only near the diagonal"] == 1e-4
+    assert abs(slacks["nonnegativity phi(A,B) >= 0"]) <= 1e-12
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_convex_order_trial_matches_one_pair_means(dim):
     batched = _batched_slacks(

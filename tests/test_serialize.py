@@ -158,6 +158,12 @@ class TestMeasureAndGeneratorJson:
         with pytest.raises(DomainError):
             generator_from_json({"kind": "exotic"})
 
+    def test_unknown_measure_kind_and_variant(self):
+        with pytest.raises(DomainError, match="unknown measure kind 'exotic'"):
+            measure_from_json({"kind": "exotic"})
+        with pytest.raises(DomainError, match="unknown measure variant object"):
+            measure_to_json(object())
+
     def test_tabulated_loads_as_discrete(self):
         obj = {"kind": "tabulated", "nodes": [0.2, 0.5], "weights": [0.5, 0.5]}
         mu = measure_from_json(obj)
@@ -189,6 +195,17 @@ class TestEnsembleAndChannelJson:
         assert np.allclose(back.weights, ens.weights)
         for A, B in zip(back.matrices, ens.matrices):
             assert np.max(np.abs(A.mat - B.mat)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "obj", [{"weights": [1.0]}, {"matrices": 5, "weights": [1.0]}], ids=["no-matrices", "not-a-list"]
+    )
+    def test_malformed_ensemble(self, obj):
+        with pytest.raises(DomainError, match="malformed ensemble object"):
+            ensemble_from_json(obj)
+
+    def test_malformed_channel(self):
+        with pytest.raises(DomainError, match="malformed channel object"):
+            channel_from_json({"ops": []})
 
     def test_channel_round_trip(self):
         T = random_cptp(2, 2, 2, seed=3)
