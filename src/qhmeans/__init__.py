@@ -1,6 +1,8 @@
 """Kubo-Ando matrix means, quantum Hellinger divergences, and barycenters
 on the cone of positive definite matrices."""
 
+from types import ModuleType as _ModuleType
+
 from .barycenter import (
     SolverOptions,
     SolverReport,
@@ -9,7 +11,6 @@ from .barycenter import (
     euclidean_gradient,
     noncommutativity_measure,
     objective,
-    residual,
     solve_barycenter,
     solve_mean_equation,
     solve_power_mean,
@@ -19,12 +20,9 @@ from .channels import (
     apply_channel,
     check_dpi,
     check_joint_convexity,
-    choi_matrix,
-    pinching_channel,
     random_cptp,
 )
 from .divergences import (
-    classical_hellinger,
     commutative_phi,
     g_of,
     kubo_ando_mean,
@@ -53,7 +51,6 @@ from .generators import (
     HarmonicGenerator,
     LogGenerator,
     MeasureGenerator,
-    PowerGenerator,
     arcsine_generator,
 )
 from .hermitian import (
@@ -65,7 +62,6 @@ from .hermitian import (
     frobenius_dist,
     herm,
     inv_sqrt_pd,
-    loewner_leq,
     pd,
     sqrt_pd,
     thompson_dist,
@@ -76,7 +72,6 @@ from .measures import (
     DiscreteMeasure,
     Measure,
     center_of_mass,
-    convex_order_leq,
     dirac,
     f_mu,
     f_mu_prime,
@@ -85,4 +80,8 @@ from .measures import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names bound above; the submodules that importing them binds are not among them.
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -315,11 +315,6 @@ def euclidean_gradient(
     return HermitianMatrix(_Workspace(ens, spec).point(_as_state(ens, X)).G)
 
 
-def residual(ens: WeightedEnsemble, X: MatrixLike, spec: DivergenceSpec) -> float:
-    """Frobenius norm of the stationarity defect at X (zero at the barycenter)."""
-    return _Workspace(ens, spec).point(_as_state(ens, X)).res
-
-
 def _report(points: list, iterations: int, trace: list, tol: float) -> SolverReport:
     """The report on the latest of a solver's points (X, res), each exactly
     Hermitian and past its cone test (or a start without a pass, with
@@ -496,7 +491,10 @@ def solve_mean_equation(
     This is the commutative stationarity equation read noncommutatively; for
     the square-root generator it reduces to the order-1/2 power mean equation.
     Accepts a DivergenceSpec or a bare generator (e.g. the log generator,
-    whose equation collapses to the weighted arithmetic mean).  The Cholesky
+    whose equation collapses to the weighted arithmetic mean).  A bare
+    MeasureGenerator is held to DivergenceSpec's measure rule: for an f
+    affine to rounding the map is the identity, so every X would solve the
+    equation, and DomainError is raised instead.  The Cholesky
     factor L of X = L L* stands in for X^{1/2}, which leaves the right side
     unchanged: T(X) = L S L*.  A point has a pass (_map_pass) when it passes
     the Cholesky test and every M_j = L^{-1} A_j L^{-*} is positive definite.
@@ -520,6 +518,8 @@ def solve_mean_equation(
     unconverged, with an infinite residual.
     """
     opts = opts or SolverOptions()
+    if isinstance(spec, MeasureGenerator):
+        spec = DivergenceSpec(spec)
     gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
     fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
     if fp1 <= 0:

@@ -1,9 +1,9 @@
 """CPTP quantum channels and the divergence property harness.
 
-Channels are held as Kraus operators with the trace-preserving constraint
-checked at construction.  The harness functions return signed slacks rather
-than booleans so property campaigns can report the worst margin seen.  The
-data processing check evaluates phi on the channel outputs as they are; a
+A channel is a Kraus family, given or drawn by random_cptp, checked trace
+preserving at construction.  The harness functions return signed slacks
+rather than booleans so property campaigns can report the worst margin seen.
+The data processing check evaluates phi on the channel outputs as they are; a
 trial whose output has a condition number above MAX_OUTPUT_CONDITION, a
 rank-deficient one included, is degenerate at every scale and is discarded.
 """
@@ -37,8 +37,8 @@ MAX_OUTPUT_CONDITION = 1e8
 
 
 def _kraus_defects(kraus: np.ndarray) -> np.ndarray:
-    """kraus_defect of each channel in a stack (..., r, d_out, d_in) of Kraus
-    families."""
+    """Frobenius distance of sum K_i* K_i from the identity, for each channel
+    in a stack (..., r, d_out, d_in) of Kraus families."""
     acc = (kraus.mT.conj() @ kraus).sum(-3)
     return np.linalg.norm(acc - np.eye(kraus.shape[-1]), axis=(-2, -1))
 
@@ -56,11 +56,6 @@ def _kraus_array(kraus) -> np.ndarray:
             f"got shape {ks.shape}"
         )
     return ks
-
-
-def kraus_defect(kraus) -> float:
-    """Frobenius distance of sum K_i* K_i from the identity."""
-    return float(_kraus_defects(_kraus_array(kraus)))
 
 
 def _apply_kraus(kraus: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -99,9 +94,6 @@ class QuantumChannel:
     def dim_in(self) -> int:
         return self.kraus.shape[2]
 
-    @property
-    def dim_out(self) -> int:
-        return self.kraus.shape[1]
 
 
 def apply_channel(T: QuantumChannel, A: MatrixLike) -> HermitianMatrix:
@@ -109,12 +101,6 @@ def apply_channel(T: QuantumChannel, A: MatrixLike) -> HermitianMatrix:
     a = _mat(A)
     _check_input_dim(T, a)
     return HermitianMatrix(_apply_kraus(T.kraus, a))
-
-
-def pinching_channel(d: int) -> QuantumChannel:
-    """Projection onto the diagonal subalgebra: Kraus operators e_i e_i*."""
-    eye = np.eye(_require_count("dimension", d))
-    return QuantumChannel(eye[:, :, None] * eye[:, None, :])
 
 
 def random_cptp(d_in: int, d_out: int, env_dim: int, seed) -> QuantumChannel:
@@ -152,13 +138,6 @@ def _kraus_stack(g: np.ndarray, d_out: int, env_dim: int) -> np.ndarray:
     environment index of each isometry's rows labels its Kraus operators."""
     V = np.linalg.qr(g)[0]
     return V.reshape(len(V), d_out, env_dim, V.shape[-1]).swapaxes(1, 2)
-
-
-def choi_matrix(T: QuantumChannel) -> HermitianMatrix:
-    """Choi matrix sum_ij e_i e_j* (x) T(e_i e_j*); PSD iff T is completely
-    positive.  Row k of V is K_k column-stacked, so Choi = V^T conj(V)."""
-    V = T.kraus.swapaxes(1, 2).reshape(len(T.kraus), -1)
-    return HermitianMatrix(V.T @ V.conj())
 
 
 def _dpi_slacks(spec: DivergenceSpec, kraus: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:

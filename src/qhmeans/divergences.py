@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CommutativityError, DimensionMismatchError, DomainError
+from .errors import CommutativityError, DomainError
 from .generators import DivergenceSpec, Generator, MeasureGenerator, _require_measure
 from .hermitian import (
     HermitianMatrix,
@@ -193,18 +193,3 @@ def commutative_phi(A: MatrixLike, B: MatrixLike, gen: Generator) -> float:
     # For commuting arguments A^{-1} B equals the Hermitian congruence
     # A^{-1/2} B A^{-1/2}, so Tr A f(A^{-1} B) is the maximal f-divergence.
     return float(val.real) - maximal_f_divergence(A, B, gen.f)
-
-
-def classical_hellinger(p, q) -> float:
-    """Squared Hellinger distance (1/2) sum (sqrt(p_i) - sqrt(q_i))^2."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise DimensionMismatchError("probability vectors must be equal-length 1-d")
-    for name, v in (("p", p), ("q", q)):
-        # Positive forms, tested before any arithmetic: NaN fails them.
-        if not (np.isfinite(v).all() and (v >= 0).all()):
-            raise DomainError(f"{name} must be a finite nonnegative vector")
-        if not abs(v.sum() - 1.0) <= 1e-10:
-            raise DomainError(f"{name} sums to {v.sum()!r}, expected 1")
-    return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))

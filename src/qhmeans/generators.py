@@ -5,10 +5,9 @@ Ando, Math. Ann. 246 (1980)), and MeasureGenerator evaluates its f through
 f_mu and f_mu_prime: x^t in closed form for the Beta-type density (the
 arcsine density is its t = 1/2), the atom sum otherwise.  The named
 generators (arithmetic, geometric, harmonic) are constructors of the
-MeasureGenerator of their measure; PowerGenerator, the x^t of the relaxed
-commutative family, is an alias of GeometricGenerator.  DivergenceSpec and
-kubo_ando_mean take a MeasureGenerator and are validated by its measure
-alone.  Each fact is read one way: the measure as gen.mu, the weight as
+MeasureGenerator of their measure; the x^t of the relaxed commutative family
+is GeometricGenerator(t).  DivergenceSpec and kubo_ando_mean take a
+MeasureGenerator and are validated by its measure alone.  Each fact is read one way: the measure as gen.mu, the weight as
 DivergenceSpec.c, its center of mass.  The log generator belongs to the
 commutative family only: it is strictly concave and C^1, not operator
 monotone, and has no measure, so it has no CLI shorthand or JSON kind.
@@ -85,10 +84,6 @@ def GeometricGenerator(lam: float) -> MeasureGenerator:
 def HarmonicGenerator(lam: float) -> MeasureGenerator:
     """f(x) = x / ((1-lam) x + lam), the weighted harmonic mean: a unit atom at lam."""
     return MeasureGenerator(dirac(_check_unit_interval("lam", lam)))
-
-
-# f(x) = x^t of the relaxed commutative family is the geometric generator.
-PowerGenerator = GeometricGenerator
 
 
 Generator = Union[MeasureGenerator, LogGenerator]

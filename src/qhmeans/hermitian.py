@@ -219,15 +219,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def loewner_leq(A: MatrixLike, B: MatrixLike, tol: float = 1e-10) -> bool:
-    """True iff A <= B in the Loewner order to a tolerance relative to the
-    pair's scale: min eig(B - A) >= -tol max(||A||_2, ||B||_2)."""
-    a, b = _mat(A), _mat(B)
-    _check_same_dim(a, b)
-    scale = max(np.linalg.norm(a, 2), np.linalg.norm(b, 2))
-    return bool(np.linalg.eigvalsh(_hermitian_part(b - a))[0] >= -tol * scale)
-
-
 def frobenius_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Frobenius distance ||A - B||_F."""
     a, b = _mat(A), _mat(B)

@@ -246,12 +246,14 @@ def _padded(rows) -> np.ndarray:
 
 
 def _convex_order_holds(mu_locs, mu_masses, nu_locs, nu_masses, tol: float = 1e-10) -> np.ndarray:
-    """convex_order_leq over n pairs of discrete measures given as atom arrays
-    of shape (n, K), padded with zero mass, as an (n,) boolean array.
+    """Whether mu precedes nu in the convex order, over n pairs of discrete
+    measures given as atom arrays of shape (n, K), padded with zero mass, as an
+    (n,) boolean array.
 
     Equal means, and at every atom location t (padding included, which only
     adds true constraints) the hockey-stick integral of (l - t)_+ under mu at
-    most that under nu.
+    most that under nu.  Both integrals are piecewise linear in t, so these
+    thresholds suffice.
     """
     means_equal = np.abs(np.sum(mu_masses * mu_locs, -1) - np.sum(nu_masses * nu_locs, -1)) <= tol
     t = np.concatenate((mu_locs, nu_locs), -1)[:, None, :]
@@ -262,18 +264,3 @@ def _convex_order_holds(mu_locs, mu_masses, nu_locs, nu_masses, tol: float = 1e-
 
     dominated = hockey_stick(mu_locs, mu_masses) <= hockey_stick(nu_locs, nu_masses) + tol
     return means_equal & dominated.all(-1)
-
-
-def convex_order_leq(mu: Measure, nu: Measure, tol: float = 1e-10) -> bool:
-    """True iff mu precedes nu in the convex order.
-
-    Only discrete measures are compared: equal means plus dominance of the
-    hockey-stick integrals at every atom location is sufficient there,
-    because both integrals are piecewise linear in the threshold.
-    """
-    if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
-        raise UnsupportedVariantError(
-            "convex order comparison is only supported for discrete measures"
-        )
-    locs, masses = _padded([mu.locations, nu.locations]), _padded([mu.masses, nu.masses])
-    return bool(_convex_order_holds(locs[:1], masses[:1], locs[1:], masses[1:], tol)[0])

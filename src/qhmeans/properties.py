@@ -27,20 +27,16 @@ import numpy as np
 from .channels import (
     TP_ATOL,
     _complex,
-    _complex_gaussian,
     _dpi_slacks,
     _joint_convexity_slacks,
     _kraus_defects,
     _kraus_stack,
 )
 from .divergences import _means, _phi_batch
-from .errors import DegenerateTrialError, DomainError
+from .errors import DegenerateTrialError
 from .generators import DivergenceSpec
-from .hermitian import (
-    PD_REL_FLOOR, PositiveDefiniteMatrix, _hermitian_part, _require_count, _require_pd, _spectral,
-    frobenius_dist,
-)
-from .measures import DiscreteMeasure, _atoms, _convex_order_holds, _generator_values, _padded
+from .hermitian import _hermitian_part, _require_count, _require_pd, _spectral, frobenius_dist
+from .measures import _atoms, _convex_order_holds, _generator_values, _padded
 from .serialize import matrix_to_json as _matrix_json
 
 SLACK_FLOOR = -1e-9
@@ -54,8 +50,9 @@ def trial_rng(seed: int, campaign: str, trial: int) -> np.random.Generator:
 
 
 def _pd_draw(rng: np.random.Generator, dim: int, spread: float = 1.2):
-    """The random numbers behind one random_pd, as the rng gives them: the real
-    and imaginary parts of a complex Gaussian, then a log-spectrum."""
+    """The random numbers behind one random positive definite matrix, as the
+    rng gives them: the real and imaginary parts of a complex Gaussian, then a
+    log-spectrum in [-spread, spread]."""
     return rng.standard_normal((2, dim, dim)), rng.uniform(-spread, spread, size=dim)
 
 
@@ -71,31 +68,10 @@ def _pd_stacks(draws, dim: int) -> np.ndarray:
     return _hermitian_part(_spectral(np.linalg.qr(g)[0], eigs)).swapaxes(0, 1)
 
 
-# A drawn spectrum spans up to e^(2 spread); the limit keeps that a decade
-# inside the positive definite floor, which eigvalsh's rounding of the built
-# matrix then cannot cross.
-MAX_SPREAD = 0.5 * float(np.log(0.1 / PD_REL_FLOOR))
-
-
-def random_pd(rng: np.random.Generator, dim: int, spread: float = 1.2) -> PositiveDefiniteMatrix:
-    """Random positive definite matrix with eigenvalues in [e^-spread, e^spread],
-    for 0 <= spread <= MAX_SPREAD (about 16.1)."""
-    dim = _require_count("dim", dim)
-    if not 0 <= spread <= MAX_SPREAD:  # the positive form fails NaN
-        raise DomainError(f"spread must be finite and in [0, {MAX_SPREAD:.4f}], got {spread!r}")
-    return PositiveDefiniteMatrix(_pd_stacks([[_pd_draw(rng, dim, spread)]], dim)[0, 0])
-
-
 def _hermitian_stack(g: np.ndarray) -> np.ndarray:
     """Hermitian parts of a stack of matrices, each scaled to unit Frobenius norm."""
     h = _hermitian_part(g)
     return h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random Hermitian matrix of unit Frobenius norm."""
-    dim = _require_count("dim", dim)
-    return _hermitian_stack(_complex_gaussian(rng, (dim, dim)))
 
 
 @dataclass
@@ -253,20 +229,15 @@ def _axiom_trials(spec, dim, draws):
 
 
 def _convex_order_atoms(rng: np.random.Generator):
-    """The atoms of random_convex_order_pair as arrays: mu's locations, nu's
-    locations and the masses they share."""
+    """A pair mu <= nu in the convex order as atom arrays: nu random, mu its
+    contraction toward their common mean; mu's locations, nu's locations and
+    the masses they share."""
     n = int(rng.integers(2, 6))
     locs = rng.uniform(0.05, 0.95, size=n)
     masses = rng.dirichlet(np.ones(n))
     mean = float(np.dot(locs, masses))
     shrink = rng.uniform(0.0, 0.95)
     return mean + shrink * (locs - mean), locs, masses
-
-
-def random_convex_order_pair(rng: np.random.Generator):
-    """A pair mu <= nu in the convex order: nu random, mu its contraction."""
-    mu_locs, nu_locs, masses = _convex_order_atoms(rng)
-    return DiscreteMeasure(_atoms(mu_locs, masses)), DiscreteMeasure(_atoms(nu_locs, masses))
 
 
 def _convex_order_draw(dim, rng):

@@ -1,4 +1,5 @@
-"""JSON encodings for matrices, measures, generators, ensembles, channels.
+"""JSON encodings: the CLI reads matrices, ensembles and generators (with
+their measures), and writes matrices and solver reports.
 
 Matrix encoding: {"dim": d, "re": [[...]], "im": [[...]]} with row-major real
 and imaginary parts; an omitted "im" means an all-zero imaginary part.
@@ -11,7 +12,6 @@ from dataclasses import fields
 import numpy as np
 
 from .barycenter import SolverReport, WeightedEnsemble
-from .channels import QuantumChannel
 from .errors import DomainError
 from .generators import (
     ArithmeticGenerator,
@@ -50,14 +50,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def measure_to_json(mu: Measure) -> dict:
-    if isinstance(mu, BetaTypeMeasure):
-        return {"kind": "beta", "t": mu.t}
-    if isinstance(mu, DiscreteMeasure):
-        return {"kind": "discrete", "atoms": [[l, m] for l, m in mu.atoms]}
-    raise DomainError(f"unknown measure variant {type(mu).__name__}")
-
-
 def measure_from_json(obj: dict) -> Measure:
     """A measure from its JSON object.  The "arcsine" kind loads as the
     Beta-type t = 1/2, and the "tabulated" kind, nodes in (0,1) with their
@@ -82,16 +74,10 @@ def measure_from_json(obj: dict) -> Measure:
     raise DomainError(f"unknown measure kind {kind!r}")
 
 
-def generator_to_json(gen: MeasureGenerator) -> dict:
-    if isinstance(gen, MeasureGenerator):
-        return {"kind": "measure", "mu": measure_to_json(gen.mu)}
-    raise DomainError(f"unknown generator variant {type(gen).__name__}")
-
-
 def generator_from_json(obj: dict) -> MeasureGenerator:
     """A generator from its JSON object.  The named kinds (arithmetic,
     geometric, harmonic, power) load as the MeasureGenerator of their measure,
-    which generator_to_json writes as the "measure" kind."""
+    the same generator as the "measure" kind of that measure."""
     try:
         kind = obj.get("kind")
         if kind == "arithmetic":
@@ -111,13 +97,6 @@ def generator_from_json(obj: dict) -> MeasureGenerator:
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
-def ensemble_to_json(ens: WeightedEnsemble) -> dict:
-    return {
-        "matrices": [matrix_to_json(A) for A in ens.matrices],
-        "weights": ens.weights.tolist(),
-    }
-
-
 def ensemble_from_json(obj: dict) -> WeightedEnsemble:
     try:
         mats = [matrix_from_json(m) for m in obj["matrices"]]
@@ -125,18 +104,6 @@ def ensemble_from_json(obj: dict) -> WeightedEnsemble:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed ensemble object: {exc}") from exc
     return WeightedEnsemble(tuple(mats), weights)
-
-
-def channel_to_json(T: QuantumChannel) -> dict:
-    return {"kraus": [matrix_to_json(K) for K in T.kraus]}
-
-
-def channel_from_json(obj: dict) -> QuantumChannel:
-    try:
-        kraus = [matrix_from_json(K) for K in obj["kraus"]]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed channel object: {exc}") from exc
-    return QuantumChannel(kraus)
 
 
 def report_to_json(report: SolverReport) -> dict:

@@ -14,7 +14,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qhmeans import PositiveDefiniteMatrix, pd
+from qhmeans import (
+    DiscreteMeasure,
+    PositiveDefiniteMatrix,
+    QuantumChannel,
+    UnsupportedVariantError,
+    euclidean_gradient,
+    herm,
+    pd,
+)
+from qhmeans.channels import _complex_gaussian
+from qhmeans.hermitian import _check_same_dim, _hermitian_part, _mat
+from qhmeans.measures import _atoms, _convex_order_holds, _padded
+from qhmeans.properties import _convex_order_atoms, _hermitian_stack, _pd_draw, _pd_stacks
 
 # scipy is a test dependency only: it backs the Beta-type Gauss rules that
 # `quadrature` builds and the independent QAWS, brentq and block-power
@@ -265,3 +277,62 @@ def power_derivative(M, A, t):
 
     block = np.block([[M, A], [np.zeros_like(M), M]])
     return fractional_matrix_power(block, t)[: len(M), len(M):]
+
+
+# Test inputs and oracles built on the package's internals.  The property
+# samplers draw from an rng as the campaigns do, so a trial's draws are
+# bit-identical to the campaign's.
+
+
+def random_pd(rng, dim, spread=1.2):
+    """A campaign's random positive definite matrix: Q diag(e^logs) Q* from
+    one _pd_draw, eigenvalues in [e^-spread, e^spread]."""
+    return PositiveDefiniteMatrix(_pd_stacks([[_pd_draw(rng, dim, spread)]], dim)[0, 0])
+
+
+def random_hermitian(rng, dim):
+    """A campaign's random Hermitian direction, of unit Frobenius norm."""
+    return _hermitian_stack(_complex_gaussian(rng, (dim, dim)))
+
+
+def random_convex_order_pair(rng):
+    """A campaign's pair mu <= nu in the convex order, as DiscreteMeasures."""
+    mu_locs, nu_locs, masses = _convex_order_atoms(rng)
+    return DiscreteMeasure(_atoms(mu_locs, masses)), DiscreteMeasure(_atoms(nu_locs, masses))
+
+
+def convex_order_leq(mu, nu, tol=1e-10):
+    """mu <= nu in the convex order, for two discrete measures: the one-pair
+    call of the campaign's test."""
+    if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
+        raise UnsupportedVariantError("convex order comparison is only supported for discrete measures")
+    locs, masses = _padded([mu.locations, nu.locations]), _padded([mu.masses, nu.masses])
+    return bool(_convex_order_holds(locs[:1], masses[:1], locs[1:], masses[1:], tol)[0])
+
+
+def loewner_leq(A, B, tol=1e-10):
+    """A <= B in the Loewner order to a tolerance relative to the pair's
+    scale: min eig(B - A) >= -tol max(||A||_2, ||B||_2)."""
+    a, b = _mat(A), _mat(B)
+    _check_same_dim(a, b)
+    scale = max(np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    return bool(np.linalg.eigvalsh(_hermitian_part(b - a))[0] >= -tol * scale)
+
+
+def gradient_norm(ens, X, spec):
+    """||G||_F of the barycenter gradient at X: zero at the barycenter."""
+    G = euclidean_gradient(ens, X, spec).mat
+    return float(np.sqrt(np.vdot(G, G).real))
+
+
+def pinching_channel(d):
+    """Projection onto the diagonal subalgebra: Kraus operators e_i e_i*."""
+    eye = np.eye(d)
+    return QuantumChannel(eye[:, :, None] * eye[:, None, :])
+
+
+def choi_matrix(T):
+    """Choi matrix sum_ij e_i e_j* (x) T(e_i e_j*), PSD iff T is completely
+    positive.  Row k of V is K_k column-stacked, so Choi = V^T conj(V)."""
+    V = T.kraus.swapaxes(1, 2).reshape(len(T.kraus), -1)
+    return herm(V.T @ V.conj())

@@ -29,21 +29,22 @@ from qhmeans import (
     solve_barycenter,
     solve_mean_equation,
     herm,
-    loewner_leq,
     MeasureGenerator,
     ArcsineMeasure,
     BetaTypeMeasure,
-    convex_order_leq,
 )
-from qhmeans.properties import random_convex_order_pair, run_campaigns
+from qhmeans.properties import run_campaigns
 
 from conftest import (
     REF_A1,
     REF_A2,
     REF_BARYCENTER,
     REF_ONE_STEP,
+    convex_order_leq,
+    loewner_leq,
     needs_scipy,
     power_derivative,
+    random_convex_order_pair,
     random_hermitian_np,
     random_pd_np,
 )

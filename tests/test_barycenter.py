@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qhmeans import (
     ArcsineMeasure,
+    ArithmeticGenerator,
     BetaTypeMeasure,
     DimensionMismatchError,
     DiscreteMeasure,
@@ -30,7 +32,6 @@ from qhmeans import (
     noncommutativity_measure,
     objective,
     pd,
-    residual,
     solve_barycenter,
     solve_mean_equation,
     solve_power_mean,
@@ -50,6 +51,7 @@ from conftest import (
     REF_ONE_STEP,
     REF_THREE_WEIGHTS,
     assembled_gradient,
+    gradient_norm,
     mp_barycenter,
     mp_map_residual,
     mp_power_mean2,
@@ -279,10 +281,10 @@ class TestGradient:
 
     def test_residual_small_at_published_solution(self):
         # the published 6-digit matrix is itself near-stationary
-        assert residual(ref_ensemble(), pd(REF_BARYCENTER), ARCSINE_SPEC) <= 1e-6
+        assert gradient_norm(ref_ensemble(), pd(REF_BARYCENTER), ARCSINE_SPEC) <= 1e-6
 
     def test_residual_positive_at_identity(self):
-        assert residual(ref_ensemble(), pd(np.eye(2)), ARCSINE_SPEC) > 1e-2
+        assert gradient_norm(ref_ensemble(), pd(np.eye(2)), ARCSINE_SPEC) > 1e-2
 
 
 class TestMeasureFrechetDerivative:
@@ -396,7 +398,7 @@ class TestSolveBarycenter:
         expected = (w @ lam ** (1 - t)) ** (1 / (1 - t)) * A
         scale = np.linalg.norm(expected)
         assert np.linalg.norm(report.solution.mat - expected) <= 1e-13 * scale
-        fresh = residual(ens, report.solution, spec)
+        fresh = gradient_norm(ens, report.solution, spec)
         assert abs(report.final_residual - fresh) <= 64 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("gen", POWER_GENERATORS, ids=POWER_IDS)
@@ -421,7 +423,7 @@ class TestSolveBarycenter:
             assert stop.iterations == 0
             point = alpha * mean.mat
             assert np.linalg.norm(stop.solution.mat - point) <= 1e-12 * np.linalg.norm(point)
-            fresh = residual(ens, stop.solution, spec)
+            fresh = gradient_norm(ens, stop.solution, spec)
             assert stop.final_residual == pytest.approx(fresh, rel=1e-10)
 
     def test_atom_sum_generators_and_given_guesses_start_as_given(self, rng):
@@ -696,7 +698,7 @@ class TestNewtonSpectralPass:
         assert report.iterations <= 20
         assert len(passes) <= 300
         assert report.final_residual == pytest.approx(
-            residual(ens, report.solution, ARCSINE_SPEC), rel=1e-12
+            gradient_norm(ens, report.solution, ARCSINE_SPEC), rel=1e-12
         )
 
     def test_smallest_step_still_demands_a_strict_decrease(self):
@@ -723,7 +725,7 @@ class TestNewtonSpectralPass:
         assert not report.converged
         PositiveDefiniteMatrix(report.solution.mat)  # the predicate holds
         assert report.final_residual == pytest.approx(
-            residual(ens, report.solution, spec), rel=1e-10
+            gradient_norm(ens, report.solution, spec), rel=1e-10
         )
 
     def test_report_refuses_when_no_point_passes_the_predicate(self):
@@ -848,9 +850,27 @@ class TestSolvePowerMean:
 
 class TestSolveMeanEquation:
     def test_generator_flat_at_one_is_refused(self):
-        # a unit atom at 0 makes f = 1, so f'(1) = 0 and the map has no scale
+        # f = 1 has f'(1) = 0, so the map has no scale; a duck-typed generator
+        # meets this test, where a measure meets DivergenceSpec's rule first
+        flat = SimpleNamespace(f=np.ones_like, f_prime=np.zeros_like)
         with pytest.raises(DomainError, match="positive derivative at 1"):
-            solve_mean_equation(ref_ensemble(), MeasureGenerator(dirac(0.0)))
+            solve_mean_equation(ref_ensemble(), flat)
+
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            ArithmeticGenerator(0.3),
+            MeasureGenerator(dirac(1.0)),
+            MeasureGenerator(dirac(0.0)),
+            MeasureGenerator(DiscreteMeasure(((0.0, 0.5), (1.0, 0.5), (0.5, 1e-300)))),
+        ],
+        ids=["arithmetic:0.3", "dirac-1", "dirac-0", "inner-1e-300"],
+    )
+    def test_bare_generator_affine_to_rounding_is_refused(self, gen):
+        # for an affine f the map is the identity, so every X would solve the
+        # equation: a bare measure generator meets DivergenceSpec's rule
+        with pytest.raises(DomainError, match="affine to rounding"):
+            solve_mean_equation(ref_ensemble(), gen)
 
     def test_single_member(self, rng):
         A = random_pd_np(rng, 3)
@@ -884,14 +904,14 @@ class TestSolveMeanEquation:
         ) <= 1e-8
 
 
-def map_residual(ens, X, s):
+def map_gradient_norm(ens, X, s):
     """||sum_j w_j X #_s A_j - X||_F / ||X||_F through kubo_ando_mean."""
     gen = GeometricGenerator(s)
     image = sum(w * kubo_ando_mean(X, A, gen).mat for w, A in zip(ens.weights, ens.matrices))
     return float(np.linalg.norm(image - X.mat) / np.linalg.norm(X.mat))
 
 
-def harmonic_map_residual(ens, X, lam):
+def harmonic_map_gradient_norm(ens, X, lam):
     """The mean-equation map residual of HarmonicGenerator(lam) through kubo_ando_mean.
 
     f'(1/m) / f'(1) = h(m)^2 for h(m) = m / (lam m + 1 - lam), the generator of
@@ -986,7 +1006,7 @@ class TestFixedPointMap:
         report = solve_power_mean(ens, 0.95, opts)
         assert report.converged
         assert report.iterations <= 30
-        assert map_residual(ens, report.solution, 0.05) <= 10 * opts.residual_tol
+        assert map_gradient_norm(ens, report.solution, 0.05) <= 10 * opts.residual_tol
 
     @pytest.mark.parametrize("solver", ["power:0.25", "power:0.75", "harmonic:0.3"])
     def test_report_traces_one_residual_per_iteration(self, rng, solver):
@@ -1016,7 +1036,7 @@ class TestFixedPointMap:
             t = 0.5  # the arcsine measure represents the square root
             report = solve_mean_equation(ens, ARCSINE_SPEC, opts)
         assert report.converged
-        assert map_residual(ens, report.solution, 1.0 - t) <= 10 * opts.residual_tol
+        assert map_gradient_norm(ens, report.solution, 1.0 - t) <= 10 * opts.residual_tol
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_extrapolation_outside_the_cone_falls_back(self, seed):
@@ -1033,7 +1053,7 @@ class TestFixedPointMap:
         opts = SolverOptions()
         report = solve_power_mean(ens, 0.75, opts)
         assert report.converged
-        assert map_residual(ens, report.solution, 0.25) <= 10 * opts.residual_tol
+        assert map_gradient_norm(ens, report.solution, 0.25) <= 10 * opts.residual_tol
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_scalar_ensemble_matches_closed_form(self, rng, t):
@@ -1138,7 +1158,7 @@ class TestFixedPointMap:
         report = solve_power_mean(ens, 0.5, opts)
         assert report.converged
         assert len(refused) == report.iterations - 2  # iterations 2 .. k-1
-        assert map_residual(ens, report.solution, 0.5) <= 10 * opts.residual_tol
+        assert map_gradient_norm(ens, report.solution, 0.5) <= 10 * opts.residual_tol
 
     @pytest.mark.parametrize("t", [0.75, 0.9])
     def test_newton_point_outside_the_cone_at_spread_6(self, monkeypatch, t):
@@ -1166,7 +1186,7 @@ class TestFixedPointMap:
         report = solve_power_mean(ens, t, opts)
         assert report.converged
         assert refused or any(Y is None for Y in proposals)
-        assert map_residual(ens, report.solution, 1.0 - t) <= 10 * opts.residual_tol
+        assert map_gradient_norm(ens, report.solution, 1.0 - t) <= 10 * opts.residual_tol
 
     def test_pass_refuses_a_spectrum_at_or_below_zero(self):
         # X = I passes the Cholesky test, but M_2 = A_2 is indefinite: f' is
@@ -1215,7 +1235,7 @@ class TestFixedPointMap:
             ens, t, SolverOptions(max_iterations=1, initial_guess=report.solution)
         )
         assert again.final_residual == report.final_residual
-        assert map_residual(ens, report.solution, 1.0 - t) == pytest.approx(
+        assert map_gradient_norm(ens, report.solution, 1.0 - t) == pytest.approx(
             report.final_residual, rel=1e-10
         )
 
@@ -1267,7 +1287,7 @@ class TestFixedPointMap:
         opts = SolverOptions()
         report = solve_power_mean(ens, 0.75, opts)
         assert report.converged
-        assert map_residual(ens, report.solution, 0.25) <= 10 * opts.residual_tol
+        assert map_gradient_norm(ens, report.solution, 0.25) <= 10 * opts.residual_tol
         assert len(calls) > 2  # the refused proposal was taken
 
     @pytest.mark.parametrize(
@@ -1304,9 +1324,9 @@ class TestFixedPointMap:
         report = fixed_point_solve(ens, solver, SolverOptions(max_iterations=1, initial_guess=X))
         family, _, arg = solver.partition(":")
         if family == "power":
-            expected = map_residual(ens, X, 1.0 - float(arg))
+            expected = map_gradient_norm(ens, X, 1.0 - float(arg))
         else:
-            expected = harmonic_map_residual(ens, X, float(arg))
+            expected = harmonic_map_gradient_norm(ens, X, float(arg))
         assert expected >= 0.01  # X is not the mean
         assert report.objective_trace[0] == pytest.approx(expected, rel=1e-12)
 

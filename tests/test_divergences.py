@@ -15,13 +15,11 @@ from qhmeans import (
     HarmonicGenerator,
     LogGenerator,
     MeasureGenerator,
-    PowerGenerator,
     UnsupportedGeneratorError,
     arcsine_generator,
     center_of_mass,
     check_dpi,
     check_joint_convexity,
-    classical_hellinger,
     commutative_phi,
     dirac,
     g_of,
@@ -41,7 +39,9 @@ from conftest import (
     REF_A1,
     REF_A2,
     REF_PHI_A1_A2,
+    convex_order_leq,
     hellinger_phi2,
+    loewner_leq,
     mp_phi,
     random_hermitian_np,
     random_pd_np,
@@ -54,7 +54,7 @@ ALL_MEAN_GENERATORS = [
     GeometricGenerator(0.25),
     HarmonicGenerator(0.3),
     arcsine_generator(),
-    PowerGenerator(0.7),
+    GeometricGenerator(0.7),
 ]
 
 
@@ -380,7 +380,7 @@ class TestCommutativePhi:
             a = np.exp(rng.uniform(-1, 1, size=4))
             b = np.exp(rng.uniform(-1, 1, size=4))
             oracle = np.sum((1 - t) * a + t * b - a ** (1 - t) * b**t)
-            val = commutative_phi(pd(np.diag(a)), pd(np.diag(b)), PowerGenerator(t))
+            val = commutative_phi(pd(np.diag(a)), pd(np.diag(b)), GeometricGenerator(t))
             assert val == pytest.approx(oracle, abs=1e-12)
 
     def test_log_is_relative_entropy(self):
@@ -406,51 +406,42 @@ class TestCommutativePhi:
         a = np.exp(rng.uniform(-1, 1, size=3))
         b = np.exp(rng.uniform(-1, 1, size=3))
         A, B = pd(np.diag(a)), pd(np.diag(b))
-        scaled = commutative_phi(A, B, PowerGenerator(t)) / t
+        scaled = commutative_phi(A, B, GeometricGenerator(t)) / t
         log_val = commutative_phi(A, B, LogGenerator())
         assert scaled == pytest.approx(log_val, rel=1e-4)
 
 
+HELLINGER = GeometricGenerator(0.5)
+HELLINGER_PATHS = {
+    "phi": lambda A, B: phi(A, B, DivergenceSpec(HELLINGER)),
+    "phi_via_g": lambda A, B: phi_via_g(A, B, DivergenceSpec(HELLINGER)),
+    "phi_via_bregman": lambda A, B: phi_via_bregman(A, B, DivergenceSpec(HELLINGER)),
+    "commutative_phi": lambda A, B: commutative_phi(A, B, HELLINGER),
+}
+
+
+@pytest.mark.parametrize("path", HELLINGER_PATHS.values(), ids=HELLINGER_PATHS.keys())
 class TestClassicalHellinger:
-    def test_zero_on_equal(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert classical_hellinger(p, p) == 0.0
+    """On commuting density matrices with spectra p and q, the quantum
+    Hellinger divergence Tr((A + B)/2 - A # B) of every phi path is the
+    squared Hellinger distance (1/2) sum (sqrt(p_i) - sqrt(q_i))^2."""
 
-    def test_disjoint_supports(self):
-        assert classical_hellinger([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+    def test_zero_on_equal(self, path):
+        A = pd(np.diag([0.2, 0.3, 0.5]))
+        assert abs(path(A, A)) <= 1e-15
 
-    def test_half_split(self):
-        val = classical_hellinger([0.5, 0.5], [1.0, 0.0])
-        assert val == pytest.approx(1 - np.sqrt(0.5), abs=1e-14)
+    def test_half_split(self, path):
+        val = path(pd(np.diag([0.5, 0.5])), pd(np.diag([0.9, 0.1])))
+        assert val == pytest.approx(1 - np.sqrt(0.45) - np.sqrt(0.05), abs=1e-14)
 
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            classical_hellinger([1.2, -0.2], [0.5, 0.5])
-
-    @pytest.mark.parametrize(
-        "p, q", [([0.5, 0.5], [0.2, 0.3, 0.5]), ([[0.5, 0.5]], [[0.5, 0.5]])], ids=["lengths", "2-d"]
-    )
-    def test_rejects_mismatched_shapes(self, p, q):
-        with pytest.raises(DimensionMismatchError, match="equal-length 1-d"):
-            classical_hellinger(p, q)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(DomainError):
-            classical_hellinger([0.5, 0.4], [0.5, 0.5])
-
-    @pytest.mark.parametrize(
-        "p, q",
-        [([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [np.nan, 1.0]), ([np.inf, 0.5], [0.5, 0.5])],
-    )
-    def test_rejects_non_finite(self, p, q):
-        with pytest.raises(DomainError, match="finite nonnegative"):
-            classical_hellinger(p, q)
-
-    def test_range(self, rng):
+    def test_range_on_rotated_pairs(self, path, rng):
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))
             q = rng.dirichlet(np.ones(4))
-            val = classical_hellinger(p, q)
+            U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            A, B = (pd(U @ np.diag(v) @ U.conj().T) for v in (p, q))
+            val = path(A, B)
+            assert val == pytest.approx(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2), abs=1e-13)
             assert -1e-15 <= val <= 1.0 + 1e-12
 
 
@@ -494,8 +485,6 @@ class TestJointConvexity:
 
 class TestConvexOrderMeanMonotonicity:
     def test_dirac_vs_spread(self, rng):
-        from qhmeans import DiscreteMeasure, convex_order_leq, loewner_leq
-
         for _ in range(10):
             c = rng.uniform(0.2, 0.8)
             mu = DiscreteMeasure(((c, 1.0),))

@@ -14,7 +14,6 @@ from qhmeans import (
     HarmonicGenerator,
     LogGenerator,
     MeasureGenerator,
-    PowerGenerator,
     UnsupportedGeneratorError,
     arcsine_generator,
     center_of_mass,
@@ -54,7 +53,7 @@ class TestClosedForms:
             assert center_of_mass(gen.mu) == pytest.approx(lam)
 
     def test_parameter_range(self):
-        for cls in (ArithmeticGenerator, GeometricGenerator, HarmonicGenerator, PowerGenerator):
+        for cls in (ArithmeticGenerator, GeometricGenerator, HarmonicGenerator):
             with pytest.raises(DomainError):
                 cls(0.0)
             with pytest.raises(DomainError):
@@ -67,7 +66,6 @@ class TestClosedForms:
             ArithmeticGenerator(lam),
             GeometricGenerator(lam),
             HarmonicGenerator(lam),
-            PowerGenerator(lam),
             LogGenerator(),
             MeasureGenerator(BetaTypeMeasure(lam)),
         ]
@@ -113,7 +111,6 @@ class TestRepresentingMeasures:
         )
         assert GeometricGenerator(lam) == MeasureGenerator(BetaTypeMeasure(lam))
         assert HarmonicGenerator(lam) == MeasureGenerator(dirac(lam))
-        assert PowerGenerator(lam) == GeometricGenerator(lam)
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("cls", list(CLOSED_FORMS), ids=lambda c: c.__name__)
@@ -130,7 +127,7 @@ class TestDivergenceSpec:
             GeometricGenerator(0.5),
             HarmonicGenerator(0.3),
             MeasureGenerator(ArcsineMeasure()),
-            PowerGenerator(0.25),
+            GeometricGenerator(0.25),
             MeasureGenerator(DiscreteMeasure(((0.2, 0.5), (0.9, 0.5)))),
         ):
             spec = DivergenceSpec(gen)

@@ -19,7 +19,6 @@ from qhmeans import (
     frobenius_dist,
     herm,
     inv_sqrt_pd,
-    loewner_leq,
     pd,
     phi,
     sqrt_pd,
@@ -30,7 +29,7 @@ from qhmeans.hermitian import (
     _TIE_RTOL, _apply_spectral_raw, _divided_differences, _second_divided_differences, _spectral
 )
 
-from conftest import random_pd_np
+from conftest import loewner_leq, random_pd_np
 
 A2 = 0.5 * np.array([[5.0, 3.0], [3.0, 5.0]])
 
@@ -207,6 +206,8 @@ class TestPdFunctions:
 
 
 class TestLoewner:
+    """The Loewner-order oracle of the acceptance and monotonicity tests."""
+
     def test_reflexive(self, rng):
         A = herm(random_pd_np(rng, 3))
         assert loewner_leq(A, A, 1e-12)

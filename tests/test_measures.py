@@ -14,7 +14,6 @@ from qhmeans import (
     MeasureGenerator,
     UnsupportedVariantError,
     center_of_mass,
-    convex_order_leq,
     dirac,
     f_mu,
     f_mu_prime,
@@ -29,7 +28,7 @@ from qhmeans.measures import (
     _second_differences,
 )
 
-from conftest import needs_scipy
+from conftest import convex_order_leq, needs_scipy
 
 X_GRID = np.logspace(-3, 3, 61)
 

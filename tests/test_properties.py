@@ -13,22 +13,21 @@ import qhmeans.channels as channels
 import qhmeans.measures as measures
 import qhmeans.properties as properties
 from qhmeans import DegenerateTrialError, DivergenceSpec, DomainError, MeasureGenerator, arcsine_generator
-from qhmeans.channels import check_dpi, check_joint_convexity, kraus_defect, random_cptp
+from qhmeans.channels import _kraus_defects, check_dpi, check_joint_convexity, random_cptp
 from qhmeans.cli import parse_generator
 from qhmeans.divergences import kubo_ando_mean, phi
-from qhmeans.hermitian import _hermitian_part, _spectral
+from qhmeans.hermitian import PD_REL_FLOOR, _hermitian_part, _spectral
 from qhmeans.properties import (
-    MAX_SPREAD,
+    SLACK_FLOOR,
     CampaignResult,
     PropertyReport,
     format_report,
-    random_convex_order_pair,
-    random_hermitian,
-    random_pd,
     run_campaigns,
     trial_rng,
 )
 from qhmeans.serialize import matrix_from_json
+
+from conftest import random_convex_order_pair, random_hermitian, random_pd
 
 ARCSINE_SPEC = DivergenceSpec(arcsine_generator())
 GOLDEN = json.loads((Path(__file__).parent / "data" / "campaign_golden.json").read_text())
@@ -82,8 +81,8 @@ def test_corrupt_channel_failure_keeps_its_kraus_operators():
     assert dpi.violations == 1
     (failure,) = dpi.failures
     assert failure["trial"] == 0
-    kraus = [matrix_from_json(K) for K in failure["inputs"]["kraus"]]
-    assert kraus_defect(kraus) == pytest.approx(-failure["slack"], abs=1e-12)
+    kraus = np.array([matrix_from_json(K) for K in failure["inputs"]["kraus"]])
+    assert _kraus_defects(kraus) == pytest.approx(-failure["slack"], abs=1e-12)
 
 
 def _nan_then_finite_slack():
@@ -150,39 +149,14 @@ def test_batched_assembly_equals_the_one_draw_construction(seed, dim):
     assert np.array_equal(channels._complex(raw), np.array([re + 1j * im for re, im in gaussians]))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        partial(random_pd, dim=0),
-        partial(random_pd, dim=2.5),
-        partial(random_pd, dim=True),
-        partial(random_pd, dim=3, spread=-1.0),
-        partial(random_pd, dim=3, spread=float("nan")),
-        partial(random_pd, dim=3, spread=float("inf")),
-        partial(random_pd, dim=3, spread=400.0),
-        partial(random_pd, dim=3, spread=np.nextafter(MAX_SPREAD, np.inf)),
-        partial(random_hermitian, dim=0),
-        partial(random_hermitian, dim=2.5),
-        partial(random_hermitian, dim=-1),
-    ],
-    ids=[
-        "pd-dim-zero", "pd-dim-fractional", "pd-dim-bool", "pd-spread-negative",
-        "pd-spread-nan", "pd-spread-inf", "pd-spread-huge", "pd-spread-above-limit",
-        "hermitian-dim-zero", "hermitian-dim-fractional",
-        "hermitian-dim-negative",
-    ],
-)
-def test_random_matrices_refuse_bad_arguments_before_drawing(call):
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
-    with pytest.raises(DomainError, match="dim must be an integer|spread must be finite"):
-        call(rng)
-    assert rng.bit_generator.state == state
+def test_random_pd_accepts_a_zero_spread():
+    A = random_pd(np.random.default_rng(5), 3, spread=0.0)
+    assert np.allclose(A.mat, np.eye(3), atol=1e-14)
 
 
-def test_random_pd_refusal_names_the_spread_and_the_limit():
-    with pytest.raises(DomainError, match=r"\[0, 16\.1181\], got 400\.0"):
-        random_pd(np.random.default_rng(0), 3, 400.0)
+# A drawn spectrum spans up to e^(2 spread); at this spread that span is a
+# decade inside the positive definite floor.
+WIDEST_SPREAD = 0.5 * float(np.log(0.1 / PD_REL_FLOOR))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 16])
@@ -190,14 +164,28 @@ def test_random_pd_passes_its_own_check_up_to_the_limit(dim):
     # at the limit a drawn spectrum spans up to 1e14, a decade inside the
     # positive definite floor; above about 17.27 draws fail that floor
     for seed in range(100):
-        A = random_pd(np.random.default_rng(seed), dim, MAX_SPREAD)
+        A = random_pd(np.random.default_rng(seed), dim, WIDEST_SPREAD)
         w = np.linalg.eigvalsh(A.mat)
         assert w[-1] / w[0] <= 1.01e14
 
 
-def test_random_pd_accepts_a_zero_spread():
-    A = random_pd(np.random.default_rng(5), 3, spread=0.0)
-    assert np.allclose(A.mat, np.eye(3), atol=1e-14)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dim": 0}, "dim must be an integer >= 1, got 0"),
+        ({"dim": 2.5}, "dim must be an integer >= 1, got 2.5"),
+        ({"dim": True}, "dim must be an integer >= 1, got True"),
+        ({"dim": -1}, "dim must be an integer >= 1, got -1"),
+        ({"trials": -1}, "trials must be an integer >= 0, got -1"),
+        ({"trials": 2.5}, "trials must be an integer >= 0, got 2.5"),
+        ({"trials": True}, "trials must be an integer >= 0, got True"),
+    ],
+    ids=["dim-zero", "dim-fractional", "dim-bool", "dim-negative",
+         "trials-negative", "trials-fractional", "trials-bool"],
+)
+def test_run_campaigns_refuses_bad_counts(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        run_campaigns(ARCSINE_SPEC, **kwargs)
 
 
 def _batched_slacks(name, draw, evaluate, trials=5, seed=11):
@@ -270,6 +258,20 @@ def test_axiom_trial_at_equal_arguments_checks_the_diagonal():
     assert len(slacks) == 5
     assert slacks["phi ~ 0 only near the diagonal"] == 1e-4
     assert abs(slacks["nonnegativity phi(A,B) >= 0"]) <= 1e-12
+
+
+def test_axiom_trials_at_equal_arguments_record_no_violation():
+    # phi(A, A) reads a few eps below 0 on about half of these draws; record
+    # holds each slack to SLACK_FLOOR, not to 0, so no trial is a violation
+    spec = DivergenceSpec(parse_generator("harmonic:0.3"))
+    draws = [properties._axiom_draw(3, trial_rng(11, "divergence_axioms", i)) for i in range(40)]
+    result = CampaignResult("divergence_axioms", 40)
+    outcomes = properties._axiom_trials(spec, 3, [(A, A, Y) for A, _, Y in draws])
+    for i, records in enumerate(outcomes):
+        for slack, detail, inputs in records:
+            result.record(slack, i, detail, inputs)
+    assert result.passed and result.violations == 0
+    assert SLACK_FLOOR < -1e-12 <= result.worst_slack < 0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
