@@ -60,7 +60,6 @@ from .hermitian import (
     eig_hermitian,
     frechet_derivative,
     frobenius_dist,
-    herm,
     inv_sqrt_pd,
     pd,
     sqrt_pd,

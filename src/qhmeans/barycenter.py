@@ -28,13 +28,13 @@ quantifies noncommutativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
-from .generators import DivergenceSpec, GeometricGenerator, Generator, MeasureGenerator
+from .generators import DivergenceSpec, GeometricGenerator, Generator, LogGenerator, MeasureGenerator
 from .hermitian import (
     HermitianMatrix,
     MatrixLike,
@@ -66,21 +66,19 @@ _SHRINK = 0.5
 class WeightedEnsemble:
     """Positive definite matrices A_1..A_m with positive weights summing to 1.
 
-    The members are validated together: one Hermitian part and one eigvalsh of
-    their (m, d, d) stack, which is kept as `stack` for the solvers.  Members
-    given as PositiveDefiniteMatrix are kept as they are; the others become
-    PositiveDefiniteMatrix views of the stack.
+    The members, any square array-likes, are validated together: one
+    Hermitian part and one eigvalsh of their (m, d, d) stack.  That read-only
+    stack is the ensemble's one copy of them: stack[j] is A_j's Hermitian part.
     """
 
-    matrices: tuple
+    matrices: InitVar[Sequence[MatrixLike]]
     weights: np.ndarray
-    stack: np.ndarray = field(init=False, repr=False)
+    stack: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        members = tuple(self.matrices)
-        if not members:
+    def __post_init__(self, matrices):
+        arrays = [_mat(A) for A in matrices]
+        if not arrays:
             raise DomainError("an ensemble needs at least one matrix")
-        arrays = [_mat(A) for A in members]
         dim = arrays[0].shape[0]
         if any(a.shape[0] != dim for a in arrays):
             raise DimensionMismatchError("all ensemble matrices must share a dimension")
@@ -89,14 +87,10 @@ class WeightedEnsemble:
         stack = _hermitian_part(stack)
         _require_pd(np.linalg.eigvalsh(stack), "member")
         stack.setflags(write=False)
-        mats = tuple(
-            A if isinstance(A, PositiveDefiniteMatrix) else _validated_pd(S)
-            for A, S in zip(members, stack)
-        )
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(mats),):
+        if w.shape != (len(stack),):
             raise DimensionMismatchError(
-                f"{len(mats)} matrices but weight vector of shape {w.shape}"
+                f"{len(stack)} matrices but weight vector of shape {w.shape}"
             )
         # Positive forms, so a NaN weight fails them.
         if not (w > 0).all():
@@ -104,13 +98,12 @@ class WeightedEnsemble:
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise DomainError(f"ensemble weights sum to {w.sum()!r}, expected 1")
         w.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].dim
+        return self.stack.shape[-1]
 
     def arithmetic_mean(self) -> PositiveDefiniteMatrix:
         return PositiveDefiniteMatrix(self._mean_array())
@@ -490,11 +483,11 @@ def solve_mean_equation(
 
     This is the commutative stationarity equation read noncommutatively; for
     the square-root generator it reduces to the order-1/2 power mean equation.
-    Accepts a DivergenceSpec or a bare generator (e.g. the log generator,
-    whose equation collapses to the weighted arithmetic mean).  A bare
-    MeasureGenerator is held to DivergenceSpec's measure rule: for an f
-    affine to rounding the map is the identity, so every X would solve the
-    equation, and DomainError is raised instead.  The Cholesky
+    Accepts a DivergenceSpec, whose c is f'(1), or the LogGenerator, whose
+    equation collapses to the weighted arithmetic mean (c = f'(1) = 1).  Any
+    other generator is wrapped in a DivergenceSpec, so a duck-typed one raises
+    UnsupportedGeneratorError, and a MeasureGenerator with f affine to rounding
+    (whose map is the identity, solved by every X) DomainError.  The Cholesky
     factor L of X = L L* stands in for X^{1/2}, which leaves the right side
     unchanged: T(X) = L S L*.  A point has a pass (_map_pass) when it passes
     the Cholesky test and every M_j = L^{-1} A_j L^{-*} is positive definite.
@@ -518,15 +511,14 @@ def solve_mean_equation(
     unconverged, with an infinite residual.
     """
     opts = opts or SolverOptions()
-    if isinstance(spec, MeasureGenerator):
-        spec = DivergenceSpec(spec)
-    gen = spec.generator if isinstance(spec, DivergenceSpec) else spec
-    fp1 = float(np.asarray(gen.f_prime(1.0), dtype=np.float64))
-    if fp1 <= 0:
-        raise DomainError("generator must have positive derivative at 1")
+    if isinstance(spec, LogGenerator):
+        gen, c = spec, float(spec.f_prime(1.0))
+    else:
+        spec = spec if isinstance(spec, DivergenceSpec) else DivergenceSpec(spec)
+        gen, c = spec.generator, spec.c
     mu = gen.mu if isinstance(gen, MeasureGenerator) else None
     t = power_exponent(mu)
-    weights = ens.weights[:, None] / fp1  # the 1/f'(1) factor folded in
+    weights = ens.weights[:, None] / c  # the 1/f'(1) factor folded in
     member_weights = ens.weights[:, None, None]  # _map_differences divides by f'(1)
     start = _initial_state(ens, opts)
     point = _map_pass(start, ens.stack, weights, gen.f_prime)

@@ -25,10 +25,9 @@ from .barycenter import (
 from .divergences import kubo_ando_mean, phi
 from .errors import NonConvergenceError, QHMeansError
 from .generators import (
-    ArithmeticGenerator,
+    _FAMILIES,
     DivergenceSpec,
     GeometricGenerator,
-    HarmonicGenerator,
     MeasureGenerator,
     arcsine_generator,
 )
@@ -58,9 +57,8 @@ class InputError(QHMeansError):
     """CLI-level input problem (bad file, bad JSON, bad flag combination)."""
 
 
-# The shorthands that take one numeric parameter, and the family each builds.
-_SHORTHANDS = {"arithmetic": ArithmeticGenerator, "harmonic": HarmonicGenerator}
-_SHORTHANDS.update(dict.fromkeys(("geometric", "power", "beta"), GeometricGenerator))
+# The shorthands that take one numeric parameter; power:t and beta:t are geometric:t.
+_SHORTHANDS = dict(_FAMILIES, power=GeometricGenerator, beta=GeometricGenerator)
 
 
 def parse_generator(text: str) -> MeasureGenerator:

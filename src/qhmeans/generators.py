@@ -86,6 +86,10 @@ def HarmonicGenerator(lam: float) -> MeasureGenerator:
     return MeasureGenerator(dirac(_check_unit_interval("lam", lam)))
 
 
+# Each named family by its name: the one table the CLI shorthands and JSON kinds read.
+_FAMILIES = {"arithmetic": ArithmeticGenerator, "geometric": GeometricGenerator,
+             "harmonic": HarmonicGenerator}
+
 Generator = Union[MeasureGenerator, LogGenerator]
 
 

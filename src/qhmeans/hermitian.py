@@ -1,11 +1,14 @@
 """Complex Hermitian / positive definite matrix types and spectral calculus.
 
-All matrix functions go through a single primitive, the eigendecomposition:
-dimensions here are small enough that correctness and auditability beat
-Pade or scaling-and-squaring schemes.  The private helpers _hermitian_part,
-_spectral and _inv_root are the package's one route for (M + M*)/2,
-U diag(f(w)) U* and A^{-1/2}, on one matrix or a stack of them; A^{1/2} is
-_spectral of the eigenpairs _inv_root returns with it.
+HermitianMatrix keeps the read-only Hermitian part of a square array-like,
+and PositiveDefiniteMatrix (built by pd) one whose spectrum passes _require_pd;
+every function here reads either type or a raw array through _mat.  All matrix
+functions go through a single primitive, the eigendecomposition: dimensions
+here are small enough that correctness and auditability beat Pade or
+scaling-and-squaring schemes.  The private helpers _hermitian_part, _spectral
+and _inv_root are the package's one route for (M + M*)/2, U diag(f(w)) U* and
+A^{-1/2}, on one matrix or a stack of them; A^{1/2} is _spectral of the
+eigenpairs _inv_root returns with it.
 """
 
 from __future__ import annotations
@@ -83,9 +86,6 @@ class HermitianMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.mat, dtype=dtype, copy=copy)
 
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
-
 
 @dataclass(frozen=True, eq=False)
 class PositiveDefiniteMatrix(HermitianMatrix):
@@ -137,13 +137,6 @@ def _require_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
-def herm(entries: MatrixLike) -> HermitianMatrix:
-    """Construct a HermitianMatrix from any square array-like."""
-    if isinstance(entries, HermitianMatrix):
-        return entries
-    return HermitianMatrix(np.asarray(entries))
-
-
 def pd(entries: MatrixLike) -> PositiveDefiniteMatrix:
     """Construct a PositiveDefiniteMatrix from any square array-like."""
     if isinstance(entries, PositiveDefiniteMatrix):
@@ -154,7 +147,7 @@ def pd(entries: MatrixLike) -> PositiveDefiniteMatrix:
 def eig_hermitian(H: MatrixLike):
     """np.linalg.eigh of the Hermitian part of H: NumPy's EighResult, whose
     fields eigenvalues (ascending) and eigenvectors also unpack as (w, U)."""
-    mat = _mat(herm(H))
+    mat = HermitianMatrix(_mat(H)).mat
     try:
         return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:

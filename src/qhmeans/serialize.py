@@ -13,12 +13,7 @@ import numpy as np
 
 from .barycenter import SolverReport, WeightedEnsemble
 from .errors import DomainError
-from .generators import (
-    ArithmeticGenerator,
-    GeometricGenerator,
-    HarmonicGenerator,
-    MeasureGenerator,
-)
+from .generators import _FAMILIES, GeometricGenerator, MeasureGenerator
 from .hermitian import MatrixLike, _mat, _require_count
 from .measures import (
     ArcsineMeasure,
@@ -80,12 +75,8 @@ def generator_from_json(obj: dict) -> MeasureGenerator:
     the same generator as the "measure" kind of that measure."""
     try:
         kind = obj.get("kind")
-        if kind == "arithmetic":
-            return ArithmeticGenerator(float(obj["lambda"]))
-        if kind == "geometric":
-            return GeometricGenerator(float(obj["lambda"]))
-        if kind == "harmonic":
-            return HarmonicGenerator(float(obj["lambda"]))
+        if isinstance(kind, str) and kind in _FAMILIES:
+            return _FAMILIES[kind](float(obj["lambda"]))
         if kind == "measure":
             return MeasureGenerator(measure_from_json(obj["mu"]))
         if kind == "power":

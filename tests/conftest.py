@@ -16,11 +16,11 @@ import pytest
 
 from qhmeans import (
     DiscreteMeasure,
+    HermitianMatrix,
     PositiveDefiniteMatrix,
     QuantumChannel,
     UnsupportedVariantError,
     euclidean_gradient,
-    herm,
     pd,
 )
 from qhmeans.channels import _complex_gaussian
@@ -261,11 +261,11 @@ def assembled_gradient(ens, X, c, derivative):
     M_j = A_j^{-1/2} X A_j^{-1/2}; the inverse roots come from plain numpy.
     """
     G = c * np.eye(X.dim, dtype=np.complex128)
-    for w, A in zip(ens.weights, ens.matrices):
-        lam, U = np.linalg.eigh(A.mat)
+    for w, A in zip(ens.weights, ens.stack):
+        lam, U = np.linalg.eigh(A)
         R = (U / np.sqrt(lam)) @ U.conj().T
         M = R @ X.mat @ R
-        G -= w * (R @ derivative((M + M.conj().T) / 2, A.mat) @ R)
+        G -= w * (R @ derivative((M + M.conj().T) / 2, A) @ R)
     return (G + G.conj().T) / 2
 
 
@@ -335,4 +335,4 @@ def choi_matrix(T):
     """Choi matrix sum_ij e_i e_j* (x) T(e_i e_j*), PSD iff T is completely
     positive.  Row k of V is K_k column-stacked, so Choi = V^T conj(V)."""
     V = T.kraus.swapaxes(1, 2).reshape(len(T.kraus), -1)
-    return herm(V.T @ V.conj())
+    return HermitianMatrix(V.T @ V.conj())

@@ -7,12 +7,12 @@ from qhmeans import (
     DimensionMismatchError,
     DivergenceSpec,
     DomainError,
+    HermitianMatrix,
     QuantumChannel,
     apply_channel,
     arcsine_generator,
     check_dpi,
     check_joint_convexity,
-    herm,
     pd,
     phi,
     random_cptp,
@@ -83,43 +83,43 @@ class TestConstruction:
 
 class TestApplyChannel:
     def test_identity_channel(self, rng):
-        A = herm(random_pd_np(rng, 2))
+        A = HermitianMatrix(random_pd_np(rng, 2))
         T = QuantumChannel((np.eye(2),))
         assert np.allclose(apply_channel(T, A).mat, A.mat)
 
     def test_trace_preservation(self, rng):
         for i in range(10):
             T = random_cptp(3, 3, 3, seed=[7, i])
-            A = herm(random_pd_np(rng, 3))
+            A = HermitianMatrix(random_pd_np(rng, 3))
             out = apply_channel(T, A)
             assert np.trace(out.mat).real == pytest.approx(
                 np.trace(A.mat).real, abs=1e-10
             )
 
     def test_pinching_extracts_diagonal(self):
-        out = apply_channel(pinching_channel(2), herm(A2))
+        out = apply_channel(pinching_channel(2), HermitianMatrix(A2))
         assert np.allclose(out.mat, np.diag([2.5, 2.5]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            apply_channel(pinching_channel(2), herm(np.eye(3)))
+            apply_channel(pinching_channel(2), HermitianMatrix(np.eye(3)))
 
 
 class TestPinching:
     def test_fixes_diagonal_matrices(self, rng):
         D = np.diag(rng.uniform(1, 2, size=4))
-        out = apply_channel(pinching_channel(4), herm(D))
+        out = apply_channel(pinching_channel(4), HermitianMatrix(D))
         assert np.allclose(out.mat, D)
 
     def test_idempotent(self, rng):
         T = pinching_channel(3)
-        A = herm(random_pd_np(rng, 3))
+        A = HermitianMatrix(random_pd_np(rng, 3))
         once = apply_channel(T, A)
         twice = apply_channel(T, once)
         assert np.allclose(once.mat, twice.mat)
 
     def test_unital(self):
-        out = apply_channel(pinching_channel(3), herm(np.eye(3)))
+        out = apply_channel(pinching_channel(3), HermitianMatrix(np.eye(3)))
         assert np.array_equal(out.mat, np.eye(3, dtype=complex))
 
     def test_accepts_numpy_integer_dimension(self):
@@ -143,7 +143,7 @@ class TestRandomCptp:
     def test_unitary_case_preserves_spectrum(self, rng):
         T = random_cptp(3, 3, 1, seed=11)
         A = random_pd_np(rng, 3)
-        out = apply_channel(T, herm(A))
+        out = apply_channel(T, HermitianMatrix(A))
         assert np.allclose(
             np.linalg.eigvalsh(out.mat), np.linalg.eigvalsh(A), atol=1e-10
         )

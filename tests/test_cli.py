@@ -376,6 +376,13 @@ class TestNcMeasure:
         code = main(["ncmeasure", "--input", ens, "--max-iter", "2"])
         assert code == 3
 
+    def test_table_format(self, ref_files, capsys):
+        _, _, ens = ref_files
+        assert main(["ncmeasure", "--input", ens]) == 0
+        value = json.loads(capsys.readouterr().out)["noncommutativity"]
+        assert main(["ncmeasure", "--input", ens, "--format", "table"]) == 0
+        assert capsys.readouterr().out == f"{value:.6g}\n"
+
 
 class TestProperties:
     def test_zero_trials_vacuous_pass(self, capsys):

@@ -203,7 +203,7 @@ class TestMaximalFDivergence:
         # S_f(A, A) = Tr A > 0 on the diagonal
         A = pd(random_pd_np(rng, 3))
         val = maximal_f_divergence(A, A, lambda w: w**2)
-        assert val == pytest.approx(A.trace(), abs=1e-10)
+        assert val == pytest.approx(np.trace(A.mat).real, abs=1e-10)
 
     def test_g_form_recovers_phi(self, ref_pair):
         A, B = ref_pair
@@ -293,7 +293,7 @@ class TestBatchedPhi:
             batch = _phi_batch(a, b, spec)
             assert batch.shape == (len(pairs),)
             for value, (A, B) in zip(batch, pairs):
-                scale = A.trace() + B.trace()
+                scale = np.trace(A.mat + B.mat).real
                 assert abs(value - phi(A, B, spec)) <= 1e-14 * scale
                 assert value == pytest.approx(phi_via_g(A, B, spec), abs=1e-9)
                 assert value == pytest.approx(phi_via_bregman(A, B, spec), abs=1e-9)

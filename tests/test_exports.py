@@ -35,7 +35,7 @@ def test_every_benchmark_import_resolves():
 def test_all_names_the_public_objects_and_no_module():
     # importing the names binds their submodules in the package namespace too
     assert [name for name in qhmeans.__all__ if isinstance(getattr(qhmeans, name), ModuleType)] == []
-    assert len(qhmeans.__all__) == len(set(qhmeans.__all__)) == 60
+    assert len(qhmeans.__all__) == len(set(qhmeans.__all__)) == 59
     namespace = {}
     exec("from qhmeans import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(qhmeans.__all__)

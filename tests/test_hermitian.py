@@ -17,7 +17,6 @@ from qhmeans import (
     eig_hermitian,
     frechet_derivative,
     frobenius_dist,
-    herm,
     inv_sqrt_pd,
     pd,
     phi,
@@ -60,13 +59,13 @@ class TestConstruction:
         # checked before any arithmetic: no RuntimeWarning comes first
         M = np.eye(2, dtype=complex)
         M[0, 0] = entry
-        for build in (pd, herm):
+        for build in (pd, HermitianMatrix):
             with pytest.raises(DomainError, match="non-finite"):
                 build(M)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DomainError):
-            herm(np.ones((2, 3)))
+            HermitianMatrix(np.ones((2, 3)))
 
     @pytest.mark.parametrize(
         "call",
@@ -75,10 +74,10 @@ class TestConstruction:
             sqrt_pd,
             lambda Z: phi(Z, Z, DivergenceSpec(arcsine_generator())),
             lambda Z: loewner_leq(Z, Z),
-            herm,
+            HermitianMatrix,
             lambda Z: frobenius_dist(Z, Z),
         ],
-        ids=["pd", "sqrt_pd", "phi", "loewner_leq", "herm", "frobenius_dist"],
+        ids=["pd", "sqrt_pd", "phi", "loewner_leq", "HermitianMatrix", "frobenius_dist"],
     )
     def test_rejects_dimension_zero(self, call):
         # one rule for every square matrix the package reads, before any
@@ -87,7 +86,7 @@ class TestConstruction:
             call(np.zeros((0, 0)))
 
     def test_immutable(self):
-        H = herm(np.eye(2))
+        H = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             H.mat[0, 0] = 5.0
 
@@ -112,24 +111,24 @@ class TestConstruction:
 
 class TestEig:
     def test_diagonal(self):
-        dec = eig_hermitian(herm(np.diag([4.0, 1.0])))
+        dec = eig_hermitian(HermitianMatrix(np.diag([4.0, 1.0])))
         assert np.allclose(dec.eigenvalues, [1.0, 4.0])
         # eigenvectors of a diagonal matrix are identity columns, maybe permuted
         assert np.allclose(np.abs(dec.eigenvectors), np.eye(2)[:, [1, 0]])
 
     def test_offdiagonal_reassembly(self):
-        dec = eig_hermitian(herm(A2))
+        dec = eig_hermitian(HermitianMatrix(A2))
         assert np.allclose(dec.eigenvalues, [1.0, 4.0])
         assert np.linalg.norm(_spectral(dec.eigenvectors, dec.eigenvalues) - A2) <= 1e-10 * 2
 
     def test_identity(self):
-        dec = eig_hermitian(herm(np.eye(3)))
+        dec = eig_hermitian(HermitianMatrix(np.eye(3)))
         assert np.allclose(dec.eigenvalues, 1.0)
 
     def test_is_numpys_eigh_of_the_hermitian_part(self, rng):
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         w, U = eig_hermitian(raw)
-        expected = np.linalg.eigh(herm(raw).mat)
+        expected = np.linalg.eigh(HermitianMatrix(raw).mat)
         assert np.array_equal(w, expected.eigenvalues)
         assert np.array_equal(U, expected.eigenvectors)
 
@@ -143,7 +142,7 @@ class TestEig:
 
     def test_unitarity_and_reassembly_random(self, rng):
         for dim in (2, 5, 16):
-            H = herm(np.asarray(random_pd_np(rng, dim)) - np.eye(dim))
+            H = HermitianMatrix(np.asarray(random_pd_np(rng, dim)) - np.eye(dim))
             dec = eig_hermitian(H)
             U = dec.eigenvectors
             assert np.linalg.norm(U.conj().T @ U - np.eye(dim)) <= 1e-12 * dim
@@ -209,20 +208,20 @@ class TestLoewner:
     """The Loewner-order oracle of the acceptance and monotonicity tests."""
 
     def test_reflexive(self, rng):
-        A = herm(random_pd_np(rng, 3))
+        A = HermitianMatrix(random_pd_np(rng, 3))
         assert loewner_leq(A, A, 1e-12)
 
     def test_diagonal_comparison(self):
-        assert loewner_leq(herm(np.diag([1.0, 1.0])), herm(np.diag([2.0, 3.0])), 1e-12)
+        assert loewner_leq(np.diag([1.0, 1.0]), np.diag([2.0, 3.0]), 1e-12)
 
     def test_incomparable_pair(self):
-        A, B = herm(np.diag([0.0, 2.0])), herm(np.diag([1.0, 1.0]))
+        A, B = HermitianMatrix(np.diag([0.0, 2.0])), HermitianMatrix(np.diag([1.0, 1.0]))
         assert not loewner_leq(A, B, 1e-12)
         assert not loewner_leq(B, A, 1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            loewner_leq(herm(np.eye(2)), herm(np.eye(3)), 1e-12)
+            loewner_leq(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)), 1e-12)
 
     def test_tolerance_is_relative_at_small_scale(self):
         # B - A = -5e-12 I is far below the default tol in absolute terms, but
@@ -238,8 +237,8 @@ class TestLoewner:
         assert loewner_leq(A, A * (1 - 1e-13)) and loewner_leq(A * (1 - 1e-13), A)
 
     def test_antisymmetry_up_to_tol(self, rng):
-        A = herm(random_pd_np(rng, 3))
-        B = herm(A.mat + 1e-14 * np.eye(3))
+        A = HermitianMatrix(random_pd_np(rng, 3))
+        B = HermitianMatrix(A.mat + 1e-14 * np.eye(3))
         tol = 1e-10
         assert loewner_leq(A, B, tol) and loewner_leq(B, A, tol)
         assert frobenius_dist(A, B) <= 10 * tol
@@ -250,14 +249,14 @@ class TestLoewner:
             A = random_pd_np(rng, 3)
             B = A + random_pd_np(rng, 3) + np.eye(3)  # slack far above 2*tol
             C = B + random_pd_np(rng, 3) + np.eye(3)
-            assert loewner_leq(herm(A), herm(B), tol)
-            assert loewner_leq(herm(B), herm(C), tol)
-            assert loewner_leq(herm(A), herm(C), tol)
+            assert loewner_leq(A, B, tol)
+            assert loewner_leq(B, C, tol)
+            assert loewner_leq(A, C, tol)
 
 
 class TestMetrics:
     def test_frobenius_self(self, rng):
-        A = herm(random_pd_np(rng, 4))
+        A = HermitianMatrix(random_pd_np(rng, 4))
         assert frobenius_dist(A, A) == 0.0
 
     def test_thompson_scalar_multiple(self):
@@ -270,7 +269,15 @@ class TestMetrics:
 
     def test_thompson_rejects_non_pd(self):
         with pytest.raises(DomainError):
-            thompson_dist(herm(np.diag([1.0, 0.0])), pd(np.eye(2)))
+            thompson_dist(HermitianMatrix(np.diag([1.0, 0.0])), pd(np.eye(2)))
+
+    def test_thompson_refuses_a_middle_spectrum_that_is_not_positive(self, monkeypatch):
+        # A^{-1/2} B A^{-1/2} of validated inputs rounds to a non-positive
+        # eigenvalue only at extreme conditioning; a patched eigvalsh reaches it
+        A, B = pd(np.eye(2)), pd(np.diag([2.0, 3.0]))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([-1e-300, 1.0]))
+        with pytest.raises(DomainError, match="Thompson metric requires positive definite inputs"):
+            thompson_dist(A, B)
 
     def test_thompson_triangle(self, rng):
         for _ in range(20):
@@ -293,21 +300,21 @@ class TestMetrics:
 class TestFrechetDerivative:
     def test_linear_function(self, rng):
         X = pd(random_pd_np(rng, 3))
-        Y = herm(random_pd_np(rng, 3))
+        Y = HermitianMatrix(random_pd_np(rng, 3))
         out = frechet_derivative(lambda w: 2 * w, lambda w: np.full_like(w, 2.0), X, Y)
         assert np.linalg.norm(out.mat - 2 * Y.mat) <= 1e-12
 
     def test_square_function(self, rng):
         # D(X^2)[Y] = XY + YX
         X = pd(random_pd_np(rng, 3))
-        Y = herm(random_pd_np(rng, 3))
+        Y = HermitianMatrix(random_pd_np(rng, 3))
         out = frechet_derivative(lambda w: w**2, lambda w: 2 * w, X, Y)
         expected = X.mat @ Y.mat + Y.mat @ X.mat
         assert np.linalg.norm(out.mat - expected) <= 1e-10
 
     def test_degenerate_spectrum_uses_derivative(self):
         # X = I has a fully degenerate spectrum: D f(I)[Y] = f'(1) Y
-        Y = herm(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        Y = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         out = frechet_derivative(np.sqrt, lambda w: 0.5 / np.sqrt(w), pd(np.eye(2)), Y)
         assert np.linalg.norm(out.mat - 0.5 * Y.mat) <= 1e-12
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import mpmath as mp
 import numpy as np
@@ -139,9 +140,11 @@ class TestMeasureAndGeneratorJson:
         with pytest.raises(DomainError, match="unknown generator kind 'log'"):
             generator_from_json({"kind": "log"})
 
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            generator_from_json({"kind": "exotic"})
+    @pytest.mark.parametrize("kind", ["exotic", ["geometric"], 3, None], ids=repr)
+    def test_unknown_kind(self, kind):
+        # a kind that is not a family name, a string or even hashable is unknown
+        with pytest.raises(DomainError, match=re.escape(f"unknown generator kind {kind!r}")):
+            generator_from_json({"kind": kind, "lambda": 0.5})
 
     @pytest.mark.parametrize(
         "obj",
@@ -216,8 +219,8 @@ class TestEnsembleAndReportJson:
         )
         ens = ensemble_from_json(obj)
         assert np.array_equal(ens.weights, [0.25, 0.75])
-        assert np.array_equal(ens.matrices[0].mat, np.diag([4.0, 1.0]).astype(complex))
-        assert np.array_equal(ens.matrices[1].mat, [[2.5, 1.5 + 0.5j], [1.5 - 0.5j, 2.5]])
+        assert np.array_equal(ens.stack[0], np.diag([4.0, 1.0]).astype(complex))
+        assert np.array_equal(ens.stack[1], [[2.5, 1.5 + 0.5j], [1.5 - 0.5j, 2.5]])
 
     @pytest.mark.parametrize(
         "obj", [{"weights": [1.0]}, {"matrices": 5, "weights": [1.0]}], ids=["no-matrices", "not-a-list"]
